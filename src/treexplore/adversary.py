@@ -21,7 +21,7 @@ import warnings
 from collections import Counter
 from dataclasses import dataclass
 
-from .errors import InfeasibleParamsError, NoBranchError
+from .errors import InfeasibleParamsError, IntegrityError, NoBranchError
 from .game import Attachment, GameState
 from .tree import ROOT, RootedTree, make_path_star
 
@@ -236,18 +236,24 @@ class CheckpointRecord:
     def to_json_obj(self) -> dict:
         return {
             "i": self.i,
-            "K": list(self.K),
-            "a": {str(v): c for v, c in self.a_values.items()},
-            "S": list(self.S),
+            "K": self.K,
+            "a": [self.a_values[v] for v in self.K],
+            "S": self.S,
             "gadgets": [g.to_json_obj() for g in self.gadgets],
         }
 
     @staticmethod
     def from_json_obj(obj: dict) -> "CheckpointRecord":
+        """Inverse of ``to_json_obj``; ``a`` must be a list aligned with ``K``."""
+        K, a = obj["K"], obj["a"]
+        if not isinstance(a, list) or len(a) != len(K):
+            raise IntegrityError(
+                f"checkpoint {obj['i']}: 'a' must be a list of {len(K)} counts aligned with 'K'"
+            )
         return CheckpointRecord(
             i=obj["i"],
-            K=tuple(obj["K"]),
-            a_values={int(v): c for v, c in obj["a"].items()},
+            K=tuple(K),
+            a_values=dict(zip(K, a)),
             S=tuple(obj["S"]),
             gadgets=tuple(Attachment.from_json_obj(g) for g in obj["gadgets"]),
         )

@@ -13,7 +13,13 @@ import json
 from dataclasses import dataclass
 from typing import Protocol, Sequence
 
-from .errors import AttachmentViolation, IntegrityError, MoveViolation, VertexNotFoundError
+from .errors import (
+    AttachmentViolation,
+    IntegrityError,
+    InvalidParameterError,
+    MoveViolation,
+    VertexNotFoundError,
+)
 from .tree import ROOT, RootedTree, TreeStats, attach_path_with_star, decode_tree
 
 
@@ -324,7 +330,7 @@ def play(
     hitting it leaves ``finished`` false.
     """
     if round_cap < 0:
-        raise ValueError("round_cap must be >= 0")
+        raise InvalidParameterError(f"round cap must be >= 0 (got {round_cap})")
     state = GameState(revealer.initial_tree().copy(), k)
     params = dict(params_meta) if params_meta else {}
     params.setdefault("explorer", getattr(explorer, "name", explorer.__class__.__name__))
@@ -399,13 +405,18 @@ def replay_transcript(transcript: Transcript, initial: RootedTree, k: int | None
 
 
 def transcript_to_json(transcript: Transcript) -> str:
-    """Stable-key-order JSON with LF endings."""
+    """Compact single-line JSON, keys in a fixed order, ending in one LF.
+
+    One ``json.dumps`` call with compact separators and no indent keeps
+    the whole encode in CPython's C encoder; an indent, ``json.dump`` to a
+    file or ``iterencode`` would all fall back to the pure-Python one.
+    """
     doc = {
         "params": transcript.params,
         "rounds": [
             {
                 "t": r.t,
-                "moves": list(r.moves),
+                "moves": r.moves,
                 "attachments": [a.to_json_obj() for a in r.attachments],
                 "newly_visited": r.newly_visited,
             }
@@ -419,30 +430,44 @@ def transcript_to_json(transcript: Transcript) -> str:
             "height": transcript.outcome.final_stats.height,
         },
     }
-    return json.dumps(doc, indent=2) + "\n"
+    return json.dumps(doc, separators=(",", ":")) + "\n"
 
 
 def transcript_from_json(text: str | bytes) -> Transcript:
+    """Parse a transcript; malformed input raises IntegrityError with a one-line message."""
     from .adversary import CheckpointRecord  # local import to avoid a cycle
 
-    doc = json.loads(text)
-    rounds = [
-        RoundRecord(
-            t=r["t"],
-            moves=tuple(r["moves"]),
-            attachments=tuple(Attachment.from_json_obj(a) for a in r["attachments"]),
-            newly_visited=r["newly_visited"],
+    try:
+        doc = json.loads(text)
+    except ValueError as exc:  # JSONDecodeError, or bytes that are not UTF-8
+        raise IntegrityError(f"transcript is not valid JSON: {exc}") from exc
+    try:
+        rounds = [
+            RoundRecord(
+                t=r["t"],
+                moves=tuple(r["moves"]),
+                attachments=tuple(Attachment.from_json_obj(a) for a in r["attachments"]),
+                newly_visited=r["newly_visited"],
+            )
+            for r in doc["rounds"]
+        ]
+        checkpoints = [CheckpointRecord.from_json_obj(c) for c in doc.get("checkpoints", [])]
+        out = doc["outcome"]
+        outcome = Outcome(
+            finished=out["finished"],
+            final_round=out["final_round"],
+            final_stats=TreeStats(
+                n=out["n"], height=out["height"], max_degree=-1, root_ecc=out["height"]
+            ),
         )
-        for r in doc["rounds"]
-    ]
-    checkpoints = [CheckpointRecord.from_json_obj(c) for c in doc.get("checkpoints", [])]
-    out = doc["outcome"]
-    outcome = Outcome(
-        finished=out["finished"],
-        final_round=out["final_round"],
-        final_stats=TreeStats(n=out["n"], height=out["height"], max_degree=-1, root_ecc=out["height"]),
-    )
-    return Transcript(params=doc["params"], rounds=rounds, checkpoints=checkpoints, outcome=outcome)
+        params = doc["params"]
+    except KeyError as exc:
+        raise IntegrityError(f"transcript is missing key {exc}") from exc
+    except TypeError as exc:
+        raise IntegrityError(f"transcript has a malformed record: {exc}") from exc
+    if not isinstance(params, dict):
+        raise IntegrityError("transcript params are not an object")
+    return Transcript(params=params, rounds=rounds, checkpoints=checkpoints, outcome=outcome)
 
 
 def initial_tree_of(transcript: Transcript) -> RootedTree:

@@ -41,7 +41,6 @@ def run_adversary_game(
         "m": params.m,
         "k": params.k,
         "cap": cap,
-        "seed": None,
     }
     return play(explorer, revealer, params.k, cap, view_mode=view_mode, params_meta=meta)
 
@@ -69,7 +68,6 @@ def run_fixed_game(
         "m": None,
         "k": k,
         "cap": cap,
-        "seed": None,
         "tree": {"n": tree.n, "parent": list(tree.parent)},
     }
     return play(explorer, revealer, k, cap, view_mode=view_mode, params_meta=meta)

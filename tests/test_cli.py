@@ -115,6 +115,62 @@ def test_missing_file_exits_1(capsys):
     assert main(["verify", "--transcript", "/nonexistent/tr.json"]) == 1
 
 
+def _truncate(text: str) -> str:
+    return text[:3000]
+
+
+def _drop_finished(text: str) -> str:
+    doc = json.loads(text)
+    del doc["outcome"]["finished"]
+    return json.dumps(doc)
+
+
+def _object_valued_a(text: str) -> str:
+    doc = json.loads(text)
+    cp = doc["checkpoints"][0]
+    cp["a"] = {str(v): c for v, c in zip(cp["K"], cp["a"])}
+    return json.dumps(doc)
+
+
+def _short_a(text: str) -> str:
+    doc = json.loads(text)
+    doc["checkpoints"][0]["a"].pop()
+    return json.dumps(doc)
+
+
+@pytest.mark.parametrize(
+    "corrupt, message",
+    [
+        (_truncate, "not valid JSON"),
+        (_drop_finished, "missing key 'finished'"),
+        (_object_valued_a, "'a' must be a list"),
+        (_short_a, "'a' must be a list"),
+    ],
+)
+def test_verify_malformed_transcript_exits_3_with_one_line(tmp_path, capsys, corrupt, message):
+    out = tmp_path / "tr.json"
+    main(LEMMA_ARGS + ["--out", str(out)])
+    out.write_text(corrupt(out.read_text()))
+    capsys.readouterr()
+    assert main(["verify", "--transcript", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("integrity error: ")
+    assert message in err
+
+
+def test_verify_non_utf8_bytes_exits_3(tmp_path, capsys):
+    out = tmp_path / "tr.json"
+    out.write_bytes(b"\xff\xfe{}")
+    assert main(["verify", "--transcript", str(out)]) == 3
+    assert capsys.readouterr().err.startswith("integrity error: ")
+
+
+def test_run_negative_cap_exits_1_with_one_line(capsys):
+    assert main(LEMMA_ARGS[:-2] + ["--cap", "-1"]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: ") and "round cap" in err
+
+
 class TestSweep:
     def _spec(self, tmp_path, grid):
         spec = {

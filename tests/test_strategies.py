@@ -2,6 +2,7 @@
 
 import random
 import warnings
+import zlib
 
 import pytest
 
@@ -179,7 +180,7 @@ def test_every_strategy_emits_legal_moves_on_seeded_games():
     }
     games = 0
     for name, pick_k in cases.items():
-        rng = random.Random(hash(name) & 0xFFFF)
+        rng = random.Random(zlib.crc32(name.encode()) & 0xFFFF)
         for _ in range(250):
             tree = random_tree(rng.randrange(2, 26), rng)
             k = pick_k(tree.n)

@@ -99,6 +99,44 @@ class TestTamperDetection:
         with pytest.raises(IntegrityError, match="final_round"):
             verify_transcript(transcript_from_json(json.dumps(doc)))
 
+    @pytest.mark.parametrize(
+        "tamper",
+        [
+            pytest.param(lambda cp: cp["a"].__setitem__(0, cp["a"][0] + 1), id="edit-a-entry"),
+            pytest.param(lambda cp: cp["a"].pop(), id="drop-a-entry"),
+            pytest.param(
+                lambda cp: cp["K"].__setitem__(slice(0, 2), cp["K"][1::-1]), id="swap-K-entries"
+            ),
+        ],
+    )
+    def test_positional_a_values(self, small_idle_transcript, tamper):
+        doc = self._doc(small_idle_transcript)
+        tamper(doc["checkpoints"][0])
+        with pytest.raises(IntegrityError):
+            verify_transcript(transcript_from_json(json.dumps(doc)))
+
+
+class TestTranscriptFormat:
+    def test_compact_single_line_in_key_order(self, small_greedy_transcript):
+        text = transcript_to_json(small_greedy_transcript)
+        assert text.index("\n") == len(text) - 1
+        assert list(json.loads(text)) == ["params", "rounds", "checkpoints", "outcome"]
+
+    def test_a_is_aligned_with_K(self, small_greedy_transcript):
+        doc = json.loads(transcript_to_json(small_greedy_transcript))
+        for obj, rec in zip(doc["checkpoints"], small_greedy_transcript.checkpoints):
+            assert obj["a"] == [rec.a_values[v] for v in rec.K]
+
+    def test_reload_round_trips_and_verifies_alike(self, small_greedy_transcript):
+        text = transcript_to_json(small_greedy_transcript)
+        reloaded = transcript_from_json(text)
+        assert transcript_to_json(reloaded) == text
+        assert reloaded.checkpoints == small_greedy_transcript.checkpoints
+        assert (
+            verify_transcript(reloaded).to_json_obj()
+            == verify_transcript(small_greedy_transcript).to_json_obj()
+        )
+
 
 class TestStrictMode:
     def test_zero_agent_checkpoints_are_vacuous_not_failures(self):
