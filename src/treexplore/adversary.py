@@ -163,10 +163,6 @@ def derive_params(n: int, L: int, m: int, k: int, mode: str = "repaired", warn: 
     return AdversaryParams.derive(n=n, L=L, m=m, k=k, mode=mode, warn=warn)
 
 
-def initial_tree(params: AdversaryParams) -> RootedTree:
-    return params.initial_tree()
-
-
 def branch_agent_count(state: GameState, v: int) -> int:
     """Number of agents currently inside v's root branch.
 

@@ -195,23 +195,22 @@ def apply_round(state: GameState, moves: Sequence[int], attachments: Sequence[At
 class ExplorerView:
     """What a strategy is allowed to see.
 
-    In ``game`` mode the full current tree, visited set, positions, and
-    round history are exposed. In ``local`` mode only vertices adjacent
-    to a visited vertex are exposed: children of an unvisited vertex stay
-    hidden until it is first visited.
+    In ``game`` mode the full current tree, visited set and positions are
+    exposed. In ``local`` mode only vertices adjacent to a visited vertex
+    are exposed: children of an unvisited vertex stay hidden until it is
+    first visited.
 
     ``reveal_log`` and ``visit_log`` are append-only; strategies track how
     much of each they have consumed and stay incremental.
     """
 
-    __slots__ = ("mode", "_state", "history", "reveal_log", "_revealed")
+    __slots__ = ("mode", "_state", "reveal_log", "_revealed")
 
-    def __init__(self, state: GameState, mode: str = "game", history: list | None = None):
+    def __init__(self, state: GameState, mode: str = "game"):
         if mode not in ("game", "local"):
-            raise ValueError(f"unknown view mode {mode!r}")
+            raise InvalidParameterError(f"unknown view mode {mode!r}")
         self.mode = mode
         self._state = state
-        self.history = history if history is not None else []
         if mode == "game":
             self.reveal_log: list[int] = list(range(state.tree.n))
             self._revealed = None
@@ -265,13 +264,24 @@ class ExplorerView:
     def positions(self) -> tuple[int, ...]:
         return tuple(self._state.positions)
 
-    def num_revealed(self) -> int:
-        return len(self.reveal_log)
+    # the live arrays behind parent(v), depth(v), branch(v) and is_visited(v),
+    # for strategies that scan many vertices per round; never mutate them
 
-    def is_revealed(self, v: int) -> bool:
-        if self.mode == "game":
-            return v in self._state.tree
-        return v < len(self._revealed) and bool(self._revealed[v])
+    @property
+    def parents(self) -> list:
+        return self._state.tree.parent
+
+    @property
+    def depths(self) -> list[int]:
+        return self._state.tree.depth
+
+    @property
+    def branches(self) -> list[int]:
+        return self._state.tree.branch
+
+    @property
+    def visited(self) -> bytearray:
+        return self._state.visited
 
     def is_visited(self, v: int) -> bool:
         return bool(self._state.visited[v])
@@ -290,12 +300,6 @@ class ExplorerView:
     def branch(self, v: int) -> int:
         """Depth-1 ancestor of v, or -1 for the root."""
         return self._state.tree.branch[v]
-
-    def distance(self, u: int, v: int) -> int:
-        return self._state.tree.distance(u, v)
-
-    def ancestor_at_depth(self, v: int, d: int) -> int:
-        return self._state.tree.ancestor_at_depth(v, d)
 
     def visit_log(self) -> list[int]:
         return self._state.visit_log
@@ -343,7 +347,7 @@ def play(
         params.setdefault("tree", {"n": state.tree.n, "parent": list(state.tree.parent)})
     rounds: list[RoundRecord] = []
     checkpoints: list = []
-    view = ExplorerView(state, mode=view_mode, history=rounds)
+    view = ExplorerView(state, mode=view_mode)
     while True:
         if is_explored(state):
             finished = True

@@ -18,7 +18,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from ..adversary import AdversaryParams
-from ..errors import TreexploreError
+from ..errors import InvalidParameterError, TreexploreError
 from ..offline import euler_schedule, trivial_lb
 from ..tree import decode_tree
 from .runner import run_adversary_game, run_fixed_game
@@ -57,11 +57,12 @@ def _explorer_entries(spec: dict) -> list[tuple[str, object]]:
 
 
 def _resolve_k(k_setting, grid_entry: dict) -> int:
-    if k_setting is None:
-        return grid_entry["k"]
-    if k_setting == "n":
-        return grid_entry["n"]
-    return int(k_setting)
+    if k_setting not in (None, "n"):
+        return int(k_setting)
+    key = "k" if k_setting is None else "n"
+    if key not in grid_entry:
+        raise InvalidParameterError(f"grid entry {grid_entry} has no {key!r}")
+    return grid_entry[key]
 
 
 def run_sweep(spec: dict, base_dir: Path | None = None) -> str:

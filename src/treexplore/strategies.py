@@ -8,7 +8,7 @@ proportional to what changed plus the number of moving agents.
 
 from __future__ import annotations
 
-from .errors import StrategyInfeasibleError
+from .errors import InvalidParameterError, StrategyInfeasibleError
 from .game import ExplorerView
 from .tree import ROOT
 
@@ -160,7 +160,8 @@ class GreedyFrontierExplorer:
     and greedily matched to the closest unmatched agent (ties toward the
     lower agent index); matched agents step one edge along the tree path
     toward their target, everyone else stays. Matching is recomputed from
-    scratch every round.
+    scratch every round, over the view's flat arrays, in
+    O(k + targets scanned + in-branch agents scanned) plus the tree walks.
     """
 
     name = "greedy_frontier"
@@ -168,104 +169,103 @@ class GreedyFrontierExplorer:
     def __init__(self, k: int):
         self.k = k
         self._log_pos = 0
-        self._buckets: dict[int, list[int]] = {}
-        self._starts: dict[int, int] = {}
-        self._dirty: set[int] = set()
+        self._buckets: dict[int, list[int]] = {}  # targets by depth, ascending; visited ones dropped lazily
 
     def _sync(self, view: ExplorerView) -> None:
         log = view.reveal_log
-        while self._log_pos < len(log):
-            v = log[self._log_pos]
-            self._log_pos += 1
-            if view.is_visited(v):
+        visited = view.visited
+        depth = view.depths
+        dirty = set()
+        for v in log[self._log_pos :]:
+            if visited[v]:
                 continue
-            d = view.depth(v)
+            d = depth[v]
             bucket = self._buckets.setdefault(d, [])
             if bucket and bucket[-1] > v:
-                self._dirty.add(d)
+                dirty.add(d)
             bucket.append(v)
-        for d in self._dirty:
+        self._log_pos = len(log)
+        for d in dirty:
             self._buckets[d].sort()
-            self._starts[d] = 0
-        self._dirty.clear()
-
-    def _iter_targets(self, view: ExplorerView):
-        for d in sorted(self._buckets):
-            bucket = self._buckets[d]
-            start = self._starts.get(d, 0)
-            # drop the fully consumed prefix once, then lazily skip the rest
-            while start < len(bucket) and view.is_visited(bucket[start]):
-                start += 1
-            self._starts[d] = start
-            for idx in range(start, len(bucket)):
-                v = bucket[idx]
-                if not view.is_visited(v):
-                    yield v
 
     def next_moves(self, view: ExplorerView) -> list[int]:
         self._sync(view)
         k = self.k
-        positions = list(view.positions)
+        parent = view.parents
+        depth = view.depths
+        branch = view.branches
+        visited = view.visited
+        positions = view.positions
 
-        by_branch: dict[int, list[int]] = {}
+        # in-branch agents as intrusive chains: head[branch] -> agent,
+        # chain[agent] -> next agent of the same branch, -1 ends a chain
+        head: dict[int, int] = {}
+        chain = [-1] * k
+        # counting sort by depth; appending in index order gives (depth, index)
+        byd = [[] for _ in range(max(map(depth.__getitem__, positions), default=0) + 1)]
         for x, p in enumerate(positions):
             if p != ROOT:
-                by_branch.setdefault(view.branch(p), []).append(x)
-
+                b = branch[p]
+                chain[x] = head.get(b, -1)
+                head[b] = x
+            byd[depth[p]].append(x)
         # agents threaded in (depth, index) order through a doubly linked
         # list with sentinel slot k, so matching removes them in O(1)
+        order = [x for bucket in byd for x in bucket]
         nxt = [0] * (k + 1)
         prv = [0] * (k + 1)
-        prev_slot = k
-        for x in sorted(range(k), key=lambda x: (view.depth(positions[x]), x)):
-            nxt[prev_slot] = x
-            prv[x] = prev_slot
-            prev_slot = x
-        nxt[prev_slot] = k
-        prv[k] = prev_slot
+        for a, b in zip([k] + order, order + [k]):
+            nxt[a] = b
+            prv[b] = a
 
         matched = bytearray(k)
         moves = list(positions)
-        remaining = k
-
-        for v in self._iter_targets(view):
-            if remaining == 0:
-                break
-            dv = view.depth(v)
-            bv = view.branch(v)
-            best_d = None
-            best_x = -1
-            for x in by_branch.get(bv, ()):  # exact distance inside the branch
-                if matched[x]:
+        for dv in sorted(self._buckets):
+            bucket = self._buckets[dv]
+            # visited vertices never become targets again: drop the prefix
+            del bucket[: next((i for i, u in enumerate(bucket) if not visited[u]), len(bucket))]
+            for v in bucket:
+                if nxt[k] == k:  # every agent is matched
+                    return moves
+                if visited[v]:
                     continue
-                d = view.distance(positions[x], v)
-                if best_d is None or (d, x) < (best_d, best_x):
-                    best_d, best_x = d, x
-            # outside the branch every path runs through the root, so the
-            # first non-branch agent in (depth, index) order is nearest
-            x = nxt[k]
-            while x != k:
-                if view.branch(positions[x]) != bv:
-                    d = view.depth(positions[x]) + dv
-                    if best_d is None or (d, x) < (best_d, best_x):
-                        best_d, best_x = d, x
-                    break
-                x = nxt[x]
-            if best_x < 0:
-                continue
-            matched[best_x] = 1
-            remaining -= 1
-            nxt[prv[best_x]] = nxt[best_x]
-            prv[nxt[best_x]] = prv[best_x]
-            moves[best_x] = self._step_toward(view, positions[best_x], v)
+                bv = branch[v]
+                best_d = best_x = -1
+                x = head.get(bv, -1)
+                while x >= 0:  # exact distance inside the branch, via the LCA
+                    if not matched[x]:
+                        u, w = positions[x], v
+                        while u != w:
+                            if depth[u] < depth[w]:
+                                w = parent[w]
+                            else:
+                                u = parent[u]
+                        d = depth[positions[x]] + dv - 2 * depth[u]
+                        if best_x < 0 or d < best_d or (d == best_d and x < best_x):
+                            best_d, best_x = d, x
+                    x = chain[x]
+                # outside the branch every path runs through the root, so the
+                # first non-branch agent in (depth, index) order is nearest;
+                # an agent is unmatched, so one of the two scans finds one
+                x = nxt[k]
+                while x != k:
+                    p = positions[x]
+                    if branch[p] != bv:
+                        d = depth[p] + dv
+                        if best_x < 0 or d < best_d or (d == best_d and x < best_x):
+                            best_x = x
+                        break
+                    x = nxt[x]
+                matched[best_x] = 1
+                nxt[prv[best_x]] = nxt[best_x]
+                prv[nxt[best_x]] = prv[best_x]
+                # one step toward v: down if pos is v's ancestor, else up
+                pos = positions[best_x]
+                w = v
+                for _ in range(dv - depth[pos] - 1):
+                    w = parent[w]
+                moves[best_x] = w if parent[w] == pos else parent[pos]
         return moves
-
-    @staticmethod
-    def _step_toward(view: ExplorerView, pos: int, v: int) -> int:
-        dp = view.depth(pos)
-        if dp < view.depth(v) and view.ancestor_at_depth(v, dp) == pos:
-            return view.ancestor_at_depth(v, dp + 1)
-        return view.parent(pos)
 
 
 class IdleThenExplorer:
@@ -305,6 +305,6 @@ def make_explorer(name: str, k: int, switch_round: int | None = None):
         return GreedyFrontierExplorer(k)
     if name == "idle_then_greedy":
         if switch_round is None:
-            raise ValueError("idle_then_greedy needs a switch round")
+            raise InvalidParameterError("idle_then_greedy needs a switch round")
         return IdleThenExplorer(k, switch_round)
-    raise ValueError(f"unknown explorer {name!r}")
+    raise InvalidParameterError(f"unknown explorer {name!r}")

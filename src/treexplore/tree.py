@@ -53,9 +53,6 @@ class RootedTree:
     def n(self) -> int:
         return len(self.parent)
 
-    def __contains__(self, v: int) -> bool:
-        return 0 <= v < len(self.parent)
-
     def _require(self, v: int) -> None:
         if not (0 <= v < len(self.parent)):
             raise VertexNotFoundError(f"vertex {v} does not exist (tree has {self.n} vertices)")

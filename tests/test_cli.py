@@ -1,11 +1,14 @@
 """CLI surface: subcommands, file outputs, exit codes, byte stability."""
 
+import csv
+import io
 import json
 
 import pytest
 
 from treexplore import decode_tree, encode_tree, make_path_star
 from treexplore.harness.cli import main
+from treexplore.harness.sweep import run_sweep
 
 LEMMA_ARGS = [
     "run", "--explorer", "greedy_frontier", "--revealer", "lemma",
@@ -225,3 +228,67 @@ class TestSweep:
         lines = out.read_text().splitlines()
         assert len(lines) == 5
         assert lines[1].split(",")[1] == "fixed"
+
+
+GOOD_ENTRY = {"n": 4096, "L": 1, "m": 3, "k": 541}
+
+
+def _lemma_spec(explorers, grid):
+    return {"revealer": "lemma", "explorers": explorers, "grid": grid, "modes": ["repaired"], "caps": [20]}
+
+
+def _fixed_spec(explorers):
+    return {"revealer": "fixed", "explorers": explorers, "trees": ["tree.json"], "k_values": [2], "caps": [50]}
+
+
+# (spec with one bad cell, the same spec without it, text of the error)
+BAD_SWEEPS = {
+    "unknown_explorer": (
+        _lemma_spec(["idle", "no_such_explorer", "greedy_frontier"], [GOOD_ENTRY]),
+        _lemma_spec(["idle", "greedy_frontier"], [GOOD_ENTRY]),
+        "unknown explorer 'no_such_explorer'",
+    ),
+    "grid_entry_without_k": (
+        _lemma_spec(["idle"], [GOOD_ENTRY, {"n": 4096, "L": 1, "m": 3}]),
+        _lemma_spec(["idle"], [GOOD_ENTRY]),
+        "has no 'k'",
+    ),
+    "fixed_idle_then_greedy_without_switch_round": (
+        _fixed_spec(["single_dfs", "idle_then_greedy"]),
+        _fixed_spec(["single_dfs"]),
+        "needs a switch round",
+    ),
+}
+
+
+class TestSweepBadCells:
+    """A bad cell gets its message in the error column; the sweep goes on."""
+
+    @staticmethod
+    def _split(csv_text, message):
+        rows = list(csv.reader(io.StringIO(csv_text)))
+        errors = [row for row in rows[1:] if row[-1]]
+        assert len(errors) == 1 and message in errors[0][-1]
+        return [row for row in rows if row not in errors]
+
+    @pytest.fixture
+    def base_dir(self, tmp_path):
+        (tmp_path / "tree.json").write_bytes(encode_tree(make_path_star(4, 2)))
+        return tmp_path
+
+    @pytest.mark.parametrize("case", sorted(BAD_SWEEPS))
+    def test_run_sweep_keeps_the_other_rows(self, case, base_dir):
+        bad, clean, message = BAD_SWEEPS[case]
+        rows = self._split(run_sweep(bad, base_dir=base_dir), message)
+        assert rows == list(csv.reader(io.StringIO(run_sweep(clean, base_dir=base_dir))))
+
+    @pytest.mark.parametrize("case", sorted(BAD_SWEEPS))
+    def test_cli_sweep_exits_0_with_one_error_row(self, case, base_dir, capsys):
+        bad, clean, message = BAD_SWEEPS[case]
+        spec, out = base_dir / "bad.json", base_dir / "bad.csv"
+        spec.write_text(json.dumps(bad))
+        assert main(["sweep", "--spec", str(spec), "--out", str(out)]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        rows = self._split(out.read_text(), message)
+        assert rows == list(csv.reader(io.StringIO(run_sweep(clean, base_dir=base_dir))))

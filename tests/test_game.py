@@ -17,7 +17,7 @@ from treexplore import (
     transcript_to_json,
     validate_moves,
 )
-from treexplore.errors import AttachmentViolation, IntegrityError, MoveViolation
+from treexplore.errors import AttachmentViolation, IntegrityError, InvalidParameterError, MoveViolation
 from treexplore.game import ExplorerView, apply_round
 
 from conftest import assert_transcript_invariants, make_path, make_star, random_tree
@@ -188,3 +188,27 @@ class TestLocalView:
                 seen.add(v)
             # every move targets a vertex that is visited afterwards
             assert set(rec.moves) <= seen
+
+
+class TestViewArrays:
+    @pytest.mark.parametrize("mode", ["game", "local"])
+    def test_arrays_agree_with_accessors_as_the_tree_grows(self, mode):
+        state = GameState(make_star(3), 2)
+        view = ExplorerView(state, mode)
+        # taken once, before any growth: the properties hand out live arrays
+        parents, depths, branches, visited = view.parents, view.depths, view.branches, view.visited
+        for moves, at in (([1, 0], 2), ([1, 2], 3), ([0, 4], 6)):
+            apply_round(state, moves, [Attachment(at=at, path_len=2, leaf_count=2)])
+            n = state.tree.n
+            assert len(parents) == len(depths) == len(branches) == len(visited) == n
+            for v in range(n):
+                assert parents[v] == view.parent(v)
+                assert depths[v] == view.depth(v)
+                assert branches[v] == view.branch(v)
+                assert visited[v] == view.is_visited(v)
+        assert state.tree.n == 16
+        assert visited[4] and not visited[5]
+
+    def test_unknown_mode_is_an_invalid_parameter(self):
+        with pytest.raises(InvalidParameterError, match="unknown view mode"):
+            ExplorerView(GameState(make_star(1), 1), "global")
