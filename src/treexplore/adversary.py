@@ -271,26 +271,28 @@ class CheckpointRevealer:
         i = self._round_to_level.get(t)
         if i is None:
             return [], None
+        record = self.compute(state, i)
+        return list(record.gadgets), record
+
+    def compute(self, state: GameState, i: int) -> CheckpointRecord:
+        """The checkpoint-i record for ``state``; verify recomputes records with it."""
         params = self.params
         candidates = checkpoint_candidates(state, i, params)
         tree = state.tree
-        counts = Counter(
-            tree.branch[p] for p in state.positions if p != ROOT
-        )
+        counts = Counter(tree.branch[p] for p in state.positions if p != ROOT)
         a_values = {v: counts.get(tree.branch[v], 0) for v in candidates}
         selected = select_targets(candidates, a_values, params.alpha)
         gadgets = []
         for v in selected:
             path_len, leaf_count = gadget_spec(i, a_values[v], params)
             gadgets.append(Attachment(at=v, path_len=path_len, leaf_count=leaf_count))
-        record = CheckpointRecord(
+        return CheckpointRecord(
             i=i,
             K=tuple(candidates),
             a_values=a_values,
             S=tuple(selected),
             gadgets=tuple(gadgets),
         )
-        return gadgets, record
 
 
 class FixedTreeRevealer:
@@ -302,7 +304,8 @@ class FixedTreeRevealer:
         self._tree = tree
 
     def initial_tree(self) -> RootedTree:
-        return self._tree
+        # a copy, since play grows the tree it gets and the caller keeps this one
+        return self._tree.copy()
 
     def reveal(self, state: GameState, t: int) -> tuple[list[Attachment], None]:
         return [], None

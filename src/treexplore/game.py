@@ -292,7 +292,8 @@ class ExplorerView:
     def depth(self, v: int) -> int:
         return self._state.tree.depth[v]
 
-    def children(self, v: int) -> list[int]:
+    def children(self, v: int) -> Sequence[int]:
+        """Child ids of ``v``; empty for a leaf and for a vertex the view hides."""
         if self.mode == "local" and not self._state.visited[v]:
             return []
         return self._state.tree.children[v]
@@ -312,6 +313,13 @@ class Explorer(Protocol):
 
 
 class Revealer(Protocol):
+    """The tree's side of the game.
+
+    ``initial_tree`` returns a fresh tree on every call: ``play`` takes it
+    over and grows it in place, so a revealer must not hand out a tree it
+    keeps or one its caller still holds.
+    """
+
     name: str
 
     def initial_tree(self) -> RootedTree: ...
@@ -335,7 +343,7 @@ def play(
     """
     if round_cap < 0:
         raise InvalidParameterError(f"round cap must be >= 0 (got {round_cap})")
-    state = GameState(revealer.initial_tree().copy(), k)
+    state = GameState(revealer.initial_tree(), k)
     params = dict(params_meta) if params_meta else {}
     params.setdefault("explorer", getattr(explorer, "name", explorer.__class__.__name__))
     params.setdefault("revealer", getattr(revealer, "name", revealer.__class__.__name__))

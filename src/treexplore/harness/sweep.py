@@ -46,19 +46,23 @@ CSV_COLUMNS = [
 ]
 
 
-def _explorer_entries(spec: dict) -> list[tuple[str, object]]:
+def _explorer_entries(spec: dict) -> list[tuple[object, object]]:
+    """(name, k setting) per explorer; a bad name fails its cells in make_explorer."""
     entries = []
     for e in spec.get("explorers", []):
-        if isinstance(e, str):
-            entries.append((e, None))
+        if isinstance(e, dict):
+            entries.append((e.get("name"), e.get("k")))
         else:
-            entries.append((e["name"], e.get("k")))
+            entries.append((e, None))
     return entries
 
 
 def _resolve_k(k_setting, grid_entry: dict) -> int:
     if k_setting not in (None, "n"):
-        return int(k_setting)
+        try:
+            return int(k_setting)
+        except (TypeError, ValueError):
+            raise InvalidParameterError(f"explorer k {k_setting!r} is neither an integer nor 'n'") from None
     key = "k" if k_setting is None else "n"
     if key not in grid_entry:
         raise InvalidParameterError(f"grid entry {grid_entry} has no {key!r}")
@@ -169,5 +173,12 @@ def _fixed_cell(path: Path, k: int, cap, name: str, view: str) -> list:
 
 
 def load_sweep_spec(path: Path) -> dict:
-    with open(path, "rb") as fh:
-        return json.load(fh)
+    """Read a sweep spec; a file that is not a JSON object raises TreexploreError."""
+    data = path.read_bytes()
+    try:
+        spec = json.loads(data)
+    except ValueError as exc:  # JSONDecodeError, or bytes that are not UTF-8
+        raise TreexploreError(f"sweep spec {path} is not valid JSON: {exc}") from None
+    if not isinstance(spec, dict):
+        raise TreexploreError(f"sweep spec {path} is not a JSON object")
+    return spec

@@ -21,18 +21,11 @@ evaluates the construction's claims with exact integer comparisons:
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass, field
 
-from ..adversary import (
-    AdversaryParams,
-    CheckpointRecord,
-    checkpoint_candidates,
-    gadget_spec,
-    select_targets,
-)
+from ..adversary import AdversaryParams, CheckpointRecord, CheckpointRevealer
 from ..errors import IntegrityError, TreexploreError
-from ..game import Attachment, GameState, Transcript, _commit_attachments, _commit_moves
+from ..game import GameState, Transcript, _commit_attachments, _commit_moves
 from ..tree import ROOT
 
 
@@ -116,6 +109,7 @@ class _Replay:
 def _replay_and_check_records(transcript: Transcript, params: AdversaryParams) -> _Replay:
     state = GameState(params.initial_tree(), params.k)
     rp = _Replay(state=state)
+    revealer = CheckpointRevealer(params)
     checkpoint_level = {t: i + 1 for i, t in enumerate(params.checkpoints)}
     recorded = {rec.i: rec for rec in transcript.checkpoints}
     if len(recorded) != len(transcript.checkpoints):
@@ -146,7 +140,7 @@ def _replay_and_check_records(transcript: Transcript, params: AdversaryParams) -
 
         i = checkpoint_level.get(t)
         if i is not None:
-            expected = _recompute_checkpoint(state, i, params)
+            expected = revealer.compute(state, i)
             rec_cp = recorded.get(i)
             if rec_cp is None:
                 raise IntegrityError(f"checkpoint {i} fired at round {t} but has no record", round=t)
@@ -195,21 +189,6 @@ def _replay_and_check_records(transcript: Transcript, params: AdversaryParams) -
     if transcript.outcome.finished != finished:
         raise IntegrityError("outcome finished flag does not match the replayed state")
     return rp
-
-
-def _recompute_checkpoint(state: GameState, i: int, params: AdversaryParams) -> CheckpointRecord:
-    tree = state.tree
-    candidates = checkpoint_candidates(state, i, params)
-    counts = Counter(tree.branch[p] for p in state.positions if p != ROOT)
-    a_values = {v: counts.get(tree.branch[v], 0) for v in candidates}
-    selected = select_targets(candidates, a_values, params.alpha)
-    gadgets = []
-    for v in selected:
-        path_len, leaf_count = gadget_spec(i, a_values[v], params)
-        gadgets.append(Attachment(at=v, path_len=path_len, leaf_count=leaf_count))
-    return CheckpointRecord(
-        i=i, K=tuple(candidates), a_values=a_values, S=tuple(selected), gadgets=tuple(gadgets)
-    )
 
 
 def _checkpoint_round(params: AdversaryParams, i: int) -> int:

@@ -122,7 +122,7 @@ def brute_opt(
         return 0
     seen = {start}
     frontier = [start]
-    options = [[v] + [p for p in [tree.parent[v]] if p is not None] + tree.children[v] for v in range(n)]
+    options = [[v, *[p for p in [tree.parent[v]] if p is not None], *tree.children[v]] for v in range(n)]
     for t in range(1, cap + 1):
         next_frontier = []
         for positions, mask in frontier:

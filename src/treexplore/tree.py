@@ -4,12 +4,20 @@ Vertices are dense integers assigned in creation order; id 0 is the root.
 Growth is append-only: attaching below an existing vertex never changes
 earlier ids, parents, or depths. Children are kept in creation order,
 which coincides with ascending id order.
+
+Almost every vertex of the adversary's trees is a leaf, so a leaf holds
+the shared empty tuple ``()`` as its children entry and gets a list only
+when its first child is added. The two builders the game uses,
+``make_path_star`` and ``attach_path_with_star``, fill the arrays with
+list operations (slices, repeats, extends) instead of one ``add_child``
+call per vertex.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import islice
 
 from .errors import (
     InvalidParameterError,
@@ -37,13 +45,17 @@ class RootedTree:
     Exposes parent/children/depth as flat lists plus two derived indexes
     kept in sync on every insertion: the depth-1 ancestor of each vertex
     (its branch) and a by-depth bucket list.
+
+    ``children[v]`` is the shared empty tuple ``()`` while ``v`` is a leaf
+    and its own list of child ids from the first child on: readers may
+    index, iterate and take ``len``, but not concatenate it with a list.
     """
 
     __slots__ = ("parent", "children", "depth", "branch", "_by_depth")
 
     def __init__(self) -> None:
         self.parent: list[int | None] = [None]
-        self.children: list[list[int]] = [[]]
+        self.children: list[list[int] | tuple[()]] = [()]
         self.depth: list[int] = [0]
         # branch[v] is the depth-1 ancestor of v, or -1 for the root
         self.branch: list[int] = [-1]
@@ -63,9 +75,13 @@ class RootedTree:
         v = len(self.parent)
         d = self.depth[parent] + 1
         self.parent.append(parent)
-        self.children.append([])
+        self.children.append(())
         self.depth.append(d)
-        self.children[parent].append(v)
+        kids = self.children[parent]
+        if kids:
+            kids.append(v)
+        else:
+            self.children[parent] = [v]
         self.branch.append(v if d == 1 else self.branch[parent])
         if d == len(self._by_depth):
             self._by_depth.append([])
@@ -84,15 +100,6 @@ class RootedTree:
         if d < 0 or d >= len(self._by_depth):
             return []
         return list(self._by_depth[d])
-
-    def ancestor_at_depth(self, v: int, d: int) -> int:
-        """The ancestor of ``v`` at depth ``d`` (``v`` itself if d == depth(v))."""
-        self._require(v)
-        if d < 0 or d > self.depth[v]:
-            raise InvalidParameterError(f"vertex {v} has depth {self.depth[v]}, no ancestor at depth {d}")
-        while self.depth[v] > d:
-            v = self.parent[v]  # type: ignore[assignment]
-        return v
 
     def path_from_root(self, v: int) -> list[int]:
         """Vertices on the root-to-``v`` path, root first."""
@@ -126,7 +133,7 @@ class RootedTree:
     def copy(self) -> "RootedTree":
         t = RootedTree.__new__(RootedTree)
         t.parent = list(self.parent)
-        t.children = [list(c) for c in self.children]
+        t.children = [list(c) if c else () for c in self.children]
         t.depth = list(self.depth)
         t.branch = list(self.branch)
         t._by_depth = [list(b) for b in self._by_depth]
@@ -134,11 +141,11 @@ class RootedTree:
 
     def stats(self) -> TreeStats:
         h = self.height()
-        max_deg = 0
-        for v in range(self.n):
-            deg = len(self.children[v]) + (0 if v == ROOT else 1)
-            if deg > max_deg:
-                max_deg = deg
+        kids = self.children
+        # every vertex but the root also has its parent edge
+        max_deg = len(kids[ROOT])
+        if len(kids) > 1:
+            max_deg = max(max_deg, 1 + max(map(len, islice(kids, 1, None))))
         return TreeStats(n=self.n, height=h, max_degree=max_deg, root_ecc=h)
 
 
@@ -152,11 +159,27 @@ def make_path_star(branch_count: int, path_len: int) -> RootedTree:
         raise InvalidParameterError(
             f"branch_count and path_len must be positive (got {branch_count}, {path_len})"
         )
-    tree = RootedTree()
-    for _ in range(branch_count):
-        at = ROOT
-        for _ in range(path_len):
-            at = tree.add_child(at)
+    B, L = branch_count, path_len
+    n = B * L + 1
+    # every array takes its ids from this one list, so each id is one int object
+    ids = list(range(1, n))
+    heads = ids[::L]  # the depth-1 vertex of each branch
+    parent: list[int | None] = [None, ROOT]
+    parent += ids[:-1]
+    parent[1::L] = [ROOT] * B
+    branch = [-1] * n
+    children: list[list[int] | tuple[()]] = [()] * n
+    children[ROOT] = heads
+    for d in range(L):
+        branch[1 + d :: L] = heads
+        if d < L - 1:
+            children[1 + d :: L] = [[c] for c in ids[d + 1 :: L]]
+    tree = RootedTree.__new__(RootedTree)
+    tree.parent = parent
+    tree.children = children
+    tree.depth = [0] + list(range(1, L + 1)) * B
+    tree.branch = branch
+    tree._by_depth = [[ROOT]] + [ids[d::L] for d in range(L)]
     return tree
 
 
@@ -165,7 +188,9 @@ def attach_path_with_star(tree: RootedTree, at: int, path_len: int, leaf_count: 
 
     The leaves hang from the path's end (from ``at`` itself when path_len
     is 0). Returns the new ids in creation order; both arguments may be 0,
-    in which case nothing is attached.
+    in which case nothing is attached. The path goes in one ``add_child``
+    at a time; the leaves share parent, depth and branch, so they go in
+    as one contiguous id range.
     """
     tree._require(at)
     new_ids = []
@@ -173,8 +198,26 @@ def attach_path_with_star(tree: RootedTree, at: int, path_len: int, leaf_count: 
     for _ in range(path_len):
         tip = tree.add_child(tip)
         new_ids.append(tip)
-    for _ in range(leaf_count):
-        new_ids.append(tree.add_child(tip))
+    if leaf_count > 0:
+        parent, depth, branch, children = tree.parent, tree.depth, tree.branch, tree.children
+        start = len(parent)
+        leaves = list(range(start, start + leaf_count))
+        d = depth[tip] + 1
+        parent.extend([tip] * leaf_count)
+        depth.extend([d] * leaf_count)
+        # a leaf at depth 1 is its own branch
+        branch.extend(leaves if d == 1 else [branch[tip]] * leaf_count)
+        children.extend([()] * leaf_count)
+        kids = children[tip]
+        if kids:
+            kids.extend(leaves)
+        else:
+            children[tip] = leaves
+        by_depth = tree._by_depth
+        if d == len(by_depth):
+            by_depth.append([])
+        by_depth[d].extend(leaves)
+        new_ids.extend(leaves)
     return new_ids
 
 

@@ -32,6 +32,18 @@ def make_star(leaves: int) -> RootedTree:
     return tree
 
 
+def tree_arrays(tree: RootedTree) -> dict:
+    """A snapshot of every array of a tree; children entries compare as lists."""
+    return {
+        "parent": list(tree.parent),
+        "depth": list(tree.depth),
+        "branch": list(tree.branch),
+        "by_depth": [list(b) for b in tree._by_depth],
+        "children": [list(c) for c in tree.children],
+        "stats": tree.stats(),
+    }
+
+
 def assert_transcript_invariants(transcript):
     """Replay-based sanity: legality, monotone visits, speed limit, height floor."""
     state = replay_transcript(transcript, initial_tree_of(transcript))

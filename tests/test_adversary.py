@@ -22,9 +22,10 @@ from treexplore import (
 )
 from treexplore.errors import InfeasibleParamsError, NoBranchError
 from treexplore.game import _commit_moves
-from treexplore.tree import attach_path_with_star
+from treexplore.harness.runner import run_adversary_game
+from treexplore.tree import attach_path_with_star, decode_tree, encode_tree
 
-from conftest import make_path
+from conftest import make_path, tree_arrays
 
 
 def _mp_ceil_snapped(x, guard_bits=190):
@@ -283,3 +284,45 @@ class TestFixedTreeRevealer:
     def test_single_root_ends_immediately(self):
         tr = play(make_explorer("idle", 1), fixed_tree_revealer(make_path(0)), 1, 5)
         assert tr.outcome.finished and tr.outcome.final_round == 0
+
+
+class TestTreeOwnership:
+    """play grows the tree initial_tree returns, so each call must hand out a fresh one."""
+
+    def test_fixed_revealer_never_aliases_the_callers_tree(self):
+        tree = make_path_star(3, 2)
+        before = tree_arrays(tree)
+        revealer = fixed_tree_revealer(tree)
+        assert revealer.initial_tree() is not tree
+        assert revealer.initial_tree() is not revealer.initial_tree()
+        tr = play(make_explorer("single_dfs", 1), revealer, 1, 50)
+        assert tr.outcome.finished
+        assert tr.final_state.tree is not tree
+        attach_path_with_star(tr.final_state.tree, 6, 1, 3)
+        assert tree_arrays(tree) == before
+
+    def test_checkpoint_revealer_builds_a_fresh_tree_per_call(self):
+        revealer = CheckpointRevealer(derive_params(4096, 1, 3, 541))
+        first, second = revealer.initial_tree(), revealer.initial_tree()
+        assert first is not second
+        attach_path_with_star(first, 1, 0, 2)
+        assert second.n == 2049
+
+    @pytest.mark.parametrize("instance", [(4096, 1, 3, 541, 1000), (16384, 4, 3, 541, 100)])
+    def test_grown_tree_equals_its_per_vertex_rebuild(self, instance):
+        # the bulk-grown game tree against decode_tree, which adds one vertex at a time
+        n, L, m, k, cap = instance
+        tr = run_adversary_game(derive_params(n, L, m, k), "greedy_frontier", cap=cap)
+        tree = tr.final_state.tree
+        assert any(rec.attachments for rec in tr.rounds)
+        assert tree_arrays(tree) == tree_arrays(decode_tree(encode_tree(tree)))
+
+
+def test_reveal_returns_the_computed_record():
+    params = derive_params(4096, 1, 3, 541)
+    revealer = CheckpointRevealer(params)
+    state = GameState(params.initial_tree(), 541)
+    _commit_moves(state, [1] * 300 + [0] * 241)
+    attachments, record = revealer.reveal(state, 1)
+    assert record == revealer.compute(state, 1)
+    assert attachments == list(record.gadgets)

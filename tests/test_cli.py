@@ -253,6 +253,21 @@ BAD_SWEEPS = {
         _lemma_spec(["idle"], [GOOD_ENTRY]),
         "has no 'k'",
     ),
+    "explorer_without_name": (
+        _lemma_spec(["idle", {"k": 541}, "greedy_frontier"], [GOOD_ENTRY]),
+        _lemma_spec(["idle", "greedy_frontier"], [GOOD_ENTRY]),
+        "unknown explorer None",
+    ),
+    "explorer_k_not_an_integer": (
+        _lemma_spec(["idle", {"name": "idle", "k": "many"}], [GOOD_ENTRY]),
+        _lemma_spec(["idle"], [GOOD_ENTRY]),
+        "explorer k 'many'",
+    ),
+    "fixed_explorer_without_name": (
+        _fixed_spec(["single_dfs", {"name": None}]),
+        _fixed_spec(["single_dfs"]),
+        "unknown explorer None",
+    ),
     "fixed_idle_then_greedy_without_switch_round": (
         _fixed_spec(["single_dfs", "idle_then_greedy"]),
         _fixed_spec(["single_dfs"]),
@@ -292,3 +307,21 @@ class TestSweepBadCells:
         assert captured.err == ""
         rows = self._split(out.read_text(), message)
         assert rows == list(csv.reader(io.StringIO(run_sweep(clean, base_dir=base_dir))))
+
+
+@pytest.mark.parametrize(
+    "content,message",
+    [
+        (b'{"revealer": "lemma", "explorers": ["idle"', "is not valid JSON"),
+        (b"\xff\xfe{}", "is not valid JSON"),
+        (b'["idle"]', "is not a JSON object"),
+    ],
+)
+def test_cli_sweep_unreadable_spec_exits_1_with_one_line(tmp_path, capsys, content, message):
+    spec, out = tmp_path / "bad.json", tmp_path / "bad.csv"
+    spec.write_bytes(content)
+    assert main(["sweep", "--spec", str(spec), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: sweep spec ") and message in err
+    assert err.count("\n") == 1 and err.endswith("\n")
+    assert not out.exists()

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from treexplore import (
+    attach_path_with_star,
     bounds_report,
     brute_opt,
     euler_schedule,
@@ -83,6 +84,16 @@ class TestBruteOpt:
     def test_state_limit(self):
         with pytest.raises(ResourceLimitError):
             brute_opt(make_path_star(4, 2), 3, state_limit=50)
+
+    def test_tree_with_leaves(self):
+        # bulk-built leaves hold the empty tuple as their children entry
+        tree = make_path_star(2, 2)
+        attach_path_with_star(tree, 2, 0, 2)
+        assert brute_opt(tree, 1) == 2 * (tree.n - 1) - tree.height() == 9
+        opt2 = brute_opt(tree, 2)
+        report = bounds_report(tree, 2, brute=True)
+        assert report.brute_opt == opt2
+        assert report.trivial_lb <= opt2 <= report.euler_ub
 
     def test_sandwich_and_one_agent_identity(self):
         rng = random.Random(99)

@@ -23,7 +23,7 @@ from treexplore.errors import (
     VertexNotFoundError,
 )
 
-from conftest import random_tree
+from conftest import random_tree, tree_arrays
 
 
 class TestMakePathStar:
@@ -194,3 +194,131 @@ def test_growth_preserves_existing_ids():
     attach_path_with_star(t, 8, 0, 1)
     assert t.parent[: len(snapshot[0])] == snapshot[0]
     assert t.depth[: len(snapshot[1])] == snapshot[1]
+
+
+# -- the leaf-() layout and the bulk builders ---------------------------------
+
+
+def _reference_path_star(branch_count, path_len):
+    """make_path_star built one add_child call at a time."""
+    t = RootedTree()
+    for _ in range(branch_count):
+        at = ROOT
+        for _ in range(path_len):
+            at = t.add_child(at)
+    return t
+
+
+def _reference_attach(t, at, path_len, leaf_count):
+    """attach_path_with_star built one add_child call at a time."""
+    new_ids = []
+    tip = at
+    for _ in range(path_len):
+        tip = t.add_child(tip)
+        new_ids.append(tip)
+    for _ in range(leaf_count):
+        new_ids.append(t.add_child(tip))
+    return new_ids
+
+
+def _assert_leaf_layout(t):
+    """A leaf holds the empty tuple; every other vertex holds its own list."""
+    for v, kids in enumerate(t.children):
+        if kids:
+            assert type(kids) is list, v
+        else:
+            assert type(kids) is tuple, v
+    lists = [id(kids) for kids in t.children if kids]
+    assert len(set(lists)) == len(lists)
+
+
+class TestBulkBuilders:
+    @pytest.mark.parametrize("branch_count", [1, 2, 5, 17])
+    @pytest.mark.parametrize("path_len", [1, 2, 3, 4])
+    def test_make_path_star_equals_per_vertex_reference(self, branch_count, path_len):
+        t = make_path_star(branch_count, path_len)
+        assert tree_arrays(t) == tree_arrays(_reference_path_star(branch_count, path_len))
+        _assert_leaf_layout(t)
+        # the by-depth buckets and the root's children are separate lists
+        assert t.children[ROOT] is not t._by_depth[1]
+
+    @pytest.mark.parametrize(
+        "shape,attachments",
+        [
+            ((4, 1), [(1, 0, 3)]),  # path_len 0
+            ((4, 1), [(2, 3, 0)]),  # leaf_count 0
+            ((4, 1), [(1, 0, 0)]),  # nothing at all
+            ((3, 3), [(1, 0, 4)]),  # below a vertex that already has a child
+            ((3, 3), [(3, 1, 2), (3, 0, 2)]),  # twice below the same vertex
+            ((4, 1), [(ROOT, 0, 5)]),  # leaves at depth 1 are their own branches
+            ((4, 1), [(ROOT, 2, 3)]),  # path from the root, then a star below it
+            ((3, 3), [(4, 2, 1), (12, 1, 6), (6, 0, 2), (ROOT, 0, 1)]),
+        ],
+    )
+    def test_attach_equals_per_vertex_reference(self, shape, attachments):
+        t, ref = make_path_star(*shape), _reference_path_star(*shape)
+        for at, path_len, leaf_count in attachments:
+            assert attach_path_with_star(t, at, path_len, leaf_count) == _reference_attach(
+                ref, at, path_len, leaf_count
+            )
+        assert tree_arrays(t) == tree_arrays(ref)
+        _assert_leaf_layout(t)
+
+    def test_random_attachments_equal_reference(self):
+        rng = random.Random(17)
+        for _ in range(30):
+            b, l = rng.randrange(1, 6), rng.randrange(1, 4)
+            t, ref = make_path_star(b, l), _reference_path_star(b, l)
+            for _ in range(rng.randrange(1, 8)):
+                at = rng.randrange(t.n)
+                path_len, leaf_count = rng.randrange(0, 3), rng.randrange(0, 5)
+                assert attach_path_with_star(t, at, path_len, leaf_count) == _reference_attach(
+                    ref, at, path_len, leaf_count
+                )
+            assert tree_arrays(t) == tree_arrays(ref)
+            _assert_leaf_layout(t)
+
+    def test_returned_ids_are_not_the_tree_lists(self):
+        t = make_path_star(2, 1)
+        new = attach_path_with_star(t, 1, 0, 3)
+        new.append(99)
+        assert t.children[1] == [3, 4, 5]
+        assert t.vertices_at_depth(2) == [3, 4, 5]
+
+
+class TestLeafLayout:
+    def test_leaf_holds_empty_tuple_until_first_child(self):
+        t = RootedTree()
+        assert t.children[ROOT] == () and type(t.children[ROOT]) is tuple
+        v = t.add_child(ROOT)
+        assert t.children[ROOT] == [v] and type(t.children[ROOT]) is list
+        assert t.children[v] == () and type(t.children[v]) is tuple
+        w = t.add_child(v)
+        assert t.children[v] == [w]
+        t.add_child(v)
+        assert t.children[v] == [w, w + 1]
+        assert t.leaves() == [w, w + 1]
+
+    def test_copy_shares_no_list(self):
+        t = make_path_star(3, 2)
+        attach_path_with_star(t, 2, 1, 3)
+        c = t.copy()
+        assert tree_arrays(c) == tree_arrays(t)
+        _assert_leaf_layout(c)
+        for name in ("parent", "depth", "branch", "_by_depth", "children"):
+            assert getattr(c, name) is not getattr(t, name)
+        originals = {id(x) for x in t.children + t._by_depth if isinstance(x, list)}
+        assert not originals & {id(x) for x in c.children + c._by_depth if isinstance(x, list)}
+        before = tree_arrays(t)
+        attach_path_with_star(c, 4, 0, 2)
+        attach_path_with_star(c, 6, 0, 2)
+        assert tree_arrays(t) == before
+
+    def test_stats_max_degree(self):
+        assert make_path_star(1, 1).stats().max_degree == 1
+        assert make_path_star(1, 3).stats().max_degree == 2
+        assert make_path_star(5, 2).stats().max_degree == 5
+        t = make_path_star(2, 2)
+        attach_path_with_star(t, 2, 0, 6)  # 6 children plus the parent edge
+        assert t.stats().max_degree == 7
+        assert RootedTree().stats().max_degree == 0
