@@ -7,10 +7,9 @@ which coincides with ascending id order.
 
 Almost every vertex of the adversary's trees is a leaf, so a leaf holds
 the shared empty tuple ``()`` as its children entry and gets a list only
-when its first child is added. The two builders the game uses,
-``make_path_star`` and ``attach_path_with_star``, fill the arrays with
-list operations (slices, repeats, extends) instead of one ``add_child``
-call per vertex.
+when its first child is added. ``make_path_star`` builds the initial
+tree's arrays with list operations (slices and repeats) instead of one
+``add_child`` call per vertex.
 """
 
 from __future__ import annotations
@@ -188,9 +187,7 @@ def attach_path_with_star(tree: RootedTree, at: int, path_len: int, leaf_count: 
 
     The leaves hang from the path's end (from ``at`` itself when path_len
     is 0). Returns the new ids in creation order; both arguments may be 0,
-    in which case nothing is attached. The path goes in one ``add_child``
-    at a time; the leaves share parent, depth and branch, so they go in
-    as one contiguous id range.
+    in which case nothing is attached.
     """
     tree._require(at)
     new_ids = []
@@ -198,26 +195,8 @@ def attach_path_with_star(tree: RootedTree, at: int, path_len: int, leaf_count: 
     for _ in range(path_len):
         tip = tree.add_child(tip)
         new_ids.append(tip)
-    if leaf_count > 0:
-        parent, depth, branch, children = tree.parent, tree.depth, tree.branch, tree.children
-        start = len(parent)
-        leaves = list(range(start, start + leaf_count))
-        d = depth[tip] + 1
-        parent.extend([tip] * leaf_count)
-        depth.extend([d] * leaf_count)
-        # a leaf at depth 1 is its own branch
-        branch.extend(leaves if d == 1 else [branch[tip]] * leaf_count)
-        children.extend([()] * leaf_count)
-        kids = children[tip]
-        if kids:
-            kids.extend(leaves)
-        else:
-            children[tip] = leaves
-        by_depth = tree._by_depth
-        if d == len(by_depth):
-            by_depth.append([])
-        by_depth[d].extend(leaves)
-        new_ids.extend(leaves)
+    for _ in range(leaf_count):
+        new_ids.append(tree.add_child(tip))
     return new_ids
 
 

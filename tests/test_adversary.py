@@ -310,7 +310,7 @@ class TestTreeOwnership:
 
     @pytest.mark.parametrize("instance", [(4096, 1, 3, 541, 1000), (16384, 4, 3, 541, 100)])
     def test_grown_tree_equals_its_per_vertex_rebuild(self, instance):
-        # the bulk-grown game tree against decode_tree, which adds one vertex at a time
+        # the game tree grown from a bulk-built T_0 against a one-vertex-at-a-time rebuild
         n, L, m, k, cap = instance
         tr = run_adversary_game(derive_params(n, L, m, k), "greedy_frontier", cap=cap)
         tree = tr.final_state.tree
