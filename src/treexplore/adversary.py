@@ -19,7 +19,9 @@ from __future__ import annotations
 import math
 import warnings
 from collections import Counter
-from dataclasses import dataclass
+from collections.abc import Sequence
+from dataclasses import dataclass, replace
+from itertools import filterfalse
 
 from .errors import InfeasibleParamsError, IntegrityError, NoBranchError
 from .game import Attachment, GameState
@@ -91,6 +93,10 @@ def max_team_size(n: int, L: int, m: int) -> int:
 
 
 def _check_preconditions(n: int, L: int, m: int) -> None:
+    if not all(isinstance(x, int) for x in (n, L, m)):
+        raise InfeasibleParamsError(
+            f"n, L, m must be integers (got n={n!r}, L={L!r}, m={m!r})", violated="n,L,m integers"
+        )
     if L < 1 or m < 1 or n < 1:
         raise InfeasibleParamsError(
             f"n, L, m must be positive (got n={n}, L={L}, m={m})", violated="n,L,m >= 1"
@@ -123,8 +129,8 @@ class AdversaryParams:
         _check_preconditions(n, L, m)
         if mode not in MODES:
             raise InfeasibleParamsError(f"unknown mode {mode!r}", violated="mode in strict|repaired")
-        if k < 1:
-            raise InfeasibleParamsError(f"k must be positive (got {k})", violated="k >= 1")
+        if not isinstance(k, int) or k < 1:
+            raise InfeasibleParamsError(f"k must be a positive integer (got {k!r})", violated="k >= 1")
         max_k = max_team_size(n, L, m)
         if k > max_k and warn:
             warnings.warn(
@@ -132,18 +138,31 @@ class AdversaryParams:
                 f"(n={n}, L={L}, m={m}); proceeding, but the round floor may not hold",
                 stacklevel=3,
             )
-        checkpoints = tuple(L * math.comb(i + 1, 2) for i in range(1, m))
-        return AdversaryParams(
+        params = AdversaryParams(
             n=n,
             L=L,
             m=m,
             k=k,
             alpha=Alpha(n=n, L=L, m=m),
-            checkpoints=checkpoints,
-            round_floor=L * math.comb(m, 2),
+            checkpoints=(),
+            round_floor=0,
             mode=mode,
             max_k=max_k,
         )
+        return replace(
+            params,
+            checkpoints=tuple(map(params.checkpoint_round, range(1, m))),
+            round_floor=params.checkpoint_round(m - 1),
+        )
+
+    def checkpoint_round(self, i: int) -> int:
+        """The round t_i = L * C(i+1, 2) of checkpoint i.
+
+        Checkpoints fire for 1 <= i < m, and ``i = m - 1`` gives the round
+        floor. ``i = m`` names the round where one more checkpoint would
+        fire, the horizon verify uses for the last checkpoint's claims.
+        """
+        return self.L * math.comb(i + 1, 2)
 
     @property
     def branch_count(self) -> int:
@@ -175,6 +194,18 @@ def branch_agent_count(state: GameState, v: int) -> int:
     return sum(1 for p in state.positions if p != ROOT and state.tree.branch[p] == b)
 
 
+def _representatives(state: GameState, depth: int) -> dict[int, int]:
+    """Branch -> its smallest vertex at ``depth`` that was unvisited as of the previous round."""
+    prev = state.visited
+    if state.newly_visited:
+        prev = bytearray(prev)
+        for v in state.newly_visited:
+            prev[v] = 0
+    # descending ids, so dict() below keeps the smallest one per branch
+    open_ids = list(filterfalse(prev.__getitem__, reversed(state.tree.vertices_at_depth(depth))))
+    return dict(zip(map(state.tree.branch.__getitem__, open_ids), open_ids))
+
+
 def checkpoint_candidates(state: GameState, i: int, params: AdversaryParams) -> list[int]:
     """One representative per branch at depth L*i, unvisited as of the previous round.
 
@@ -182,20 +213,10 @@ def checkpoint_candidates(state: GameState, i: int, params: AdversaryParams) -> 
     vertex an agent stepped onto this very round still qualifies. The
     smallest eligible id represents its branch; output is id-ascending.
     """
-    tree = state.tree
-    taken: set[int] = set()
-    reps: list[int] = []
-    for v in tree.vertices_at_depth(params.L * i):
-        if state.is_visited_before_round(v):
-            continue
-        b = tree.branch[v]
-        if b not in taken:
-            taken.add(b)
-            reps.append(v)
-    return reps
+    return sorted(_representatives(state, params.L * i).values())
 
 
-def select_targets(candidates: list[int], a_values: dict[int, int], alpha: Alpha) -> list[int]:
+def select_targets(candidates: Sequence[int], a_values: dict[int, int], alpha: Alpha) -> list[int]:
     """The ceil(alpha*|candidates|) entries with fewest nearby agents.
 
     Ties break toward smaller ids; the result is returned id-ascending.
@@ -203,7 +224,9 @@ def select_targets(candidates: list[int], a_values: dict[int, int], alpha: Alpha
     if not candidates:
         return []
     count = min(len(candidates), alpha.ceil_mul(len(candidates)))
-    chosen = sorted(candidates, key=lambda v: (a_values[v], v))[:count]
+    ranked = sorted(candidates)
+    ranked.sort(key=a_values.__getitem__)  # stable: equal counts stay id-ascending
+    chosen = ranked[:count]
     chosen.sort()
     return chosen
 
@@ -233,7 +256,7 @@ class CheckpointRecord:
         return {
             "i": self.i,
             "K": self.K,
-            "a": [self.a_values[v] for v in self.K],
+            "a": list(map(self.a_values.__getitem__, self.K)),
             "S": self.S,
             "gadgets": [g.to_json_obj() for g in self.gadgets],
         }
@@ -277,21 +300,23 @@ class CheckpointRevealer:
     def compute(self, state: GameState, i: int) -> CheckpointRecord:
         """The checkpoint-i record for ``state``; verify recomputes records with it."""
         params = self.params
-        candidates = checkpoint_candidates(state, i, params)
-        tree = state.tree
-        counts = Counter(tree.branch[p] for p in state.positions if p != ROOT)
-        a_values = {v: counts.get(tree.branch[v], 0) for v in candidates}
+        reps = _representatives(state, params.L * i)
+        # a tuple of ints drops out of the young GC generation after one scan
+        candidates = tuple(sorted(reps.values()))
+        # a = agents in the candidate's branch; ROOT is 0, so filter(None, ...)
+        # drops the agents parked on the root
+        counts = Counter(map(state.tree.branch.__getitem__, filter(None, state.positions)))
+        a_values = dict.fromkeys(candidates, 0)
+        occupied = reps.keys() & counts.keys()
+        a_values.update(zip(map(reps.__getitem__, occupied), map(counts.__getitem__, occupied)))
         selected = select_targets(candidates, a_values, params.alpha)
-        gadgets = []
-        for v in selected:
-            path_len, leaf_count = gadget_spec(i, a_values[v], params)
-            gadgets.append(Attachment(at=v, path_len=path_len, leaf_count=leaf_count))
+        gadgets = tuple(Attachment(v, *gadget_spec(i, a_values[v], params)) for v in selected)
         return CheckpointRecord(
             i=i,
-            K=tuple(candidates),
+            K=candidates,
             a_values=a_values,
             S=tuple(selected),
-            gadgets=tuple(gadgets),
+            gadgets=gadgets,
         )
 
 

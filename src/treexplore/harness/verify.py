@@ -20,7 +20,6 @@ evaluates the construction's claims with exact integer comparisons:
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 from ..adversary import AdversaryParams, CheckpointRecord, CheckpointRevealer
@@ -191,10 +190,6 @@ def _replay_and_check_records(transcript: Transcript, params: AdversaryParams) -
     return rp
 
 
-def _checkpoint_round(params: AdversaryParams, i: int) -> int:
-    return params.L * math.comb(i + 1, 2)
-
-
 def verify_transcript(
     transcript: Transcript, params: AdversaryParams | None = None
 ) -> VerificationReport:
@@ -301,7 +296,7 @@ def verify_transcript(
         )
 
         # gadget leaves reached early must have been reached from inside
-        t_next = _checkpoint_round(params, i + 1)
+        t_next = params.checkpoint_round(i + 1)
         violations = []
         for v in rp.gadget_leaves.get(i, ()):
             fv = state.first_visit[v]

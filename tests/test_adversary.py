@@ -1,5 +1,10 @@
 """Adversary construction: team bound, selection arithmetic, checkpoints."""
 
+import hashlib
+import json
+import random
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings, strategies as st
 from mpmath import mp, mpf
@@ -20,10 +25,11 @@ from treexplore import (
     play,
     select_targets,
 )
+from treexplore.adversary import CheckpointRecord
 from treexplore.errors import InfeasibleParamsError, NoBranchError
-from treexplore.game import _commit_moves
+from treexplore.game import Attachment, _commit_moves
 from treexplore.harness.runner import run_adversary_game
-from treexplore.tree import attach_path_with_star, decode_tree, encode_tree
+from treexplore.tree import ROOT, attach_path_with_star, decode_tree, encode_tree
 
 from conftest import make_path, tree_arrays
 
@@ -84,6 +90,16 @@ class TestDeriveParams:
         with pytest.warns(UserWarning, match="exceeds"):
             p = derive_params(4096, 1, 3, 4096)
         assert p.k == 4096
+
+    @pytest.mark.parametrize(
+        "n,L,m,checkpoints,floor,horizon",
+        [(4096, 1, 3, (1, 3), 3, 6), (65536, 1, 4, (1, 3, 6), 6, 10), (16384, 4, 3, (4, 12), 12, 24)],
+    )
+    def test_checkpoint_round(self, n, L, m, checkpoints, floor, horizon):
+        p = derive_params(n, L, m, 1)
+        assert p.checkpoints == checkpoints == tuple(p.checkpoint_round(i) for i in range(1, m))
+        assert p.round_floor == floor == p.checkpoint_round(m - 1)
+        assert p.checkpoint_round(m) == horizon
 
     def test_budget_limits(self):
         assert derive_params(4096, 1, 3, 541, mode="strict").budget_limit() == 4096
@@ -184,6 +200,14 @@ class TestSelectTargets:
         a = {1: 0, 2: 0, 3: 1, 4: 0, 5: 0}
         assert alpha.ceil_mul(5) == 4
         assert select_targets(K, a, alpha) == [1, 2, 4, 5]
+
+    def test_unsorted_candidates_still_break_ties_by_id(self):
+        # ceil(2/3 * 6) = 4: the three calm vertices, then the smallest id of the rest
+        alpha = Alpha(n=3, L=1, m=1)
+        K = [9, 4, 7, 1, 5, 3]
+        a = {9: 0, 4: 1, 7: 0, 1: 1, 5: 0, 3: 1}
+        assert select_targets(K, a, alpha) == [1, 5, 7, 9]
+        assert K == [9, 4, 7, 1, 5, 3]
 
     def test_all_ties_take_smallest_ids(self):
         params = derive_params(4096, 1, 3, 541)
@@ -326,3 +350,89 @@ def test_reveal_returns_the_computed_record():
     attachments, record = revealer.reveal(state, 1)
     assert record == revealer.compute(state, 1)
     assert attachments == list(record.gadgets)
+
+
+def _reference_record(state, i, params):
+    """The checkpoint rule written one vertex at a time, as a test oracle."""
+    tree = state.tree
+    taken, K = set(), []
+    for v in tree.vertices_at_depth(params.L * i):
+        if state.visited[v] and v not in state.newly_visited:
+            continue
+        if tree.branch[v] not in taken:
+            taken.add(tree.branch[v])
+            K.append(v)
+    counts = Counter(tree.branch[p] for p in state.positions if p != ROOT)
+    a = {v: counts.get(tree.branch[v], 0) for v in K}
+    count = min(len(K), params.alpha.ceil_mul(len(K))) if K else 0
+    S = sorted(sorted(K, key=lambda v: (a[v], v))[:count])
+    gadgets = tuple(Attachment(v, *gadget_spec(i, a[v], params)) for v in S)
+    return CheckpointRecord(i=i, K=tuple(K), a_values=a, S=tuple(S), gadgets=gadgets)
+
+
+def _random_state(rng):
+    """A path star grown by gadgets, with random visits, fresh visits and agents."""
+    L = rng.randint(1, 4)
+    tree = make_path_star(rng.randint(1, 12), L)
+    for level in range(1, 4):
+        # several stars per branch and level, so branches repeat at depth L*(level+1)
+        for v in tree.vertices_at_depth(L * level):
+            for _ in range(rng.choice((0, 0, 1, 2))):
+                attach_path_with_star(tree, v, L - 1, rng.randint(0, 3))
+    state = GameState(tree, rng.randint(1, 8))
+    visited = [v for v in range(1, tree.n) if rng.random() < 0.4]
+    for v in visited:
+        state.visited[v] = 1
+    state.newly_visited = frozenset(v for v in visited if rng.random() < 0.5)
+    state.positions = [rng.choice((ROOT, rng.randrange(tree.n))) for _ in state.positions]
+    params = AdversaryParams(
+        n=tree.n, L=L, m=4, k=state.k,
+        alpha=Alpha(n=rng.randint(2, 9), L=1, m=rng.randint(1, 2)),
+        checkpoints=(), round_floor=0,
+        mode=rng.choice(("strict", "repaired")), max_k=state.k,
+    )
+    return state, params
+
+
+def test_checkpoint_rule_matches_the_per_vertex_oracle():
+    rng = random.Random(20161)
+    seen = Counter()
+    for _ in range(400):
+        state, params = _random_state(rng)
+        tree = state.tree
+        for i in range(1, 5):
+            expected = _reference_record(state, i, params)
+            record = CheckpointRevealer(params).compute(state, i)
+            assert record == expected
+            assert list(record.a_values.items()) == list(expected.a_values.items())
+            assert checkpoint_candidates(state, i, params) == list(expected.K)
+            assert select_targets(list(expected.K), expected.a_values, params.alpha) == list(expected.S)
+            branches = [tree.branch[v] for v in tree.vertices_at_depth(params.L * i)]
+            seen["branch repeats at depth L*i"] += len(set(branches)) < len(branches)
+            seen["fresh visit kept"] += any(v in state.newly_visited for v in expected.K)
+            seen["agents on the root"] += ROOT in state.positions
+            seen["agents in a branch"] += any(expected.a_values.values())
+            cut = expected.a_values[expected.S[-1]] if expected.S else None
+            left = set(expected.K) - set(expected.S)
+            seen["tie across the cut"] += any(expected.a_values[v] == cut for v in left)
+            seen[f"L={params.L}"] += bool(expected.K)
+    assert len(seen) == 9 and min(seen.values()) >= 10, seen
+
+
+# sha256 of json.dumps([c.to_json_obj() for c in tr.checkpoints]) on the medium
+# instance (65536, 1, 4, 5878), cap 100, taken before the checkpoint rule was
+# rewritten with whole-array passes
+PINNED_MEDIUM_RECORDS = {
+    ("idle", "repaired"): "1cc5470ba6357a5fc54eebeeb567c1710276192c30e1f9af352ca1f9da557164",
+    ("idle", "strict"): "1269dd8f1cf6cda1ab1f0d14214e3b9a255f63ab9a3afaeac9eec040cfc15f99",
+    ("greedy_frontier", "repaired"): "2cf152e4fced8b6b6d896dd4b995e49ca49574fa4fb2e4bf3c34284cfe17287a",
+    ("greedy_frontier", "strict"): "aa8cd867bb401c9b39e0e05ba67cd5c4cca36df1ac47357e53c87e8ed43e8a3a",
+}
+
+
+@pytest.mark.parametrize("explorer,mode", sorted(PINNED_MEDIUM_RECORDS))
+def test_medium_checkpoint_records_are_pinned(explorer, mode):
+    params = derive_params(65536, 1, 4, 5878, mode=mode)
+    tr = run_adversary_game(params, explorer, cap=100)
+    text = json.dumps([c.to_json_obj() for c in tr.checkpoints])
+    assert hashlib.sha256(text.encode()).hexdigest() == PINNED_MEDIUM_RECORDS[explorer, mode]

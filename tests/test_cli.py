@@ -253,6 +253,21 @@ BAD_SWEEPS = {
         _lemma_spec(["idle"], [GOOD_ENTRY]),
         "has no 'k'",
     ),
+    "grid_entry_n_not_an_integer": (
+        _lemma_spec(["idle"], [GOOD_ENTRY, {"n": "4096", "L": 1, "m": 3, "k": 541}]),
+        _lemma_spec(["idle"], [GOOD_ENTRY]),
+        "n, L, m must be integers",
+    ),
+    "grid_entry_k_not_an_integer": (
+        _lemma_spec(["idle"], [{"n": 4096, "L": 1, "m": 3, "k": 541.0}, GOOD_ENTRY]),
+        _lemma_spec(["idle"], [GOOD_ENTRY]),
+        "k must be a positive integer",
+    ),
+    "grid_entry_not_an_object": (
+        _lemma_spec(["idle"], [GOOD_ENTRY, 5]),
+        _lemma_spec(["idle"], [GOOD_ENTRY]),
+        "grid entry 5 is not an object",
+    ),
     "explorer_without_name": (
         _lemma_spec(["idle", {"k": 541}, "greedy_frontier"], [GOOD_ENTRY]),
         _lemma_spec(["idle", "greedy_frontier"], [GOOD_ENTRY]),
