@@ -306,9 +306,10 @@ class CheckpointRevealer:
         # a = agents in the candidate's branch; ROOT is 0, so filter(None, ...)
         # drops the agents parked on the root
         counts = Counter(map(state.tree.branch.__getitem__, filter(None, state.positions)))
+        occupied = {reps[b]: count for b, count in counts.items() if b in reps}
+        del reps  # as large as a_values; freed first to halve the peak
         a_values = dict.fromkeys(candidates, 0)
-        occupied = reps.keys() & counts.keys()
-        a_values.update(zip(map(reps.__getitem__, occupied), map(counts.__getitem__, occupied)))
+        a_values.update(occupied)
         selected = select_targets(candidates, a_values, params.alpha)
         gadgets = tuple(Attachment(v, *gadget_spec(i, a_values[v], params)) for v in selected)
         return CheckpointRecord(
