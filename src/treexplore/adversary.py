@@ -21,7 +21,7 @@ import warnings
 from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass, replace
-from itertools import filterfalse
+from itertools import filterfalse, repeat
 
 from .errors import InfeasibleParamsError, IntegrityError, NoBranchError
 from .game import Attachment, GameState
@@ -194,18 +194,6 @@ def branch_agent_count(state: GameState, v: int) -> int:
     return sum(1 for p in state.positions if p != ROOT and state.tree.branch[p] == b)
 
 
-def _representatives(state: GameState, depth: int) -> dict[int, int]:
-    """Branch -> its smallest vertex at ``depth`` that was unvisited as of the previous round."""
-    prev = state.visited
-    if state.newly_visited:
-        prev = bytearray(prev)
-        for v in state.newly_visited:
-            prev[v] = 0
-    # descending ids, so dict() below keeps the smallest one per branch
-    open_ids = list(filterfalse(prev.__getitem__, reversed(state.tree.vertices_at_depth(depth))))
-    return dict(zip(map(state.tree.branch.__getitem__, open_ids), open_ids))
-
-
 def checkpoint_candidates(state: GameState, i: int, params: AdversaryParams) -> list[int]:
     """One representative per branch at depth L*i, unvisited as of the previous round.
 
@@ -213,7 +201,16 @@ def checkpoint_candidates(state: GameState, i: int, params: AdversaryParams) -> 
     vertex an agent stepped onto this very round still qualifies. The
     smallest eligible id represents its branch; output is id-ascending.
     """
-    return sorted(_representatives(state, params.L * i).values())
+    tree = state.tree
+    prev = state.visited
+    if state.newly_visited:
+        prev = bytearray(prev)
+        for v in state.newly_visited:
+            prev[v] = 0
+    bucket = tree.vertices_at_depth(params.L * i)
+    # descending ids, so dict() below keeps the smallest one per branch
+    open_ids = list(filterfalse(prev.__getitem__, reversed(bucket)))
+    return sorted(dict(zip(map(tree.branch.__getitem__, open_ids), open_ids)).values())
 
 
 def select_targets(candidates: Sequence[int], a_values: dict[int, int], alpha: Alpha) -> list[int]:
@@ -300,16 +297,13 @@ class CheckpointRevealer:
     def compute(self, state: GameState, i: int) -> CheckpointRecord:
         """The checkpoint-i record for ``state``; verify recomputes records with it."""
         params = self.params
-        reps = _representatives(state, params.L * i)
         # a tuple of ints drops out of the young GC generation after one scan
-        candidates = tuple(sorted(reps.values()))
+        candidates = tuple(checkpoint_candidates(state, i, params))
+        branch = state.tree.branch
         # a = agents in the candidate's branch; ROOT is 0, so filter(None, ...)
         # drops the agents parked on the root
-        counts = Counter(map(state.tree.branch.__getitem__, filter(None, state.positions)))
-        occupied = {reps[b]: count for b, count in counts.items() if b in reps}
-        del reps  # as large as a_values; freed first to halve the peak
-        a_values = dict.fromkeys(candidates, 0)
-        a_values.update(occupied)
+        counts = Counter(map(branch.__getitem__, filter(None, state.positions)))
+        a_values = dict(zip(candidates, map(counts.get, map(branch.__getitem__, candidates), repeat(0))))
         selected = select_targets(candidates, a_values, params.alpha)
         gadgets = tuple(Attachment(v, *gadget_spec(i, a_values[v], params)) for v in selected)
         return CheckpointRecord(
