@@ -102,7 +102,8 @@ def run_sweep(spec: dict, base_dir: Path | None = None) -> str:
 
 def _lemma_cell(grid_entry: dict, mode: str, cap, name: str, k_setting, view: str) -> list:
     if not isinstance(grid_entry, dict):
-        return [name, "lemma", mode] + [""] * 14 + [f"grid entry {grid_entry!r} is not an object"]
+        blanks = [""] * (len(CSV_COLUMNS) - 4)
+        return [name, "lemma", mode, *blanks, f"grid entry {grid_entry!r} is not an object"]
     n, L, m = grid_entry.get("n"), grid_entry.get("L"), grid_entry.get("m")
     row_base = [name, "lemma", mode, n, L, m]
     try:
