@@ -118,17 +118,19 @@ def validate_moves(state: GameState, proposed: Sequence[int]) -> MoveViolation |
     """
     if len(proposed) != state.k:
         return MoveViolation.wrong_length(len(proposed), state.k)
-    tree = state.tree
-    positions = state.positions
-    for i, target in enumerate(proposed):
-        origin = positions[i]
+    n = state.tree.n
+    parent = state.tree.parent
+    for origin, target in zip(state.positions, proposed):
         if target == origin:
             continue
-        if not (0 <= target < tree.n):
-            return MoveViolation(i, origin, target)
-        if tree.parent[target] != origin and tree.parent[origin] != target:
-            return MoveViolation(i, origin, target)
-    return None
+        if not (0 <= target < n) or (parent[target] != origin and parent[origin] != target):
+            break
+    else:
+        return None
+    # an earlier agent with the same (origin, target) would have failed first,
+    # so the first agent with this pair is the one that broke the rule
+    agent = next(i for i, pair in enumerate(zip(state.positions, proposed)) if pair == (origin, target))
+    return MoveViolation(agent, origin, target)
 
 
 def _commit_moves(state: GameState, moves: Sequence[int]) -> None:
@@ -148,10 +150,11 @@ def _commit_moves(state: GameState, moves: Sequence[int]) -> None:
         raise violation
     newly = []
     visited = state.visited
+    first_visit = state.first_visit
     for v in moves:
         if not visited[v]:
             visited[v] = 1
-            state.first_visit[v] = t
+            first_visit[v] = t
             newly.append(v)
     state.visited_count += len(newly)
     state.positions = list(moves)
@@ -341,8 +344,8 @@ def play(
     counts completed move rounds. ``round_cap`` bounds the game length;
     hitting it leaves ``finished`` false.
     """
-    if round_cap < 0:
-        raise InvalidParameterError(f"round cap must be >= 0 (got {round_cap})")
+    if not isinstance(round_cap, int) or round_cap < 0:
+        raise InvalidParameterError(f"round cap must be an integer >= 0 (got {round_cap!r})")
     state = GameState(revealer.initial_tree(), k)
     params = dict(params_meta) if params_meta else {}
     params.setdefault("explorer", getattr(explorer, "name", explorer.__class__.__name__))

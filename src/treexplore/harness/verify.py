@@ -21,6 +21,8 @@ evaluates the construction's claims with exact integer comparisons:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import compress
+from operator import ge
 
 from ..adversary import AdversaryParams, CheckpointRecord, CheckpointRevealer
 from ..errors import IntegrityError, TreexploreError
@@ -370,9 +372,10 @@ def verify_transcript(
         )
     )
 
+    # the replay sets visited[v] exactly where first_visit[v] >= 0, so the
+    # unvisited vertices are the ones with no first visit to check
     speed_ok = all(
-        state.first_visit[v] < 0 or state.first_visit[v] >= state.tree.depth[v]
-        for v in range(state.tree.n)
+        map(ge, compress(state.first_visit, state.visited), compress(state.tree.depth, state.visited))
     )
     checks.append(
         CheckResult(

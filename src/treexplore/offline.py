@@ -10,8 +10,10 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from operator import add
 
-from .errors import ResourceLimitError
+from .errors import InvalidParameterError, ResourceLimitError
 from .tree import ROOT, RootedTree
 
 
@@ -19,16 +21,37 @@ def trivial_lb(n: int, height: int, k: int) -> int:
     """max(height, ceil((n-1)/k)): depth takes rounds, and k agents reach
     at most k new vertices per round."""
     if n < 1 or k < 1:
-        raise ValueError(f"need n >= 1 and k >= 1 (got n={n}, k={k})")
+        raise InvalidParameterError(f"need n >= 1 and k >= 1 (got n={n}, k={k})")
     return max(height, -(-(n - 1) // k))
 
 
-@dataclass(frozen=True)
 class Schedule:
-    """Per-agent walks (positions per round, index 0 = start at root)."""
+    """The doubled-edge tour cut into ``k`` contiguous segments, one per agent.
 
-    walks: tuple[tuple[int, ...], ...]
-    rounds: int
+    ``rounds`` is the makespan. ``walks`` holds each agent's positions per
+    round (index 0 = start at root); it is built on first read, because
+    the bounds need only ``rounds``.
+    """
+
+    def __init__(self, tree: RootedTree, tour: list[int], seg: int, k: int, rounds: int) -> None:
+        self._tree = tree
+        self._tour = tour
+        self._seg = seg
+        self.k = k
+        self.rounds = rounds
+
+    @cached_property
+    def walks(self) -> tuple[tuple[int, ...], ...]:
+        """Agent j walks the tree path to ``tour[j*seg]``, then its segment."""
+        tour, seg = self._tour, self._seg
+        walks = []
+        for lo in range(0, len(tour) - 1, seg):
+            walk = self._tree.path_from_root(tour[lo])
+            walk.extend(tour[lo + 1 : lo + seg + 1])
+            walks.append(tuple(walk))
+        # trailing agents get empty segments and stay at the root
+        walks.extend([(ROOT,)] * (self.k - len(walks)))
+        return tuple(walks)
 
     def to_json_obj(self) -> dict:
         return {"rounds": self.rounds, "walks": [list(w) for w in self.walks]}
@@ -56,20 +79,26 @@ def validate_schedule(tree: RootedTree, schedule: Schedule) -> None:
 def euler_tour(tree: RootedTree) -> list[int]:
     """Vertex sequence of the doubled-edge tour, children in id order.
 
-    Length 2n-1; starts and ends at the root.
+    Length 2n-1; starts and ends at the root. Only inner vertices get a
+    stack frame: a leaf and the step back to its parent are appended
+    inline, since almost every vertex of the adversary's trees is a leaf.
     """
+    children = tree.children
     tour = [ROOT]
-    stack: list[tuple[int, int]] = [(ROOT, 0)]
+    append = tour.append
+    stack = [(ROOT, iter(children[ROOT]))]
     while stack:
-        v, idx = stack.pop()
-        kids = tree.children[v]
-        if idx < len(kids):
-            stack.append((v, idx + 1))
-            c = kids[idx]
-            tour.append(c)
-            stack.append((c, 0))
-        elif stack:
-            tour.append(stack[-1][0])
+        v, kids = stack[-1]
+        for c in kids:
+            append(c)
+            if children[c]:
+                stack.append((c, iter(children[c])))
+                break
+            append(v)
+        else:
+            stack.pop()
+            if stack:
+                append(stack[-1][0])
     return tour
 
 
@@ -77,27 +106,22 @@ def euler_schedule(tree: RootedTree, k: int) -> Schedule:
     """Split the doubled-edge tour into k contiguous segments.
 
     Agent j walks from the root to the start of segment j along the tree
-    path and then follows its segment, so the makespan is at most
-    height + ceil((2n-2)/k). Trailing agents may get empty segments.
+    path and then follows its segment, so its walk has
+    ``depth[tour[j*seg]] + len(segment j)`` moves and the makespan is at
+    most height + ceil((2n-2)/k). Trailing agents may get empty segments.
     """
     if k < 1:
-        raise ValueError("k must be >= 1")
+        raise InvalidParameterError(f"k must be >= 1 (got {k})")
     tour = euler_tour(tree)
     edges = len(tour) - 1  # 2n - 2
-    seg = -(-edges // k) if edges else 0
-    walks = []
-    for j in range(k):
-        lo = j * seg
-        hi = min((j + 1) * seg, edges)
-        if edges == 0 or lo >= edges:
-            walks.append((ROOT,))
-            continue
-        start = tour[lo]
-        walk = tree.path_from_root(start)
-        walk.extend(tour[lo + 1 : hi + 1])
-        walks.append(tuple(walk))
-    rounds = max(len(w) - 1 for w in walks)
-    return Schedule(walks=tuple(walks), rounds=rounds)
+    seg = max(1, -(-edges // k))
+    starts = tour[0:edges:seg]
+    # every segment has seg edges except possibly the last
+    lengths = [seg] * len(starts)
+    if lengths:
+        lengths[-1] = edges - (len(starts) - 1) * seg
+    rounds = max(map(add, map(tree.depth.__getitem__, starts), lengths), default=0)
+    return Schedule(tree, tour, seg, k, rounds)
 
 
 def brute_opt(

@@ -91,6 +91,15 @@ def test_offline_bounds(tmp_path, capsys):
     assert doc["brute_opt"] is not None
 
 
+@pytest.mark.parametrize("k", ["0", "-3"])
+def test_offline_nonpositive_k_exits_1_with_one_line(tmp_path, capsys, k):
+    assert main(["offline", "--tree", _tree_file(tmp_path), "--k", k]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and captured.err.startswith("error: ")
+    assert f"k={k}" in captured.err
+
+
 def test_params_subcommand(capsys):
     assert main(["params", "--thm", "2", "--eps", "0.1"]) == 0
     doc = json.loads(capsys.readouterr().out)
@@ -282,6 +291,16 @@ BAD_SWEEPS = {
         _fixed_spec(["single_dfs", {"name": None}]),
         _fixed_spec(["single_dfs"]),
         "unknown explorer None",
+    ),
+    "cap_not_an_integer": (
+        {**_lemma_spec(["idle"], [GOOD_ENTRY]), "caps": [20, "x"]},
+        _lemma_spec(["idle"], [GOOD_ENTRY]),
+        "round cap must be an integer >= 0 (got 'x')",
+    ),
+    "fixed_cap_not_an_integer": (
+        {**_fixed_spec(["single_dfs"]), "caps": ["x", 50]},
+        _fixed_spec(["single_dfs"]),
+        "round cap must be an integer >= 0 (got 'x')",
     ),
     "fixed_idle_then_greedy_without_switch_round": (
         _fixed_spec(["single_dfs", "idle_then_greedy"]),

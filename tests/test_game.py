@@ -38,6 +38,15 @@ class TestValidateMoves:
         assert report is not None
         assert (report.agent, report.origin, report.target) == (1, 0, 2)
 
+    def test_first_of_several_violations_is_reported(self):
+        state = GameState(make_path(3), 6)
+        state.positions = [1, 1, 0, 2, 1, 0]
+        # agents 2 and 5 make the same jump, agent 3 leaves the tree
+        report = validate_moves(state, [2, 0, 2, 9, 1, 2])
+        assert (report.agent, report.origin, report.target) == (2, 0, 2)
+        report = validate_moves(state, [2, 0, 1, 9, 1, 2])
+        assert (report.agent, report.origin, report.target) == (3, 2, 9)
+
     def test_wrong_length_rejected(self):
         state = GameState(make_star(3), 2)
         assert validate_moves(state, [0]) is not None

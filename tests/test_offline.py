@@ -1,11 +1,14 @@
 """Offline bounds: trivial floor, tour schedule, exact search, reports."""
 
+import csv
+import io
 import random
 from fractions import Fraction
 
 import pytest
 
 from treexplore import (
+    ROOT,
     attach_path_with_star,
     bounds_report,
     brute_opt,
@@ -15,9 +18,67 @@ from treexplore import (
     trivial_lb,
     validate_schedule,
 )
-from treexplore.errors import ResourceLimitError
+from treexplore.errors import InvalidParameterError, ResourceLimitError
+from treexplore.harness.sweep import run_sweep
 
 from conftest import make_path, make_star, random_tree
+
+
+def reference_tour(tree):
+    """The doubled-edge tour with one (vertex, next child index) frame per vertex."""
+    tour = [ROOT]
+    stack = [(ROOT, 0)]
+    while stack:
+        v, idx = stack.pop()
+        kids = tree.children[v]
+        if idx < len(kids):
+            stack.append((v, idx + 1))
+            c = kids[idx]
+            tour.append(c)
+            stack.append((c, 0))
+        elif stack:
+            tour.append(stack[-1][0])
+    return tour
+
+
+def reference_schedule(tree, k):
+    """(walks, rounds) built walk by walk; rounds is the longest walk's move count."""
+    tour = reference_tour(tree)
+    edges = len(tour) - 1
+    seg = -(-edges // k) if edges else 0
+    walks = []
+    for j in range(k):
+        lo = j * seg
+        hi = min((j + 1) * seg, edges)
+        if edges == 0 or lo >= edges:
+            walks.append((ROOT,))
+            continue
+        walk = tree.path_from_root(tour[lo])
+        walk.extend(tour[lo + 1 : hi + 1])
+        walks.append(tuple(walk))
+    return tuple(walks), max(len(w) - 1 for w in walks)
+
+
+def assert_matches_reference(tree, k):
+    assert euler_tour(tree) == reference_tour(tree)
+    sched = euler_schedule(tree, k)
+    walks, rounds = reference_schedule(tree, k)
+    assert sched.rounds == rounds
+    assert sched.walks == walks
+    assert sched.rounds == max(len(w) - 1 for w in sched.walks)
+
+
+def _team_sizes(n):
+    # n - 1 and n give one-edge and short segments; 2n + 5 leaves trailing agents empty
+    return sorted({1, 2, max(1, n - 1), n, 2 * n + 5})
+
+
+def _bulk_built_tree():
+    tree = make_path_star(5, 3)
+    attach_path_with_star(tree, 3, 2, 3)  # below a leaf of T_0
+    attach_path_with_star(tree, 7, 0, 4)  # a star straight on an inner vertex
+    attach_path_with_star(tree, tree.n - 1, 1, 1)  # below a gadget leaf
+    return tree
 
 
 @pytest.mark.parametrize(
@@ -66,6 +127,65 @@ class TestEulerSchedule:
                 sched = euler_schedule(tree, k)
                 assert sched.rounds <= height + -(-(2 * n - 2) // k)
                 validate_schedule(tree, sched)
+
+
+class TestAgainstReference:
+    """The tour and the makespan formula agree with walk-by-walk construction."""
+
+    def test_random_trees(self):
+        rng = random.Random(4242)
+        for _ in range(200):
+            n = rng.randrange(1, 120)
+            tree = random_tree(n, rng)
+            for k in _team_sizes(n) + [rng.randrange(1, 2 * n + 6)]:
+                assert_matches_reference(tree, k)
+
+    @pytest.mark.parametrize(
+        "tree",
+        [make_path(0), make_path(1), make_path(9), make_star(1), make_star(8), _bulk_built_tree()],
+        ids=["root", "edge", "path", "one_leaf_star", "star", "bulk_built"],
+    )
+    def test_shapes(self, tree):
+        for k in _team_sizes(tree.n):
+            assert_matches_reference(tree, k)
+
+    def test_nonpositive_k_rejected(self):
+        for k in (0, -3):
+            with pytest.raises(InvalidParameterError):
+                euler_schedule(make_star(2), k)
+            with pytest.raises(InvalidParameterError):
+                trivial_lb(3, 1, k)
+
+
+# (trivial_lb, euler_ub, ratio_lb_num, ratio_lb_den) of sweep rows, pinned from
+# the sweep output of the walk-building schedule; phase_bfs plays k = n
+SWEEP_BOUNDS = {
+    ("small", "idle", "repaired"): ("5", "12", "", ""),
+    ("small", "single_dfs", "repaired"): ("5", "12", "", ""),
+    ("small", "phase_bfs", "repaired"): ("3", "4", "3", "2"),
+    ("small", "greedy_frontier", "repaired"): ("5", "12", "11", "12"),
+    ("small", "idle", "strict"): ("4", "8", "", ""),
+    ("small", "single_dfs", "strict"): ("4", "8", "", ""),
+    ("small", "phase_bfs", "strict"): ("3", "4", "3", "2"),
+    ("small", "greedy_frontier", "strict"): ("4", "8", "7", "8"),
+    ("medium", "phase_bfs", "repaired"): ("4", "6", "5", "3"),
+}
+
+
+def test_sweep_bound_columns_pinned():
+    explorers = ["idle", "single_dfs", {"name": "phase_bfs", "k": "n"}, "greedy_frontier"]
+    specs = {
+        "small": ({"n": 4096, "L": 1, "m": 3, "k": 541}, explorers, ["repaired", "strict"], 1000),
+        "medium": ({"n": 65536, "L": 1, "m": 4, "k": 5878}, explorers[2:3], ["repaired"], 100),
+    }
+    got = {}
+    for inst, (entry, ex, modes, cap) in specs.items():
+        spec = {"revealer": "lemma", "explorers": ex, "grid": [entry], "modes": modes, "caps": [cap]}
+        for row in csv.DictReader(io.StringIO(run_sweep(spec))):
+            assert row["error"] == ""
+            cols = ("trivial_lb", "euler_ub", "ratio_lb_num", "ratio_lb_den")
+            got[(inst, row["explorer"], row["mode"])] = tuple(row[c] for c in cols)
+    assert got == SWEEP_BOUNDS
 
 
 class TestBruteOpt:
