@@ -69,9 +69,11 @@ class Transcript:
 class GameState:
     """The live triple (tree, visited set, agent assignment) plus bookkeeping.
 
-    ``newly_visited`` holds the vertices first reached by the current
-    round's moves; revealers consult it because attachment eligibility is
-    judged against the visited set from the end of the previous round.
+    ``positions`` is the tuple of the last committed moves; a round in
+    which no agent moves keeps the same tuple object. ``newly_visited``
+    holds the vertices first reached by the current round's moves;
+    revealers consult it because attachment eligibility is judged against
+    the visited set from the end of the previous round.
     """
 
     __slots__ = (
@@ -87,7 +89,7 @@ class GameState:
 
     def __init__(self, tree: RootedTree, k: int):
         self.tree = tree
-        self.positions: list[int] = [ROOT] * k
+        self.positions: tuple[int, ...] = (ROOT,) * k
         self.visited = bytearray(tree.n)
         self.visited[ROOT] = 1
         self.visited_count = 1
@@ -134,12 +136,16 @@ def validate_moves(state: GameState, proposed: Sequence[int]) -> MoveViolation |
 
 
 def _commit_moves(state: GameState, moves: Sequence[int]) -> None:
-    """Advance one round: validate, move agents, update the visited set."""
+    """Advance one round: validate, move agents, update the visited set.
+
+    The moves become ``state.positions`` as one tuple; when everyone stays,
+    the previous tuple is kept, so stay-put rounds share one object.
+    """
     t = state.round + 1
+    moves = tuple(moves)
     if len(moves) != state.k:
         raise MoveViolation.wrong_length(len(moves), state.k, round=t)
-    positions = state.positions
-    if list(moves) == positions:
+    if moves == state.positions:
         # everyone stays; positions are always visited already
         state.newly_visited = frozenset()
         state.round = t
@@ -157,7 +163,7 @@ def _commit_moves(state: GameState, moves: Sequence[int]) -> None:
             first_visit[v] = t
             newly.append(v)
     state.visited_count += len(newly)
-    state.positions = list(moves)
+    state.positions = moves
     state.newly_visited = frozenset(newly)
     for v in newly:
         state.visit_log.append(v)
@@ -265,7 +271,7 @@ class ExplorerView:
 
     @property
     def positions(self) -> tuple[int, ...]:
-        return tuple(self._state.positions)
+        return self._state.positions
 
     # the live arrays behind parent(v), depth(v), branch(v) and is_visited(v),
     # for strategies that scan many vertices per round; never mutate them
@@ -342,10 +348,13 @@ def play(
 
     Termination is checked at the start of each round, so ``final_round``
     counts completed move rounds. ``round_cap`` bounds the game length;
-    hitting it leaves ``finished`` false.
+    hitting it leaves ``finished`` false. A round in which no agent moves
+    records the previous round's moves tuple itself.
     """
     if not isinstance(round_cap, int) or round_cap < 0:
         raise InvalidParameterError(f"round cap must be an integer >= 0 (got {round_cap!r})")
+    if not isinstance(k, int) or k < 1:
+        raise InvalidParameterError(f"team size must be an integer >= 1 (got {k!r})")
     state = GameState(revealer.initial_tree(), k)
     params = dict(params_meta) if params_meta else {}
     params.setdefault("explorer", getattr(explorer, "name", explorer.__class__.__name__))
@@ -378,7 +387,7 @@ def play(
         rounds.append(
             RoundRecord(
                 t=t,
-                moves=tuple(moves),
+                moves=state.positions,
                 attachments=tuple(attachments),
                 newly_visited=len(state.newly_visited),
             )
@@ -419,33 +428,83 @@ def replay_transcript(transcript: Transcript, initial: RootedTree, k: int | None
 # -- transcript serialization ----------------------------------------------
 
 
+# encodes every piece of a transcript exactly as json.dumps with these separators
+_encode = json.JSONEncoder(separators=(",", ":")).encode
+
+
 def transcript_to_json(transcript: Transcript) -> str:
     """Compact single-line JSON, keys in a fixed order, ending in one LF.
 
-    One ``json.dumps`` call with compact separators and no indent keeps
-    the whole encode in CPython's C encoder; an indent, ``json.dump`` to a
-    file or ``iterencode`` would all fall back to the pure-Python one.
+    The text equals ``json.dumps(doc, separators=(",", ":")) + "\n"`` of
+    the document with keys params, rounds, checkpoints and outcome. It is
+    assembled from pieces that the C encoder makes and joined once. A round
+    whose moves are the very tuple of the round before reuses that round's
+    encoded moves: identity, not equality, since ``1.0 == 1`` and
+    ``True == 1`` encode differently.
     """
-    doc = {
-        "params": transcript.params,
-        "rounds": [
+    parts = ['{"params":', _encode(transcript.params), ',"rounds":[']
+    last_moves = moves_text = None
+    sep = ""
+    for r in transcript.rounds:
+        if r.moves is not last_moves:
+            last_moves, moves_text = r.moves, _encode(r.moves)
+        parts += (
+            sep,
+            '{"t":',
+            _encode(r.t),
+            ',"moves":',
+            moves_text,
+            ',"attachments":',
+            _encode([a.to_json_obj() for a in r.attachments]),
+            ',"newly_visited":',
+            _encode(r.newly_visited),
+            "}",
+        )
+        sep = ","
+    outcome = transcript.outcome
+    parts += (
+        '],"checkpoints":',
+        _encode([c.to_json_obj() for c in transcript.checkpoints]),
+        ',"outcome":',
+        _encode(
             {
-                "t": r.t,
-                "moves": r.moves,
-                "attachments": [a.to_json_obj() for a in r.attachments],
-                "newly_visited": r.newly_visited,
+                "finished": outcome.finished,
+                "final_round": outcome.final_round,
+                "n": outcome.final_stats.n,
+                "height": outcome.final_stats.height,
             }
-            for r in transcript.rounds
-        ],
-        "checkpoints": [c.to_json_obj() for c in transcript.checkpoints],
-        "outcome": {
-            "finished": transcript.outcome.finished,
-            "final_round": transcript.outcome.final_round,
-            "n": transcript.outcome.final_stats.n,
-            "height": transcript.outcome.final_stats.height,
-        },
-    }
-    return json.dumps(doc, separators=(",", ":")) + "\n"
+        ),
+        "}\n",
+    )
+    return "".join(parts)
+
+
+def _read_rounds(docs: list) -> list[RoundRecord]:
+    """Round records from their decoded JSON; equal consecutive moves share one tuple.
+
+    Each distinct moves list must hold plain ints (no bool, float or
+    string). A list equal to the one before needs no check: its round
+    replays as a stay-put round, which ``_commit_moves`` judges by equality.
+    """
+    rounds = []
+    last_list = last_moves = None
+    for index, r in enumerate(docs):
+        mv = r["moves"]
+        if last_moves is None or mv != last_list:
+            if type(mv) is not list or not set(map(type, mv)) <= {int}:
+                raise IntegrityError(
+                    f"round record {index} has moves that are not a list of integers"
+                )
+            last_list, last_moves = mv, tuple(mv)
+        rounds.append(
+            RoundRecord(
+                t=r["t"],
+                moves=last_moves,
+                attachments=tuple(Attachment.from_json_obj(a) for a in r["attachments"]),
+                newly_visited=r["newly_visited"],
+            )
+        )
+    return rounds
 
 
 def transcript_from_json(text: str | bytes) -> Transcript:
@@ -457,15 +516,7 @@ def transcript_from_json(text: str | bytes) -> Transcript:
     except ValueError as exc:  # JSONDecodeError, or bytes that are not UTF-8
         raise IntegrityError(f"transcript is not valid JSON: {exc}") from exc
     try:
-        rounds = [
-            RoundRecord(
-                t=r["t"],
-                moves=tuple(r["moves"]),
-                attachments=tuple(Attachment.from_json_obj(a) for a in r["attachments"]),
-                newly_visited=r["newly_visited"],
-            )
-            for r in doc["rounds"]
-        ]
+        rounds = _read_rounds(doc["rounds"])
         checkpoints = [CheckpointRecord.from_json_obj(c) for c in doc.get("checkpoints", [])]
         out = doc["outcome"]
         outcome = Outcome(

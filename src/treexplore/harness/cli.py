@@ -15,7 +15,7 @@ import sys
 from pathlib import Path
 
 from ..adversary import AdversaryParams
-from ..errors import InfeasibleParamsError, IntegrityError, TreexploreError
+from ..errors import InfeasibleParamsError, IntegrityError, InvalidParameterError, TreexploreError
 from ..game import transcript_from_json, transcript_to_json
 from ..offline import bounds_report
 from ..strategies import STRATEGY_NAMES
@@ -107,7 +107,14 @@ def _cmd_offline(args) -> int:
     return EXIT_OK
 
 
+# the flags each regime's picker cannot do without
+PARAMS_REQUIRED = {"1": ("n", "k"), "2": ("eps",), "3": ("n",), "4": ("n", "D", "m")}
+
+
 def _cmd_params(args) -> int:
+    for field in PARAMS_REQUIRED[args.thm]:
+        if getattr(args, field) is None:
+            raise InvalidParameterError(f"--{field} is required with --thm {args.thm}")
     result = pick_params(
         f"thm{args.thm}",
         n=args.n,

@@ -46,10 +46,20 @@ CSV_COLUMNS = [
 ]
 
 
+def _spec_list(spec: dict, key: str, default: list) -> list:
+    """A list-valued spec field; any other shape stops the sweep before its first cell."""
+    value = spec.get(key)
+    if value is None:
+        return default
+    if not isinstance(value, list):
+        raise TreexploreError(f"sweep spec field {key!r} must be a list (got {value!r})")
+    return value
+
+
 def _explorer_entries(spec: dict) -> list[tuple[object, object]]:
     """(name, k setting) per explorer; a bad name fails its cells in make_explorer."""
     entries = []
-    for e in spec.get("explorers", []):
+    for e in _spec_list(spec, "explorers", []):
         if isinstance(e, dict):
             entries.append((e.get("name"), e.get("k")))
         else:
@@ -75,26 +85,25 @@ def run_sweep(spec: dict, base_dir: Path | None = None) -> str:
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(CSV_COLUMNS)
     revealer = spec.get("revealer", "lemma")
-    caps = spec.get("caps") or [spec.get("cap")]
+    caps = _spec_list(spec, "caps", []) or [spec.get("cap")]
     view = spec.get("view", "game")
     explorers = _explorer_entries(spec)
     if revealer == "lemma":
-        for grid_entry in spec.get("grid", []):
-            for mode in spec.get("modes", ["repaired"]):
+        grid, modes = _spec_list(spec, "grid", []), _spec_list(spec, "modes", ["repaired"])
+        for grid_entry in grid:
+            for mode in modes:
                 for cap in caps:
                     for name, k_setting in explorers:
                         writer.writerow(
                             _lemma_cell(grid_entry, mode, cap, name, k_setting, view)
                         )
     elif revealer == "fixed":
-        for tree_path in spec.get("trees", []):
-            path = Path(tree_path)
-            if base_dir is not None and not path.is_absolute():
-                path = base_dir / path
-            for k in spec.get("k_values", [1]):
+        trees, k_values = _spec_list(spec, "trees", []), _spec_list(spec, "k_values", [1])
+        for tree_path in trees:
+            for k in k_values:
                 for cap in caps:
                     for name, _ in explorers:
-                        writer.writerow(_fixed_cell(path, k, cap, name, view))
+                        writer.writerow(_fixed_cell(tree_path, base_dir, k, cap, name, view))
     else:
         raise TreexploreError(f"unknown revealer {revealer!r} in sweep spec")
     return out.getvalue()
@@ -142,8 +151,13 @@ def _lemma_cell(grid_entry: dict, mode: str, cap, name: str, k_setting, view: st
         return row_base + [grid_entry.get("k"), "", "", "", "", "", "", "", "", "", "", str(exc)]
 
 
-def _fixed_cell(path: Path, k: int, cap, name: str, view: str) -> list:
+def _fixed_cell(tree_path, base_dir: Path | None, k: int, cap, name: str, view: str) -> list:
     try:
+        if not isinstance(tree_path, str):
+            raise TreexploreError(f"tree path {tree_path!r} is not a string")
+        path = Path(tree_path)
+        if base_dir is not None and not path.is_absolute():
+            path = base_dir / path
         tree = decode_tree(path.read_bytes())
         stats = tree.stats()
         row_base = [name, "fixed", "", stats.n, "", ""]

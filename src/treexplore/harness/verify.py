@@ -101,7 +101,7 @@ class _Replay:
     state: GameState
     records: dict[int, CheckpointRecord] = field(default_factory=dict)
     height_after: dict[int, int] = field(default_factory=dict)
-    positions_at: dict[int, list[int]] = field(default_factory=dict)
+    positions_at: dict[int, tuple[int, ...]] = field(default_factory=dict)
     gadget_leaves: dict[int, list[int]] = field(default_factory=dict)
     arrivals: dict[int, list[int]] = field(default_factory=dict)
     gadget_vertices: dict[int, int] = field(default_factory=dict)
@@ -154,7 +154,7 @@ def _replay_and_check_records(transcript: Transcript, params: AdversaryParams) -
                     f"round {t} attachments differ from checkpoint {i} gadgets", round=t
                 )
             rp.records[i] = rec_cp
-            rp.positions_at[i] = list(state.positions)
+            rp.positions_at[i] = state.positions
         elif rec.attachments:
             raise IntegrityError(
                 f"round {t} has attachments outside any checkpoint", round=t

@@ -150,6 +150,15 @@ def _short_a(text: str) -> str:
     return json.dumps(doc)
 
 
+def _first_move(value):
+    def corrupt(text: str) -> str:
+        doc = json.loads(text)
+        doc["rounds"][0]["moves"][0] = value
+        return json.dumps(doc)
+
+    return corrupt
+
+
 @pytest.mark.parametrize(
     "corrupt, message",
     [
@@ -157,6 +166,9 @@ def _short_a(text: str) -> str:
         (_drop_finished, "missing key 'finished'"),
         (_object_valued_a, "'a' must be a list"),
         (_short_a, "'a' must be a list"),
+        (_first_move("x"), "round record 0 has moves that are not a list of integers"),
+        (_first_move(1.0), "round record 0 has moves that are not a list of integers"),
+        (_first_move(True), "round record 0 has moves that are not a list of integers"),
     ],
 )
 def test_verify_malformed_transcript_exits_3_with_one_line(tmp_path, capsys, corrupt, message):
@@ -175,6 +187,36 @@ def test_verify_non_utf8_bytes_exits_3(tmp_path, capsys):
     out.write_bytes(b"\xff\xfe{}")
     assert main(["verify", "--transcript", str(out)]) == 3
     assert capsys.readouterr().err.startswith("integrity error: ")
+
+
+def _one_error_line(capsys) -> str:
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: ")
+    return err
+
+
+@pytest.mark.parametrize("k", ["-1", "0"])
+def test_run_fixed_nonpositive_k_exits_1_with_one_line(tmp_path, capsys, k):
+    args = ["run", "--explorer", "greedy_frontier", "--revealer", "fixed", "--tree", _tree_file(tmp_path)]
+    assert main(args + ["--k", k]) == 1
+    assert f"team size must be an integer >= 1 (got {k})" in _one_error_line(capsys)
+
+
+@pytest.mark.parametrize(
+    "args, missing",
+    [
+        (["--thm", "1", "--k", "5"], "--n"),
+        (["--thm", "1", "--n", "4096"], "--k"),
+        (["--thm", "2", "--n", "4096"], "--eps"),
+        (["--thm", "3"], "--n"),
+        (["--thm", "4", "--D", "2", "--m", "2"], "--n"),
+        (["--thm", "4", "--n", "4096", "--m", "2"], "--D"),
+        (["--thm", "4", "--n", "4096", "--D", "2"], "--m"),
+    ],
+)
+def test_params_missing_input_exits_1_with_one_line(capsys, args, missing):
+    assert main(["params", *args]) == 1
+    assert f"{missing} is required with --thm {args[1]}" in _one_error_line(capsys)
 
 
 def test_run_negative_cap_exits_1_with_one_line(capsys):
@@ -302,6 +344,21 @@ BAD_SWEEPS = {
         _fixed_spec(["single_dfs"]),
         "round cap must be an integer >= 0 (got 'x')",
     ),
+    "fixed_negative_k": (
+        {**_fixed_spec(["greedy_frontier"]), "k_values": [2, -1]},
+        _fixed_spec(["greedy_frontier"]),
+        "team size must be an integer >= 1 (got -1)",
+    ),
+    "fixed_k_not_an_integer": (
+        {**_fixed_spec(["single_dfs"]), "k_values": ["2", 2]},
+        _fixed_spec(["single_dfs"]),
+        "team size must be an integer >= 1 (got '2')",
+    ),
+    "fixed_tree_not_a_string": (
+        {**_fixed_spec(["single_dfs"]), "trees": ["tree.json", 5]},
+        _fixed_spec(["single_dfs"]),
+        "tree path 5 is not a string",
+    ),
     "fixed_idle_then_greedy_without_switch_round": (
         _fixed_spec(["single_dfs", "idle_then_greedy"]),
         _fixed_spec(["single_dfs"]),
@@ -349,6 +406,12 @@ class TestSweepBadCells:
         (b'{"revealer": "lemma", "explorers": ["idle"', "is not valid JSON"),
         (b"\xff\xfe{}", "is not valid JSON"),
         (b'["idle"]', "is not a JSON object"),
+        (b'{"explorers": "idle", "grid": []}', "field 'explorers' must be a list (got 'idle')"),
+        (b'{"explorers": ["idle"], "grid": {"n": 4096}}', "field 'grid' must be a list"),
+        (b'{"explorers": ["idle"], "grid": [], "modes": "strict"}', "field 'modes' must be a list"),
+        (b'{"explorers": ["idle"], "grid": [], "caps": 20}', "field 'caps' must be a list (got 20)"),
+        (b'{"revealer": "fixed", "explorers": ["idle"], "trees": "t.json"}', "field 'trees' must be a list"),
+        (b'{"revealer": "fixed", "explorers": ["idle"], "trees": [], "k_values": 2}', "field 'k_values'"),
     ],
 )
 def test_cli_sweep_unreadable_spec_exits_1_with_one_line(tmp_path, capsys, content, message):

@@ -1,5 +1,6 @@
 """Engine rules: moves, attachments, termination, transcripts, views."""
 
+import json
 import random
 
 import pytest
@@ -7,6 +8,11 @@ import pytest
 from treexplore import (
     Attachment,
     GameState,
+    Outcome,
+    RoundRecord,
+    Transcript,
+    TreeStats,
+    derive_params,
     fixed_tree_revealer,
     initial_tree_of,
     is_explored,
@@ -19,6 +25,7 @@ from treexplore import (
 )
 from treexplore.errors import AttachmentViolation, IntegrityError, InvalidParameterError, MoveViolation
 from treexplore.game import ExplorerView, apply_round
+from treexplore.harness.runner import run_adversary_game
 
 from conftest import assert_transcript_invariants, make_path, make_star, random_tree
 
@@ -58,7 +65,7 @@ class TestApplyRound:
         apply_round(state, [0, 0], [])
         assert state.round == 1
         assert state.visited_count == 1
-        assert state.positions == [0, 0]
+        assert state.positions == (0, 0)
 
     def test_single_edge_explored(self):
         state = GameState(make_path(1), 1)
@@ -161,6 +168,141 @@ class TestTranscriptJson:
         doc["rounds"][1]["moves"][0] = 3  # teleport instead of the recorded step
         with pytest.raises(IntegrityError):
             replay_transcript(transcript_from_json(json.dumps(doc)), initial_tree_of(tr))
+
+
+def reference_to_json(transcript) -> str:
+    """The writer's contract: one json.dumps of the whole document."""
+    doc = {
+        "params": transcript.params,
+        "rounds": [
+            {
+                "t": r.t,
+                "moves": r.moves,
+                "attachments": [a.to_json_obj() for a in r.attachments],
+                "newly_visited": r.newly_visited,
+            }
+            for r in transcript.rounds
+        ],
+        "checkpoints": [c.to_json_obj() for c in transcript.checkpoints],
+        "outcome": {
+            "finished": transcript.outcome.finished,
+            "final_round": transcript.outcome.final_round,
+            "n": transcript.outcome.final_stats.n,
+            "height": transcript.outcome.final_stats.height,
+        },
+    }
+    return json.dumps(doc, separators=(",", ":")) + "\n"
+
+
+def assert_stay_rounds_share(rounds):
+    """Consecutive equal moves are one object; unequal ones are not."""
+    for before, after in zip(rounds, rounds[1:]):
+        assert (after.moves is before.moves) == (after.moves == before.moves)
+
+
+def _lemma_games():
+    params = derive_params(4096, 1, 3, 541)
+    full_team = derive_params(4096, 1, 3, 4096, warn=False)  # phase_bfs needs k = n
+    for name in ("idle", "single_dfs", "phase_bfs", "greedy_frontier", "idle_then_greedy"):
+        for view in ("game", "local"):
+            yield f"lemma-{name}-{view}", lambda name=name, view=view: run_adversary_game(
+                full_team if name == "phase_bfs" else params, name, cap=40, view_mode=view
+            )
+    yield "lemma-cap-0", lambda: run_adversary_game(params, "greedy_frontier", cap=0)
+
+
+def _fixed_games():
+    tree = random_tree(60, random.Random(11))
+    for name in ("idle", "single_dfs", "phase_bfs", "greedy_frontier"):
+        k = tree.n if name == "phase_bfs" else 3
+        for view in ("game", "local"):
+            yield f"fixed-{name}-{view}", lambda name=name, k=k, view=view: play(
+                make_explorer(name, k), fixed_tree_revealer(tree), k, 200, view_mode=view
+            )
+    yield "fixed-cap-0", lambda: play(make_explorer("idle", 2), fixed_tree_revealer(tree), 2, 0)
+
+
+GAMES = dict([*_lemma_games(), *_fixed_games()])
+
+
+class TestSharedMoves:
+    """Stay-put rounds share one moves tuple; the transcript bytes do not change."""
+
+    @pytest.mark.parametrize("game", sorted(GAMES))
+    def test_writer_matches_reference_and_round_trips(self, game):
+        tr = GAMES[game]()
+        text = transcript_to_json(tr)
+        assert text == reference_to_json(tr)
+        back = transcript_from_json(text)
+        assert transcript_to_json(back) == text == reference_to_json(back)
+        assert_stay_rounds_share(tr.rounds)
+        assert_stay_rounds_share(back.rounds)
+        if tr.rounds:
+            assert tr.rounds[-1].moves is tr.final_state.positions
+
+    def test_idle_keeps_one_moves_object(self):
+        tr = run_adversary_game(derive_params(4096, 1, 3, 541), "idle", cap=30)
+        assert len(tr.rounds) == 30
+        assert len({id(r.moves) for r in tr.rounds}) == 1
+        back = transcript_from_json(transcript_to_json(tr))
+        assert len({id(r.moves) for r in back.rounds}) == 1
+
+    def test_idle_then_greedy_shares_within_the_idle_run(self):
+        params = derive_params(4096, 1, 3, 541)
+        tr = run_adversary_game(params, "idle_then_greedy", cap=40)
+        switch = params.checkpoints[0]
+        assert len({id(r.moves) for r in tr.rounds[:switch]}) == 1
+        assert tr.rounds[switch].moves != tr.rounds[switch - 1].moves
+
+    def test_explorer_list_is_not_kept(self):
+        state = GameState(make_star(3), 2)
+        moves = [1, 0]
+        apply_round(state, moves, [])
+        moves[0] = 2
+        assert state.positions == (1, 0)
+        before = state.positions
+        apply_round(state, [1, 0], [])
+        assert state.positions is before
+
+    def test_hand_built_mix_of_shared_and_equal_tuples(self):
+        shared = (0, 0)
+        rounds = [
+            ((0, 0), 0),  # equal to `shared`, a different object
+            (shared, 0),
+            (shared, 0),
+            ((1, 0), 1),
+            ((1.0, 0), 0),  # equal to the round before, encodes differently
+            ((True, 0), 0),
+            ((1, 0), 0),
+            (shared, 0),
+            (shared, 0),
+            ((0, 0), 0),
+        ]
+        tr = Transcript(
+            params={"explorer": "hand", "revealer": "fixed", "k": 2, "ratio": 0.5},
+            rounds=[
+                RoundRecord(t=t, moves=moves, attachments=(), newly_visited=nv)
+                for t, (moves, nv) in enumerate(rounds, start=1)
+            ],
+            checkpoints=[],
+            outcome=Outcome(False, len(rounds), TreeStats(n=3, height=1, max_degree=2, root_ecc=1)),
+        )
+        text = transcript_to_json(tr)
+        assert text == reference_to_json(tr)
+        assert '"moves":[1.0,0]' in text and '"moves":[true,0]' in text
+
+    def test_empty_rounds_and_checkpoints(self):
+        tr = play(make_explorer("idle", 1), fixed_tree_revealer(make_path(0)), 1, 10)
+        text = transcript_to_json(tr)
+        assert text == reference_to_json(tr)
+        assert '"rounds":[],"checkpoints":[]' in text
+
+
+class TestTeamSize:
+    @pytest.mark.parametrize("k", [0, -1, "2", 2.0, None])
+    def test_play_rejects_a_bad_team_size(self, k):
+        with pytest.raises(InvalidParameterError, match="team size must be an integer >= 1"):
+            play(make_explorer("greedy_frontier", k), fixed_tree_revealer(make_star(3)), k, 10)
 
 
 class TestLocalView:

@@ -5,7 +5,18 @@ import warnings
 
 import pytest
 
-from treexplore import derive_params, fixed_tree_revealer, make_explorer, play
+from treexplore import (
+    Attachment,
+    CheckpointRecord,
+    Outcome,
+    RoundRecord,
+    Transcript,
+    TreeStats,
+    derive_params,
+    fixed_tree_revealer,
+    make_explorer,
+    play,
+)
 from treexplore.errors import IntegrityError
 from treexplore.game import transcript_from_json, transcript_to_json
 from treexplore.harness.runner import run_adversary_game
@@ -114,6 +125,61 @@ class TestTamperDetection:
         tamper(doc["checkpoints"][0])
         with pytest.raises(IntegrityError):
             verify_transcript(transcript_from_json(json.dumps(doc)))
+
+
+def unshared_reader(text: str) -> Transcript:
+    """A reader with a fresh moves tuple per round and no check of the move types."""
+    doc = json.loads(text)
+    out = doc["outcome"]
+    return Transcript(
+        params=doc["params"],
+        rounds=[
+            RoundRecord(
+                t=r["t"],
+                moves=tuple(r["moves"]),
+                attachments=tuple(Attachment.from_json_obj(a) for a in r["attachments"]),
+                newly_visited=r["newly_visited"],
+            )
+            for r in doc["rounds"]
+        ],
+        checkpoints=[CheckpointRecord.from_json_obj(c) for c in doc["checkpoints"]],
+        outcome=Outcome(
+            out["finished"], out["final_round"], TreeStats(out["n"], out["height"], -1, out["height"])
+        ),
+    )
+
+
+def verdict(read, text: str, crashes=()) -> str:
+    try:
+        report = verify_transcript(read(text))
+    except (IntegrityError, *crashes):
+        return "rejected"
+    return "ok" if report.ok else "claims failed"
+
+
+class TestSharedMovesVerdicts:
+    """Sharing equal consecutive moves on reload cannot change what verify says."""
+
+    @pytest.mark.parametrize(
+        "value, expected",
+        [(0.0, "ok"), (False, "ok"), (7, "rejected"), ("x", "rejected")],
+        ids=["same-value-float", "same-value-bool", "other-int", "string"],
+    )
+    def test_mutated_repeated_round(self, small_idle_transcript, value, expected):
+        doc = json.loads(transcript_to_json(small_idle_transcript))
+        assert doc["rounds"][5]["moves"] == doc["rounds"][4]["moves"]
+        doc["rounds"][5]["moves"][0] = value
+        text = json.dumps(doc)
+        # the unshared reader lets a string move end in a TypeError from the replay
+        unshared = verdict(unshared_reader, text, crashes=(TypeError,))
+        assert verdict(transcript_from_json, text) == unshared == expected
+
+    @pytest.mark.parametrize("moves", [None, 0, "0", {"0": 0}, [[0]], [0.0], [True]])
+    def test_first_round_moves_must_be_a_list_of_ints(self, small_idle_transcript, moves):
+        doc = json.loads(transcript_to_json(small_idle_transcript))
+        doc["rounds"][0]["moves"] = moves
+        with pytest.raises(IntegrityError, match="round record 0 has moves"):
+            transcript_from_json(json.dumps(doc))
 
 
 class TestTranscriptFormat:
