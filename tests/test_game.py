@@ -247,13 +247,6 @@ class TestSharedMoves:
         back = transcript_from_json(transcript_to_json(tr))
         assert len({id(r.moves) for r in back.rounds}) == 1
 
-    def test_idle_then_greedy_shares_within_the_idle_run(self):
-        params = derive_params(4096, 1, 3, 541)
-        tr = run_adversary_game(params, "idle_then_greedy", cap=40)
-        switch = params.checkpoints[0]
-        assert len({id(r.moves) for r in tr.rounds[:switch]}) == 1
-        assert tr.rounds[switch].moves != tr.rounds[switch - 1].moves
-
     def test_explorer_list_is_not_kept(self):
         state = GameState(make_star(3), 2)
         moves = [1, 0]
@@ -290,12 +283,6 @@ class TestSharedMoves:
         text = transcript_to_json(tr)
         assert text == reference_to_json(tr)
         assert '"moves":[1.0,0]' in text and '"moves":[true,0]' in text
-
-    def test_empty_rounds_and_checkpoints(self):
-        tr = play(make_explorer("idle", 1), fixed_tree_revealer(make_path(0)), 1, 10)
-        text = transcript_to_json(tr)
-        assert text == reference_to_json(tr)
-        assert '"rounds":[],"checkpoints":[]' in text
 
 
 class TestTeamSize:
