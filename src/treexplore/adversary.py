@@ -249,18 +249,26 @@ class CheckpointRecord:
     S: tuple[int, ...]
     gadgets: tuple[Attachment, ...]
 
+    def a_list(self) -> list[int]:
+        """The a-values in ``K`` order, as the transcript stores them."""
+        return list(map(self.a_values.__getitem__, self.K))
+
     def to_json_obj(self) -> dict:
         return {
             "i": self.i,
             "K": self.K,
-            "a": list(map(self.a_values.__getitem__, self.K)),
+            "a": self.a_list(),
             "S": self.S,
             "gadgets": [g.to_json_obj() for g in self.gadgets],
         }
 
     @staticmethod
-    def from_json_obj(obj: dict) -> "CheckpointRecord":
-        """Inverse of ``to_json_obj``; ``a`` must be a list aligned with ``K``."""
+    def from_json_obj(obj: dict, attachments_of: dict | None = None) -> "CheckpointRecord":
+        """Inverse of ``to_json_obj``; ``a`` must be a list aligned with ``K``.
+
+        A ``gadgets`` list whose id is in ``attachments_of`` takes the tuple
+        stored there instead of a new one.
+        """
         K, a = obj["K"], obj["a"]
         if not isinstance(a, list) or len(a) != len(K):
             raise IntegrityError(
@@ -271,8 +279,13 @@ class CheckpointRecord:
             K=tuple(K),
             a_values=dict(zip(K, a)),
             S=tuple(obj["S"]),
-            gadgets=tuple(Attachment.from_json_obj(g) for g in obj["gadgets"]),
+            gadgets=_gadgets_from_json(obj["gadgets"], attachments_of or {}),
         )
+
+
+def _gadgets_from_json(docs: list, attachments_of: dict) -> tuple[Attachment, ...]:
+    shared = attachments_of.get(id(docs))
+    return shared if shared is not None else tuple(Attachment.from_json_obj(g) for g in docs)
 
 
 class CheckpointRevealer:
@@ -287,12 +300,16 @@ class CheckpointRevealer:
     def initial_tree(self) -> RootedTree:
         return self.params.initial_tree()
 
-    def reveal(self, state: GameState, t: int) -> tuple[list[Attachment], CheckpointRecord | None]:
+    def reveal(
+        self, state: GameState, t: int
+    ) -> tuple[Sequence[Attachment], CheckpointRecord | None]:
+        """The round's attachments and checkpoint record; at a checkpoint the
+        attachments are the record's own gadgets tuple, which the round keeps."""
         i = self._round_to_level.get(t)
         if i is None:
             return [], None
         record = self.compute(state, i)
-        return list(record.gadgets), record
+        return record.gadgets, record
 
     def compute(self, state: GameState, i: int) -> CheckpointRecord:
         """The checkpoint-i record for ``state``; verify recomputes records with it."""

@@ -10,7 +10,9 @@ vertex of the current tree is visited.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
+from functools import partial
 from typing import Protocol, Sequence
 
 from .errors import (
@@ -145,7 +147,7 @@ def _commit_moves(state: GameState, moves: Sequence[int]) -> None:
     moves = tuple(moves)
     if len(moves) != state.k:
         raise MoveViolation.wrong_length(len(moves), state.k, round=t)
-    if moves == state.positions:
+    if moves is state.positions or moves == state.positions:
         # everyone stays; positions are always visited already
         state.newly_visited = frozenset()
         state.round = t
@@ -333,7 +335,7 @@ class Revealer(Protocol):
 
     def initial_tree(self) -> RootedTree: ...
 
-    def reveal(self, state: GameState, t: int) -> tuple[list[Attachment], object | None]: ...
+    def reveal(self, state: GameState, t: int) -> tuple[Sequence[Attachment], object | None]: ...
 
 
 def play(
@@ -437,17 +439,25 @@ def transcript_to_json(transcript: Transcript) -> str:
 
     The text equals ``json.dumps(doc, separators=(",", ":")) + "\n"`` of
     the document with keys params, rounds, checkpoints and outcome. It is
-    assembled from pieces that the C encoder makes and joined once. A round
-    whose moves are the very tuple of the round before reuses that round's
-    encoded moves: identity, not equality, since ``1.0 == 1`` and
-    ``True == 1`` encode differently.
+    assembled from pieces that the C encoder makes and joined once. Each
+    value is encoded once per object, not per use: a round whose moves are
+    the very tuple of the round before reuses that round's encoded moves,
+    and a checkpoint whose gadgets are the very tuple of a round's
+    attachments reuses that round's encoded attachments. The test is
+    identity, not equality, since ``1.0 == 1`` and ``True == 1`` encode
+    differently.
     """
     parts = ['{"params":', _encode(transcript.params), ',"rounds":[']
     last_moves = moves_text = None
+    attachments_text = {}  # id of a non-empty attachments tuple -> its encoded text
     sep = ""
     for r in transcript.rounds:
         if r.moves is not last_moves:
             last_moves, moves_text = r.moves, _encode(r.moves)
+        if r.attachments:
+            text = attachments_text[id(r.attachments)] = _encode([a.to_json_obj() for a in r.attachments])
+        else:
+            text = "[]"
         parts += (
             sep,
             '{"t":',
@@ -455,17 +465,37 @@ def transcript_to_json(transcript: Transcript) -> str:
             ',"moves":',
             moves_text,
             ',"attachments":',
-            _encode([a.to_json_obj() for a in r.attachments]),
+            text,
             ',"newly_visited":',
             _encode(r.newly_visited),
             "}",
         )
         sep = ","
+    parts.append('],"checkpoints":[')
+    sep = ""
+    for c in transcript.checkpoints:
+        text = attachments_text.get(id(c.gadgets))
+        if text is None:
+            text = _encode([g.to_json_obj() for g in c.gadgets])
+        # the layout of CheckpointRecord.to_json_obj
+        parts += (
+            sep,
+            '{"i":',
+            _encode(c.i),
+            ',"K":',
+            _encode(c.K),
+            ',"a":',
+            _encode(c.a_list()),
+            ',"S":',
+            _encode(c.S),
+            ',"gadgets":',
+            text,
+            "}",
+        )
+        sep = ","
     outcome = transcript.outcome
     parts += (
-        '],"checkpoints":',
-        _encode([c.to_json_obj() for c in transcript.checkpoints]),
-        ',"outcome":',
+        '],"outcome":',
         _encode(
             {
                 "finished": outcome.finished,
@@ -479,45 +509,190 @@ def transcript_to_json(transcript: Transcript) -> str:
     return "".join(parts)
 
 
-def _read_rounds(docs: list) -> list[RoundRecord]:
+# -- transcript reading ------------------------------------------------------
+
+_skip_ws = re.compile(r"[ \t\n\r]*").match  # the whitespace json accepts
+_decode_value = json.JSONDecoder().raw_decode  # the C scanner, one value at s[i]
+
+
+def _decode_array(s: str, i: int, item) -> tuple[object, int]:
+    """The value at ``s[i]``; in an array, ``item(s, i)`` decodes each element.
+
+    Any other value goes to the C scanner whole.
+    """
+    if not s.startswith("[", i):
+        return _decode_value(s, i)
+    values = []
+    i = _skip_ws(s, i + 1).end()
+    if s.startswith("]", i):
+        return values, i + 1
+    while True:
+        value, i = item(s, i)
+        values.append(value)
+        i = _skip_ws(s, i).end()
+        if s.startswith("]", i):
+            return values, i + 1
+        if not s.startswith(",", i):
+            raise json.JSONDecodeError("Expecting ',' delimiter", s, i)
+        i = _skip_ws(s, i + 1).end()
+
+
+def _decode_object(s: str, i: int, fields: dict) -> tuple[object, int]:
+    """The value at ``s[i]``; in an object, ``fields`` maps a key to its value decoder.
+
+    Any other value, and the value of any other key, goes to the C scanner.
+    """
+    if not s.startswith("{", i):
+        return _decode_value(s, i)
+    obj = {}
+    i = _skip_ws(s, i + 1).end()
+    if s.startswith("}", i):
+        return obj, i + 1
+    while True:
+        if not s.startswith('"', i):
+            raise json.JSONDecodeError("Expecting property name enclosed in double quotes", s, i)
+        key, i = json.decoder.scanstring(s, i + 1)
+        i = _skip_ws(s, i).end()
+        if not s.startswith(":", i):
+            raise json.JSONDecodeError("Expecting ':' delimiter", s, i)
+        i = _skip_ws(s, i + 1).end()
+        obj[key], i = fields.get(key, _decode_value)(s, i)
+        i = _skip_ws(s, i).end()
+        if s.startswith("}", i):
+            return obj, i + 1
+        if not s.startswith(",", i):
+            raise json.JSONDecodeError("Expecting ',' delimiter", s, i)
+        i = _skip_ws(s, i + 1).end()
+
+
+class _TranscriptDecoder:
+    """``json.loads`` of a transcript that decodes each repeated array once.
+
+    The top-level object, its ``rounds`` array and its ``checkpoints``
+    array are walked here; every other value goes to the C scanner. The
+    same text always decodes to the same value, so two rules may skip text
+    without changing what is read:
+
+    - a round's ``moves`` whose text starts with the exact text of the
+      previous moves array is that array's list;
+    - a checkpoint's ``gadgets`` whose text starts with the exact text of
+      the next unclaimed non-empty round ``attachments`` is that round's
+      list.
+
+    An array text ends at its own closing bracket, so a prefix match is a
+    whole value. Whitespace, key order, duplicate keys (the last one wins)
+    and error messages follow ``json.loads``.
+    """
+
+    def __init__(self):
+        self.moves_text = None  # text of the last moves array, and its list
+        self.moves = None
+        self.attachments = []  # (text, list) of each non-empty attachments array
+        self.claimed = 0  # how many of those a checkpoint's gadgets have taken
+        round_fields = {"moves": self.moves_value, "attachments": self.attachments_value}
+        round_ = partial(_decode_object, fields=round_fields)
+        checkpoint = partial(_decode_object, fields={"gadgets": self.gadgets_value})
+        self.fields = {
+            "rounds": partial(_decode_array, item=round_),
+            "checkpoints": partial(_decode_array, item=checkpoint),
+        }
+
+    def document(self, s: str):
+        doc, i = _decode_object(s, _skip_ws(s, 0).end(), self.fields)
+        i = _skip_ws(s, i).end()
+        if i != len(s):
+            raise json.JSONDecodeError("Extra data", s, i)
+        return doc
+
+    def moves_value(self, s: str, i: int):
+        text = self.moves_text
+        if text is not None and s.startswith(text, i):
+            return self.moves, i + len(text)
+        value, end = _decode_value(s, i)
+        if s.startswith("[", i):
+            self.moves_text, self.moves = s[i:end], value
+        return value, end
+
+    def attachments_value(self, s: str, i: int):
+        value, end = _decode_value(s, i)
+        if value and s.startswith("[", i):
+            self.attachments.append((s[i:end], value))
+        return value, end
+
+    def gadgets_value(self, s: str, i: int):
+        if self.claimed < len(self.attachments):
+            text, value = self.attachments[self.claimed]
+            if s.startswith(text, i):
+                self.claimed += 1
+                return value, i + len(text)
+        return _decode_value(s, i)
+
+
+def _load_transcript_json(text: str | bytes):
+    """``json.loads(text)``, with repeated arrays decoded once (see ``_TranscriptDecoder``).
+
+    Bytes are decoded as ``json.loads`` decodes them. The decoded string
+    is dropped on return, before any record is built.
+    """
+    if isinstance(text, str):
+        if text.startswith("\ufeff"):
+            raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", text, 0)
+    else:
+        text = text.decode(json.detect_encoding(text), "surrogatepass")
+    return _TranscriptDecoder().document(text)
+
+
+def _read_rounds(docs: list, attachments_of: dict) -> list[RoundRecord]:
     """Round records from their decoded JSON; equal consecutive moves share one tuple.
 
     Each distinct moves list must hold plain ints (no bool, float or
     string). A list equal to the one before needs no check: its round
     replays as a stay-put round, which ``_commit_moves`` judges by equality.
+    The tuple built from each non-empty attachments list is entered in
+    ``attachments_of`` under the id of that list.
     """
     rounds = []
     last_list = last_moves = None
     for index, r in enumerate(docs):
         mv = r["moves"]
-        if last_moves is None or mv != last_list:
+        if last_moves is None or (mv is not last_list and mv != last_list):
             if type(mv) is not list or not set(map(type, mv)) <= {int}:
                 raise IntegrityError(
                     f"round record {index} has moves that are not a list of integers"
                 )
             last_list, last_moves = mv, tuple(mv)
+        t, listed = r["t"], r["attachments"]
+        attachments = tuple(Attachment.from_json_obj(a) for a in listed)
+        if attachments:
+            attachments_of[id(listed)] = attachments
         rounds.append(
-            RoundRecord(
-                t=r["t"],
-                moves=last_moves,
-                attachments=tuple(Attachment.from_json_obj(a) for a in r["attachments"]),
-                newly_visited=r["newly_visited"],
-            )
+            RoundRecord(t=t, moves=last_moves, attachments=attachments, newly_visited=r["newly_visited"])
         )
     return rounds
 
 
 def transcript_from_json(text: str | bytes) -> Transcript:
-    """Parse a transcript; malformed input raises IntegrityError with a one-line message."""
+    """Parse a transcript; malformed input raises IntegrityError with a one-line message.
+
+    Accepts exactly what ``json.loads`` accepts. Rounds with equal
+    consecutive moves share one tuple, and a checkpoint whose gadgets text
+    repeats its round's attachments shares that round's tuple.
+    """
     from .adversary import CheckpointRecord  # local import to avoid a cycle
 
     try:
-        doc = json.loads(text)
+        doc = _load_transcript_json(text)
     except ValueError as exc:  # JSONDecodeError, or bytes that are not UTF-8
         raise IntegrityError(f"transcript is not valid JSON: {exc}") from exc
+    except RecursionError:
+        raise IntegrityError("transcript is not valid JSON: nested too deeply") from None
     try:
-        rounds = _read_rounds(doc["rounds"])
-        checkpoints = [CheckpointRecord.from_json_obj(c) for c in doc.get("checkpoints", [])]
+        # ids stay unique while doc holds the lists
+        attachments_of: dict = {}
+        rounds = _read_rounds(doc["rounds"], attachments_of)
+        checkpoints = [
+            CheckpointRecord.from_json_obj(c, attachments_of) for c in doc.get("checkpoints", [])
+        ]
         out = doc["outcome"]
         outcome = Outcome(
             finished=out["finished"],

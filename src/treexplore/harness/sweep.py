@@ -196,6 +196,8 @@ def load_sweep_spec(path: Path) -> dict:
         spec = json.loads(data)
     except ValueError as exc:  # JSONDecodeError, or bytes that are not UTF-8
         raise TreexploreError(f"sweep spec {path} is not valid JSON: {exc}") from None
+    except RecursionError:
+        raise TreexploreError(f"sweep spec {path} is not valid JSON: nested too deeply") from None
     if not isinstance(spec, dict):
         raise TreexploreError(f"sweep spec {path} is not a JSON object")
     return spec

@@ -112,7 +112,10 @@ def _replay_and_check_records(transcript: Transcript, params: AdversaryParams) -
     rp = _Replay(state=state)
     revealer = CheckpointRevealer(params)
     checkpoint_level = {t: i + 1 for i, t in enumerate(params.checkpoints)}
-    recorded = {rec.i: rec for rec in transcript.checkpoints}
+    try:
+        recorded = {rec.i: rec for rec in transcript.checkpoints}
+    except TypeError:  # an index that is a list or an object
+        raise IntegrityError("a checkpoint record's 'i' is not a number") from None
     if len(recorded) != len(transcript.checkpoints):
         raise IntegrityError("duplicate checkpoint records")
     watched: set[int] = set()
@@ -153,20 +156,25 @@ def _replay_and_check_records(transcript: Transcript, params: AdversaryParams) -
                 raise IntegrityError(
                     f"round {t} attachments differ from checkpoint {i} gadgets", round=t
                 )
-            rp.records[i] = rec_cp
+            # the recomputation equals the record but holds plain ints where
+            # the file may hold 1.0 or true, so the replay and claims use it
+            rp.records[i] = expected
             rp.positions_at[i] = state.positions
+            attachments = expected.gadgets
         elif rec.attachments:
             raise IntegrityError(
                 f"round {t} has attachments outside any checkpoint", round=t
             )
+        else:
+            attachments = ()
         try:
-            created = _commit_attachments(state, rec.attachments)
+            created = _commit_attachments(state, attachments)
         except TreexploreError as exc:
             raise IntegrityError(f"replay failed at round {t}: {exc}", round=t) from exc
         if i is not None:
             leaves: list[int] = []
             pos = 0
-            for att in rec.attachments:
+            for att in attachments:
                 gadget_ids = created[pos : pos + att.path_len + att.leaf_count]
                 pos += att.path_len + att.leaf_count
                 leaves.extend(gadget_ids[att.path_len :])

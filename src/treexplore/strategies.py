@@ -8,6 +8,8 @@ proportional to what changed plus the number of moving agents.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
+
 from .errors import InvalidParameterError, StrategyInfeasibleError
 from .game import ExplorerView
 from .tree import ROOT
@@ -21,8 +23,9 @@ class IdleExplorer:
     def __init__(self, k: int):
         self.k = k
 
-    def next_moves(self, view: ExplorerView) -> list[int]:
-        return list(view.positions)
+    def next_moves(self, view: ExplorerView) -> tuple[int, ...]:
+        # the positions tuple itself, which the commit keeps as is
+        return view.positions
 
 
 class SingleDfsExplorer:
@@ -284,9 +287,9 @@ class IdleThenExplorer:
         self.inner = inner if inner is not None else GreedyFrontierExplorer(k)
         self.name = f"idle_then_{self.inner.name}"
 
-    def next_moves(self, view: ExplorerView) -> list[int]:
+    def next_moves(self, view: ExplorerView) -> Sequence[int]:
         if view.round + 1 <= self.switch_round:
-            return list(view.positions)
+            return view.positions
         return self.inner.next_moves(view)
 
 

@@ -219,12 +219,16 @@ def decode_tree(data: bytes | str) -> RootedTree:
 
     Enforces parent[0] = null and parent[i] < i, which rules out cycles.
     """
-    if isinstance(data, bytes):
-        data = data.decode("utf-8")
     try:
+        if isinstance(data, bytes):
+            data = data.decode("utf-8")
         doc = json.loads(data)
     except json.JSONDecodeError as exc:
         raise TreeParseError(f"invalid JSON: {exc.msg}", position=exc.pos) from exc
+    except UnicodeDecodeError as exc:
+        raise TreeParseError(f"invalid UTF-8: {exc.reason}", position=exc.start) from None
+    except RecursionError:
+        raise TreeParseError("invalid JSON: nested too deeply", position=0) from None
     if not isinstance(doc, dict) or "n" not in doc or "parent" not in doc:
         raise TreeParseError("expected an object with 'n' and 'parent' keys", position=0)
     n, parents = doc["n"], doc["parent"]

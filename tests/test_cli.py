@@ -82,6 +82,17 @@ def test_verify_tampered_transcript_exits_3(tmp_path, capsys):
     assert "integrity_error" in capsys.readouterr().out
 
 
+def test_verify_unhashable_checkpoint_index_exits_3(tmp_path, capsys):
+    out = tmp_path / "tr.json"
+    main(LEMMA_ARGS + ["--out", str(out)])
+    doc = json.loads(out.read_text())
+    doc["checkpoints"][0]["i"] = {}
+    out.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["verify", "--transcript", str(out)]) == 3
+    assert "checkpoint record's 'i' is not a number" in json.loads(capsys.readouterr().out)["integrity_error"]
+
+
 def test_offline_bounds(tmp_path, capsys):
     code = main(["offline", "--tree", _tree_file(tmp_path), "--k", "2", "--brute"])
     assert code == 0
@@ -98,6 +109,25 @@ def test_offline_nonpositive_k_exits_1_with_one_line(tmp_path, capsys, k):
     assert captured.out == ""
     assert captured.err.count("\n") == 1 and captured.err.startswith("error: ")
     assert f"k={k}" in captured.err
+
+
+@pytest.mark.parametrize(
+    "content, message",
+    [
+        (b'{"n": 2, "parent": [null, ', "invalid JSON: Expecting value"),
+        (b"\xff\xfe{}", "invalid UTF-8"),
+        pytest.param(b"[" * 200000, "invalid JSON: nested too deeply", id="nested-200000"),
+        (b'{"n": 3, "parent": [null, 2, 1]}', "violates the requirement"),
+    ],
+)
+def test_offline_malformed_tree_exits_1_with_one_line(tmp_path, capsys, content, message):
+    tree = tmp_path / "bad.json"
+    tree.write_bytes(content)
+    assert main(["offline", "--tree", str(tree), "--k", "2"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and captured.err.startswith("error: ")
+    assert message in captured.err
 
 
 def test_params_subcommand(capsys):
@@ -150,6 +180,10 @@ def _short_a(text: str) -> str:
     return json.dumps(doc)
 
 
+def _deeply_nested(text: str) -> str:
+    return "[" * 200000
+
+
 def _first_move(value):
     def corrupt(text: str) -> str:
         doc = json.loads(text)
@@ -169,6 +203,7 @@ def _first_move(value):
         (_first_move("x"), "round record 0 has moves that are not a list of integers"),
         (_first_move(1.0), "round record 0 has moves that are not a list of integers"),
         (_first_move(True), "round record 0 has moves that are not a list of integers"),
+        (_deeply_nested, "not valid JSON: nested too deeply"),
     ],
 )
 def test_verify_malformed_transcript_exits_3_with_one_line(tmp_path, capsys, corrupt, message):
@@ -412,6 +447,7 @@ class TestSweepBadCells:
         (b'{"explorers": ["idle"], "grid": [], "caps": 20}', "field 'caps' must be a list (got 20)"),
         (b'{"revealer": "fixed", "explorers": ["idle"], "trees": "t.json"}', "field 'trees' must be a list"),
         (b'{"revealer": "fixed", "explorers": ["idle"], "trees": [], "k_values": 2}', "field 'k_values'"),
+        pytest.param(b"[" * 200000, "is not valid JSON: nested too deeply", id="nested-200000"),
     ],
 )
 def test_cli_sweep_unreadable_spec_exits_1_with_one_line(tmp_path, capsys, content, message):

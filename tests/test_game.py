@@ -2,11 +2,14 @@
 
 import json
 import random
+from math import comb
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from treexplore import (
     Attachment,
+    CheckpointRecord,
     GameState,
     Outcome,
     RoundRecord,
@@ -26,6 +29,7 @@ from treexplore import (
 from treexplore.errors import AttachmentViolation, IntegrityError, InvalidParameterError, MoveViolation
 from treexplore.game import ExplorerView, apply_round
 from treexplore.harness.runner import run_adversary_game
+from treexplore.harness.verify import verify_transcript
 
 from conftest import assert_transcript_invariants, make_path, make_star, random_tree
 
@@ -194,10 +198,58 @@ def reference_to_json(transcript) -> str:
     return json.dumps(doc, separators=(",", ":")) + "\n"
 
 
+def reference_from_json(text) -> Transcript:
+    """The reader's contract: one json.loads, then the record checks.
+
+    Equal consecutive moves share one tuple; each distinct moves list must
+    hold plain ints.
+    """
+    try:
+        doc = json.loads(text)
+    except ValueError as exc:
+        raise IntegrityError(f"transcript is not valid JSON: {exc}") from exc
+    try:
+        rounds = []
+        last_list = last_moves = None
+        for index, r in enumerate(doc["rounds"]):
+            mv = r["moves"]
+            if last_moves is None or mv != last_list:
+                if type(mv) is not list or not set(map(type, mv)) <= {int}:
+                    raise IntegrityError(f"round record {index} has moves that are not a list of integers")
+                last_list, last_moves = mv, tuple(mv)
+            rounds.append(
+                RoundRecord(
+                    t=r["t"],
+                    moves=last_moves,
+                    attachments=tuple(Attachment.from_json_obj(a) for a in r["attachments"]),
+                    newly_visited=r["newly_visited"],
+                )
+            )
+        checkpoints = [CheckpointRecord.from_json_obj(c) for c in doc.get("checkpoints", [])]
+        out = doc["outcome"]
+        stats = TreeStats(out["n"], out["height"], -1, out["height"])
+        outcome = Outcome(out["finished"], out["final_round"], stats)
+        params = doc["params"]
+    except KeyError as exc:
+        raise IntegrityError(f"transcript is missing key {exc}") from exc
+    except TypeError as exc:
+        raise IntegrityError(f"transcript has a malformed record: {exc}") from exc
+    if not isinstance(params, dict):
+        raise IntegrityError("transcript params are not an object")
+    return Transcript(params=params, rounds=rounds, checkpoints=checkpoints, outcome=outcome)
+
+
 def assert_stay_rounds_share(rounds):
     """Consecutive equal moves are one object; unequal ones are not."""
     for before, after in zip(rounds, rounds[1:]):
         assert (after.moves is before.moves) == (after.moves == before.moves)
+
+
+def assert_gadgets_share(transcript):
+    """Each checkpoint's gadgets are its round's attachments object."""
+    L = transcript.params.get("L")
+    for c in transcript.checkpoints:
+        assert c.gadgets is transcript.rounds[L * comb(c.i + 1, 2) - 1].attachments
 
 
 def _lemma_games():
@@ -234,9 +286,12 @@ class TestSharedMoves:
         text = transcript_to_json(tr)
         assert text == reference_to_json(tr)
         back = transcript_from_json(text)
+        assert back == reference_from_json(text)
         assert transcript_to_json(back) == text == reference_to_json(back)
         assert_stay_rounds_share(tr.rounds)
         assert_stay_rounds_share(back.rounds)
+        assert_gadgets_share(tr)
+        assert_gadgets_share(back)
         if tr.rounds:
             assert tr.rounds[-1].moves is tr.final_state.positions
 
@@ -283,6 +338,185 @@ class TestSharedMoves:
         text = transcript_to_json(tr)
         assert text == reference_to_json(tr)
         assert '"moves":[1.0,0]' in text and '"moves":[true,0]' in text
+
+
+    def test_equal_but_distinct_gadgets_are_encoded_on_their_own(self):
+        shared = (Attachment(1, 0, 2),)
+        equal = (Attachment(1.0, 0, 2),)  # equal to `shared`, encodes differently
+
+        def checkpoint(i, gadgets):
+            return CheckpointRecord(i=i, K=(1, 2), a_values={1: 0, 2: 0}, S=(1,), gadgets=gadgets)
+
+        tr = Transcript(
+            params={"explorer": "hand", "revealer": "hand", "k": 1},
+            rounds=[
+                RoundRecord(t=1, moves=(0,), attachments=shared, newly_visited=0),
+                RoundRecord(t=2, moves=(0,), attachments=(Attachment(2, 0, 2),), newly_visited=0),
+            ],
+            checkpoints=[checkpoint(1, shared), checkpoint(2, equal), checkpoint(3, ())],
+            outcome=Outcome(False, 2, TreeStats(n=7, height=2, max_degree=2, root_ecc=2)),
+        )
+        text = transcript_to_json(tr)
+        assert text == reference_to_json(tr)
+        assert '"gadgets":[{"at":1.0,' in text
+        back = transcript_from_json(text)
+        assert back.checkpoints[0].gadgets is back.rounds[0].attachments
+        assert back.checkpoints[1].gadgets == shared
+
+
+# (256, 1, 2, 8): one checkpoint at round 1 with 12 gadgets, then stay-put
+# (idle) or moving (greedy) rounds; about 2.6 kB of text each
+FUZZ_BASES = {
+    name: transcript_to_json(run_adversary_game(derive_params(256, 1, 2, 8), name, cap=6))
+    for name in ("idle", "greedy_frontier")
+}
+EDIT_CHARS = '[]{},:" \n\f0123456789-.eEtrufalsn\\'
+ODD_VALUES = st.sampled_from([None, True, 1.0, -1, 0, 1, 2, 10**6, "x", [], {}, [0]])
+ENCODINGS = ("utf-8-sig", "utf-16", "utf-16-le", "utf-16-be", "utf-32", "str-bom")
+
+
+def _value_spans(text: str, key: str) -> list[tuple[int, int]]:
+    """(start, end) of the value after each ``"key":`` in compact text."""
+    spans, i = [], text.find(f'"{key}":')
+    while i >= 0:
+        start = i + len(key) + 3
+        spans.append((start, json.JSONDecoder().raw_decode(text, start)[1]))
+        i = text.find(f'"{key}":', start)
+    return spans
+
+
+def _walker_positions(text: str) -> list[int]:
+    """Where the brackets, colons and commas of the top-level object, the rounds
+    and checkpoints arrays and their records sit, the syntax the walker reads."""
+    depth, positions = 0, []
+    for i, c in enumerate(text):
+        depth -= c in "]}"
+        if depth <= 3 and c in "{}[]:,":
+            positions.append(i)
+        depth += c in "[{"
+    return positions
+
+
+def _reordered(obj, draw, depth=0):
+    if isinstance(obj, dict):
+        keys = draw(st.permutations(list(obj))) if depth < 3 else list(obj)
+        return {k: _reordered(obj[k], draw, depth + 1) for k in keys}
+    if isinstance(obj, list) and depth < 3:
+        return [_reordered(v, draw, depth + 1) for v in obj]
+    return obj
+
+
+@st.composite
+def mutated_transcripts(draw):
+    """One mutation of a small lemma transcript: text, bytes, or a str with a BOM."""
+    text = FUZZ_BASES[draw(st.sampled_from(sorted(FUZZ_BASES)))]
+    doc = json.loads(text)
+    kind = draw(st.sampled_from([
+        "move", "attachment", "checkpoint", "outcome", "truncate", "edit",
+        "indent", "reorder", "duplicate", "respaced_moves", "encoding",
+    ]))
+    if kind == "move":
+        moves = doc["rounds"][draw(st.integers(0, len(doc["rounds"]) - 1))]["moves"]
+        moves[draw(st.integers(0, len(moves) - 1))] = draw(ODD_VALUES)
+    elif kind == "attachment":
+        att = doc["rounds"][0]["attachments"]
+        entry = att[draw(st.integers(0, len(att) - 1))]
+        entry[draw(st.sampled_from(sorted(entry)))] = draw(ODD_VALUES)
+    elif kind == "checkpoint":
+        cp = doc["checkpoints"][0]
+        field = draw(st.sampled_from(sorted(cp)))
+        if isinstance(cp[field], list) and cp[field] and draw(st.booleans()):
+            j = draw(st.integers(0, len(cp[field]) - 1))
+            if field == "gadgets":
+                cp[field][j][draw(st.sampled_from(["at", "path_len", "leaves"]))] = draw(ODD_VALUES)
+            else:
+                cp[field][j] = draw(ODD_VALUES)
+        else:
+            cp[field] = draw(ODD_VALUES)
+    elif kind == "outcome":
+        doc["outcome"][draw(st.sampled_from(sorted(doc["outcome"])))] = draw(ODD_VALUES)
+    if kind in ("move", "attachment", "checkpoint", "outcome"):
+        return json.dumps(doc, separators=(",", ":"))
+    if kind == "truncate":
+        return text[: draw(st.integers(0, len(text) - 1))]
+    if kind == "edit":
+        i = draw(st.one_of(st.integers(0, len(text) - 1), st.sampled_from(_walker_positions(text))))
+        c = draw(st.sampled_from(EDIT_CHARS))
+        edits = [text[:i] + c + text[i + 1 :], text[:i] + c + text[i:], text[:i] + text[i + 1 :]]
+        return draw(st.sampled_from(edits))
+    if kind == "indent":
+        return json.dumps(doc, indent=draw(st.sampled_from([None, 0, 1, 2, "\t"])))
+    if kind == "reorder":
+        return json.dumps(_reordered(doc, draw), separators=(",", ":"))
+    if kind == "duplicate":
+        keys = ["params", "rounds", "checkpoints", "moves", "attachments", "gadgets", "t", "K"]
+        key = draw(st.sampled_from(keys))
+        spans = _value_spans(text, key)
+        start, end = spans[draw(st.integers(0, len(spans) - 1))]
+        filler = draw(st.sampled_from(["null", "[]", "[0,0]", "{}", text[slice(*spans[0])]]))
+        if draw(st.booleans()):  # an earlier copy: the original still wins
+            return text[: start - len(key) - 3] + f'"{key}":{filler},' + text[start - len(key) - 3 :]
+        return text[:end] + f',"{key}":{filler}' + text[end:]
+    if kind == "respaced_moves":
+        spans = _value_spans(text, "moves")
+        r = draw(st.integers(1, len(spans) - 1))
+        prev = json.loads(text[slice(*spans[r - 1])])
+        sep = draw(st.sampled_from([", ", " ,", ",\n", "\t,"]))
+        new = sep.join(map(str, prev)).join(draw(st.sampled_from([("[", "]"), ("[ ", " ]"), ("\n[", "]")])))
+        return text[: spans[r][0]] + new + text[spans[r][1] :]
+    return _encoded(text, draw(st.sampled_from(ENCODINGS)))
+
+
+def _encoded(text: str, encoding: str):
+    """Bytes as json.loads reads them, or for "str-bom" a str that keeps its BOM."""
+    return "\ufeff" + text if encoding == "str-bom" else text.encode(encoding)
+
+
+def _read(reader, data):
+    try:
+        return reader(data)
+    except IntegrityError:
+        return "rejected"
+
+
+def _verdict(transcript) -> str:
+    """verify's verdict; a malformed transcript may raise IntegrityError and nothing else."""
+    if transcript == "rejected":
+        return "unreadable"
+    try:
+        return "ok" if verify_transcript(transcript).ok else "claims failed"
+    except IntegrityError:
+        return "rejected by verify"
+
+
+class TestReaderMatchesJsonLoads:
+    """The walking reader reads what json.loads reads and rejects what it rejects."""
+
+    @settings(max_examples=500, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(mutated_transcripts())
+    def test_same_records_and_verdict_as_the_oracle(self, data):
+        new, old = _read(transcript_from_json, data), _read(reference_from_json, data)
+        assert new == old
+        assert _verdict(new) == _verdict(old)
+
+    @pytest.mark.parametrize("name", sorted(FUZZ_BASES))
+    def test_every_edit_of_the_walked_syntax(self, name):
+        text = FUZZ_BASES[name]
+        positions = _walker_positions(text)
+        assert len(positions) > 100
+        for i in positions:
+            edits = [text[:i] + text[i + 1 :]]
+            edits += [text[:i] + c + text[i + 1 :] for c in ',:]}" ']
+            edits += [text[:i] + c + text[i:] for c in ",]} \f"]
+            for edited in edits:
+                assert _read(transcript_from_json, edited) == _read(reference_from_json, edited)
+
+    @pytest.mark.parametrize("encoding", ENCODINGS)
+    def test_every_encoding_reads_as_json_loads_reads_it(self, encoding):
+        data = _encoded(FUZZ_BASES["idle"], encoding)
+        new = _read(transcript_from_json, data)
+        assert new == _read(reference_from_json, data)
+        assert (new == "rejected") == (encoding == "str-bom")
 
 
 class TestTeamSize:

@@ -16,6 +16,7 @@ from treexplore import (
     transcript_to_json,
 )
 from treexplore.errors import StrategyInfeasibleError
+from treexplore.game import ExplorerView, GameState, apply_round
 from treexplore.harness.runner import run_adversary_game
 
 from conftest import assert_transcript_invariants, make_path, make_star, random_tree
@@ -60,6 +61,18 @@ class TestIdle:
     def test_single_root_finishes_instantly(self):
         tr = play(make_explorer("idle", 1), fixed_tree_revealer(make_path(0)), 1, 5)
         assert tr.outcome.finished and tr.outcome.final_round == 0
+
+    @pytest.mark.parametrize("name", ["idle", "idle_then_greedy"])
+    def test_idle_round_commits_the_identical_tuple(self, name):
+        state = GameState(make_star(4), 3)
+        view = ExplorerView(state)
+        explorer = make_explorer(name, 3, switch_round=2)
+        start = state.positions
+        for _ in range(2):
+            moves = explorer.next_moves(view)
+            assert moves is start
+            apply_round(state, moves, [])
+            assert state.positions is start
 
 
 class TestSingleDfs:

@@ -176,6 +176,8 @@ class TestWireFormats:
             b'{"n": 2, "parent": [null]}',
             b'{"n": 1, "parent": [0]}',
             b'{"n": 0, "parent": []}',
+            b"\xff\xfe{}",
+            pytest.param(b"[" * 200000, id="nested-200000"),
         ],
     )
     def test_structural_errors(self, doc):

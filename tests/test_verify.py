@@ -182,6 +182,17 @@ class TestSharedMovesVerdicts:
             transcript_from_json(json.dumps(doc))
 
 
+class TestEqualValuedGadgets:
+    """A recorded value equal to its recomputation verifies as the recomputation does."""
+
+    @pytest.mark.parametrize("field", ["at", "path_len", "leaves"])
+    def test_float_gadget_field_in_a_round_verifies(self, small_idle_transcript, field):
+        doc = json.loads(transcript_to_json(small_idle_transcript))
+        att = next(r["attachments"] for r in doc["rounds"] if r["attachments"])[0]
+        att[field] = float(att[field])
+        assert verify_transcript(transcript_from_json(json.dumps(doc))).ok
+
+
 class TestTranscriptFormat:
     def test_compact_single_line_in_key_order(self, small_greedy_transcript):
         text = transcript_to_json(small_greedy_transcript)
