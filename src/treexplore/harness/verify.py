@@ -156,25 +156,20 @@ def _replay_and_check_records(transcript: Transcript, params: AdversaryParams) -
                 raise IntegrityError(
                     f"round {t} attachments differ from checkpoint {i} gadgets", round=t
                 )
-            # the recomputation equals the record but holds plain ints where
-            # the file may hold 1.0 or true, so the replay and claims use it
-            rp.records[i] = expected
+            rp.records[i] = rec_cp
             rp.positions_at[i] = state.positions
-            attachments = expected.gadgets
         elif rec.attachments:
             raise IntegrityError(
                 f"round {t} has attachments outside any checkpoint", round=t
             )
-        else:
-            attachments = ()
         try:
-            created = _commit_attachments(state, attachments)
-        except TreexploreError as exc:
+            created = _commit_attachments(state, rec.attachments)
+        except (TreexploreError, TypeError) as exc:  # TypeError: a field such as 1.0
             raise IntegrityError(f"replay failed at round {t}: {exc}", round=t) from exc
         if i is not None:
             leaves: list[int] = []
             pos = 0
-            for att in attachments:
+            for att in rec.attachments:
                 gadget_ids = created[pos : pos + att.path_len + att.leaf_count]
                 pos += att.path_len + att.leaf_count
                 leaves.extend(gadget_ids[att.path_len :])
