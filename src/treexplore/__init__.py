@@ -6,7 +6,6 @@ from .adversary import (
     CheckpointRecord,
     CheckpointRevealer,
     FixedTreeRevealer,
-    branch_agent_count,
     checkpoint_candidates,
     derive_params,
     fixed_tree_revealer,
@@ -21,11 +20,10 @@ from .game import (
     Outcome,
     RoundRecord,
     Transcript,
-    apply_round,
     initial_tree_of,
     is_explored,
     play,
-    replay_transcript,
+    replay,
     transcript_from_json,
     transcript_to_json,
     validate_moves,
@@ -56,7 +54,6 @@ from .tree import (
     decode_tree,
     encode_tree,
     make_path_star,
-    root_branch,
     tree_to_dot,
 )
 

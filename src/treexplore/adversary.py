@@ -23,9 +23,9 @@ from collections.abc import Sequence
 from dataclasses import dataclass, replace
 from itertools import filterfalse, repeat
 
-from .errors import InfeasibleParamsError, IntegrityError, NoBranchError
+from .errors import InfeasibleParamsError, IntegrityError
 from .game import Attachment, GameState
-from .tree import ROOT, RootedTree, make_path_star
+from .tree import RootedTree, make_path_star
 
 
 def _least_root_scaled(target: int, n: int, m: int) -> int:
@@ -180,18 +180,6 @@ class AdversaryParams:
 
 def derive_params(n: int, L: int, m: int, k: int, mode: str = "repaired", warn: bool = True) -> AdversaryParams:
     return AdversaryParams.derive(n=n, L=L, m=m, k=k, mode=mode, warn=warn)
-
-
-def branch_agent_count(state: GameState, v: int) -> int:
-    """Number of agents currently inside v's root branch.
-
-    Agents parked on the root are in no branch and count toward nothing.
-    """
-    if v == ROOT:
-        raise NoBranchError("the root belongs to no branch")
-    state.tree._require(v)
-    b = state.tree.branch[v]
-    return sum(1 for p in state.positions if p != ROOT and state.tree.branch[p] == b)
 
 
 def checkpoint_candidates(state: GameState, i: int, params: AdversaryParams) -> list[int]:

@@ -15,10 +15,6 @@ class VertexNotFoundError(TreexploreError):
     """A vertex id does not exist in the tree under consideration."""
 
 
-class NoBranchError(TreexploreError):
-    """The root belongs to no branch, so branch queries on it are undefined."""
-
-
 class TreeParseError(TreexploreError):
     """Malformed tree data; carries the offending position or index."""
 

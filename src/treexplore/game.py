@@ -20,6 +20,7 @@ from .errors import (
     IntegrityError,
     InvalidParameterError,
     MoveViolation,
+    TreexploreError,
     VertexNotFoundError,
 )
 from .tree import ROOT, RootedTree, TreeStats, attach_path_with_star, decode_tree
@@ -194,13 +195,6 @@ def _commit_attachments(state: GameState, attachments: Sequence[Attachment]) -> 
         state.visited.extend(b"\x00" * grow)
         state.first_visit.extend([-1] * grow)
     return created
-
-
-def apply_round(state: GameState, moves: Sequence[int], attachments: Sequence[Attachment]) -> GameState:
-    """Apply one full round (moves then attachments) in place."""
-    _commit_moves(state, moves)
-    _commit_attachments(state, attachments)
-    return state
 
 
 class ExplorerView:
@@ -400,30 +394,60 @@ def play(
     )
 
 
-def replay_transcript(transcript: Transcript, initial: RootedTree, k: int | None = None) -> GameState:
-    """Re-apply all recorded rounds on a fresh state; returns the end state.
+def replay(transcript: Transcript, initial: RootedTree, observer=None) -> GameState:
+    """Re-apply every recorded round to ``initial``, which grows in place; returns the end state.
 
-    Raises IntegrityError if a recorded round is illegal or its recorded
-    newly-visited count disagrees with the replay.
+    Raises IntegrityError for anything ``play`` could not have written: a
+    round out of order, an illegal move or attachment, a wrong
+    newly-visited count, a round after the tree was fully explored, an
+    outcome that disagrees with the replayed state, or one that breaks the
+    transcript's cap. ``observer.moved(state, rec)`` runs after a round's
+    moves commit and before its attachments, and
+    ``observer.attached(state, rec, created)`` after them.
     """
-    if k is None:
-        k = transcript.params.get("k")
-        if k is None:
-            raise IntegrityError("transcript params carry no team size")
-    state = GameState(initial.copy(), k)
+    k, cap = transcript.params.get("k"), transcript.params.get("cap")
+    if type(k) is not int or k < 1 or type(cap) is not int:
+        raise IntegrityError(f"transcript params need an integer k >= 1 and cap (got k={k!r}, cap={cap!r})")
+    state = GameState(initial, k)
     for rec in transcript.rounds:
-        if rec.t != state.round + 1:
-            raise IntegrityError(f"round records out of order at t={rec.t}", round=rec.t)
+        t = state.round + 1
+        if is_explored(state):
+            raise IntegrityError(f"round {t} is recorded after the tree was fully explored", round=t)
+        if rec.t != t or type(rec.t) is not int:
+            raise IntegrityError(f"round records out of order at t={rec.t!r}", round=t)
         try:
-            apply_round(state, rec.moves, rec.attachments)
-        except (MoveViolation, AttachmentViolation, VertexNotFoundError) as exc:
-            raise IntegrityError(f"replay failed at round {rec.t}: {exc}", round=rec.t) from exc
-        if len(state.newly_visited) != rec.newly_visited:
+            _commit_moves(state, rec.moves)
+        except TreexploreError as exc:
+            raise IntegrityError(f"replay failed at round {t}: {exc}", round=t) from exc
+        if rec.newly_visited != len(state.newly_visited) or type(rec.newly_visited) is not int:
             raise IntegrityError(
-                f"round {rec.t} records {rec.newly_visited} newly visited vertices, "
-                f"replay produced {len(state.newly_visited)}",
-                round=rec.t,
+                f"round {t}: recorded {rec.newly_visited!r} new visits, replay saw "
+                f"{len(state.newly_visited)}",
+                round=t,
             )
+        if observer is not None:
+            observer.moved(state, rec)
+        try:
+            created = _commit_attachments(state, rec.attachments)
+        except (TreexploreError, TypeError) as exc:  # TypeError: a field such as 1.0
+            raise IntegrityError(f"replay failed at round {t}: {exc}", round=t) from exc
+        if observer is not None:
+            observer.attached(state, rec, created)
+    out, finished = transcript.outcome, is_explored(state)
+    for name, recorded, replayed in (
+        ("finished", out.finished, finished),
+        ("final_round", out.final_round, state.round),
+        ("n", out.final_stats.n, state.tree.n),
+        ("height", out.final_stats.height, state.tree.height()),
+    ):
+        # the type test tells True from 1 and 1.0 from 1
+        if recorded != replayed or type(recorded) is not type(replayed):
+            raise IntegrityError(f"outcome {name} {recorded!r} != replayed {replayed!r}")
+    # play's stopping rules: it never plays past the cap and stops short of it only when finished
+    if state.round > cap:
+        raise IntegrityError(f"outcome final_round {state.round} is past the cap {cap}")
+    if not finished and state.round != cap:
+        raise IntegrityError(f"game stopped unfinished at round {state.round}, before the cap {cap}")
     return state
 
 

@@ -122,31 +122,7 @@ def _lemma_cell(grid_entry: dict, mode: str, cap, name: str, k_setting, view: st
             params = AdversaryParams.derive(n=n, L=L, m=m, k=k, mode=mode)
         transcript = run_adversary_game(params, name, cap=cap, view_mode=view)
         report = verify_transcript(transcript)
-        tree = transcript.final_state.tree
-        stats = tree.stats()
-        lb = trivial_lb(stats.n, stats.height, k)
-        ub = euler_schedule(tree, k).rounds
-        finished = transcript.outcome.finished
-        final_round = transcript.outcome.final_round
-        if finished and ub > 0:
-            ratio = Fraction(final_round, ub)
-            ratio_num, ratio_den = ratio.numerator, ratio.denominator
-        else:
-            ratio_num = ratio_den = ""
-        return row_base + [
-            k,
-            str(finished).lower(),
-            final_round,
-            stats.height,
-            stats.n,
-            lb,
-            ub,
-            ratio_num,
-            ratio_den,
-            report.claims_passed,
-            report.claims_failed,
-            "",
-        ]
+        return row_base + [k, *_result_columns(transcript, k), report.claims_passed, report.claims_failed, ""]
     except TreexploreError as exc:
         return row_base + [grid_entry.get("k"), "", "", "", "", "", "", "", "", "", "", str(exc)]
 
@@ -159,34 +135,29 @@ def _fixed_cell(tree_path, base_dir: Path | None, k: int, cap, name: str, view: 
         if base_dir is not None and not path.is_absolute():
             path = base_dir / path
         tree = decode_tree(path.read_bytes())
-        stats = tree.stats()
-        row_base = [name, "fixed", "", stats.n, "", ""]
+        row_base = [name, "fixed", "", tree.n, "", ""]
         transcript = run_fixed_game(tree, name, k, cap=cap, view_mode=view)
-        lb = trivial_lb(stats.n, stats.height, k)
-        ub = euler_schedule(tree, k).rounds
-        finished = transcript.outcome.finished
-        final_round = transcript.outcome.final_round
-        if finished and ub > 0:
-            ratio = Fraction(final_round, ub)
-            ratio_num, ratio_den = ratio.numerator, ratio.denominator
-        else:
-            ratio_num = ratio_den = ""
-        return row_base + [
-            k,
-            str(finished).lower(),
-            final_round,
-            stats.height,
-            stats.n,
-            lb,
-            ub,
-            ratio_num,
-            ratio_den,
-            "",
-            "",
-            "",
-        ]
+        return row_base + [k, *_result_columns(transcript, k), "", "", ""]
     except (TreexploreError, OSError) as exc:
         return [name, "fixed", "", "", "", "", k, "", "", "", "", "", "", "", "", "", "", str(exc)]
+
+
+def _result_columns(transcript, k: int) -> list:
+    """The columns finished .. ratio_lb_den of one game; a ratio only for a finished game."""
+    outcome = transcript.outcome
+    stats = outcome.final_stats
+    ub = euler_schedule(transcript.final_state.tree, k).rounds
+    ratio = Fraction(outcome.final_round, ub) if outcome.finished and ub > 0 else None
+    return [
+        str(outcome.finished).lower(),
+        outcome.final_round,
+        stats.height,
+        stats.n,
+        trivial_lb(stats.n, stats.height, k),
+        ub,
+        "" if ratio is None else ratio.numerator,
+        "" if ratio is None else ratio.denominator,
+    ]
 
 
 def load_sweep_spec(path: Path) -> dict:

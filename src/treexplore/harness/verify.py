@@ -1,8 +1,9 @@
 """Transcript verification for adversary games.
 
-Replays the recorded moves and attachments (never the strategies), cross
-checks every checkpoint record against a fresh recomputation, and then
-evaluates the construction's claims with exact integer comparisons:
+Replays the recorded moves and attachments (never the strategies) with
+``game.replay``, whose observer hooks cross check every checkpoint record
+against a fresh recomputation, and then evaluates the construction's
+claims with exact integer comparisons:
 
 * claim1 (height growth): after checkpoint i the tree height is at most
   L*(i+1); exactly that in repaired mode whenever something was selected.
@@ -20,13 +21,13 @@ evaluates the construction's claims with exact integer comparisons:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import compress
 from operator import ge
 
 from ..adversary import AdversaryParams, CheckpointRecord, CheckpointRevealer
 from ..errors import IntegrityError, TreexploreError
-from ..game import GameState, Transcript, _commit_attachments, _commit_moves
+from ..game import GameState, RoundRecord, Transcript, replay
 from ..tree import ROOT
 
 
@@ -94,105 +95,67 @@ def params_from_transcript(transcript: Transcript) -> AdversaryParams:
         raise IntegrityError(f"transcript params are not valid adversary params: {exc}") from exc
 
 
-@dataclass
 class _Replay:
-    """Everything the claim checks need, collected in one replay pass."""
+    """The replay observer: checks each checkpoint round against its
+    recomputation and collects what the claim checks need."""
 
-    state: GameState
-    records: dict[int, CheckpointRecord] = field(default_factory=dict)
-    height_after: dict[int, int] = field(default_factory=dict)
-    positions_at: dict[int, tuple[int, ...]] = field(default_factory=dict)
-    gadget_leaves: dict[int, list[int]] = field(default_factory=dict)
-    arrivals: dict[int, list[int]] = field(default_factory=dict)
-    gadget_vertices: dict[int, int] = field(default_factory=dict)
+    def __init__(self, transcript: Transcript, params: AdversaryParams):
+        self.revealer = CheckpointRevealer(params)
+        self.checkpoint_level = {t: i + 1 for i, t in enumerate(params.checkpoints)}
+        if any(type(rec.i) is not int for rec in transcript.checkpoints):
+            raise IntegrityError("a checkpoint record's 'i' is not an integer")
+        self.recorded = {rec.i: rec for rec in transcript.checkpoints}
+        if len(self.recorded) != len(transcript.checkpoints):
+            raise IntegrityError("duplicate checkpoint records")
+        self.level: int | None = None  # the checkpoint the current round fires, if any
+        self.watched: set[int] = set()
+        self.records: dict[int, CheckpointRecord] = {}
+        self.height_after: dict[int, int] = {}
+        self.positions_at: dict[int, tuple[int, ...]] = {}
+        self.gadget_leaves: dict[int, list[int]] = {}
+        self.arrivals: dict[int, list[int]] = {}
+        self.gadget_vertices: dict[int, int] = {}
 
-
-def _replay_and_check_records(transcript: Transcript, params: AdversaryParams) -> _Replay:
-    state = GameState(params.initial_tree(), params.k)
-    rp = _Replay(state=state)
-    revealer = CheckpointRevealer(params)
-    checkpoint_level = {t: i + 1 for i, t in enumerate(params.checkpoints)}
-    try:
-        recorded = {rec.i: rec for rec in transcript.checkpoints}
-    except TypeError:  # an index that is a list or an object
-        raise IntegrityError("a checkpoint record's 'i' is not a number") from None
-    if len(recorded) != len(transcript.checkpoints):
-        raise IntegrityError("duplicate checkpoint records")
-    watched: set[int] = set()
-
-    for rec in transcript.rounds:
-        t = state.round + 1
-        if rec.t != t:
-            raise IntegrityError(f"round records out of order at t={rec.t}", round=rec.t)
-        try:
-            _commit_moves(state, rec.moves)
-        except TreexploreError as exc:
-            raise IntegrityError(f"replay failed at round {t}: {exc}", round=t) from exc
-        if len(state.newly_visited) != rec.newly_visited:
-            raise IntegrityError(
-                f"round {t}: recorded {rec.newly_visited} new visits, replay saw "
-                f"{len(state.newly_visited)}",
-                round=t,
-            )
-        hits = state.newly_visited & watched
+    def moved(self, state: GameState, rec: RoundRecord) -> None:
+        """Runs on the tree as it stood before the round's gadgets."""
+        t = state.round
+        hits = state.newly_visited & self.watched
         if hits:
             for v in hits:
-                rp.arrivals[v] = []
+                self.arrivals[v] = []
             for x, p in enumerate(state.positions):
                 if p in hits:
-                    rp.arrivals[p].append(x)
+                    self.arrivals[p].append(x)
+        i = self.level = self.checkpoint_level.get(t)
+        if i is None:
+            if rec.attachments:
+                raise IntegrityError(f"round {t} has attachments outside any checkpoint", round=t)
+            return
+        expected = self.revealer.compute(state, i)
+        rec_cp = self.recorded.get(i)
+        if rec_cp is None:
+            raise IntegrityError(f"checkpoint {i} fired at round {t} but has no record", round=t)
+        if rec_cp != expected:
+            raise IntegrityError(f"checkpoint {i} record does not match its recomputation", round=t)
+        if tuple(rec.attachments) != expected.gadgets:
+            raise IntegrityError(f"round {t} attachments differ from checkpoint {i} gadgets", round=t)
+        self.records[i] = rec_cp
+        self.positions_at[i] = state.positions
 
-        i = checkpoint_level.get(t)
-        if i is not None:
-            expected = revealer.compute(state, i)
-            rec_cp = recorded.get(i)
-            if rec_cp is None:
-                raise IntegrityError(f"checkpoint {i} fired at round {t} but has no record", round=t)
-            if rec_cp != expected:
-                raise IntegrityError(
-                    f"checkpoint {i} record does not match its recomputation", round=t
-                )
-            if tuple(rec.attachments) != expected.gadgets:
-                raise IntegrityError(
-                    f"round {t} attachments differ from checkpoint {i} gadgets", round=t
-                )
-            rp.records[i] = rec_cp
-            rp.positions_at[i] = state.positions
-        elif rec.attachments:
-            raise IntegrityError(
-                f"round {t} has attachments outside any checkpoint", round=t
-            )
-        try:
-            created = _commit_attachments(state, rec.attachments)
-        except (TreexploreError, TypeError) as exc:  # TypeError: a field such as 1.0
-            raise IntegrityError(f"replay failed at round {t}: {exc}", round=t) from exc
-        if i is not None:
-            leaves: list[int] = []
-            pos = 0
-            for att in rec.attachments:
-                gadget_ids = created[pos : pos + att.path_len + att.leaf_count]
-                pos += att.path_len + att.leaf_count
-                leaves.extend(gadget_ids[att.path_len :])
-            rp.gadget_leaves[i] = leaves
-            rp.gadget_vertices[i] = len(created)
-            watched.update(leaves)
-            rp.height_after[i] = state.tree.height()
-
-    extra = set(recorded) - set(rp.records)
-    if extra:
-        raise IntegrityError(f"checkpoint records {sorted(extra)} have no matching rounds")
-    if transcript.outcome.final_round != state.round:
-        raise IntegrityError(
-            f"outcome final_round {transcript.outcome.final_round} != replayed {state.round}"
-        )
-    if transcript.outcome.final_stats.n != state.tree.n:
-        raise IntegrityError(
-            f"outcome n {transcript.outcome.final_stats.n} != replayed {state.tree.n}"
-        )
-    finished = state.visited_count == state.tree.n
-    if transcript.outcome.finished != finished:
-        raise IntegrityError("outcome finished flag does not match the replayed state")
-    return rp
+    def attached(self, state: GameState, rec: RoundRecord, created: list[int]) -> None:
+        i = self.level
+        if i is None:
+            return
+        leaves: list[int] = []
+        pos = 0
+        for att in rec.attachments:
+            pos += att.path_len
+            leaves.extend(created[pos : pos + att.leaf_count])
+            pos += att.leaf_count
+        self.gadget_leaves[i] = leaves
+        self.gadget_vertices[i] = len(created)
+        self.watched.update(leaves)
+        self.height_after[i] = state.tree.height()
 
 
 def verify_transcript(
@@ -210,8 +173,11 @@ def verify_transcript(
         ):
             raise IntegrityError("supplied params do not match the transcript's metadata")
     params = derived
-    rp = _replay_and_check_records(transcript, params)
-    state = rp.state
+    rp = _Replay(transcript, params)
+    state = replay(transcript, params.initial_tree(), rp)
+    extra = set(rp.recorded) - set(rp.records)
+    if extra:
+        raise IntegrityError(f"checkpoint records {sorted(extra)} have no matching rounds")
     mode = params.mode
     repaired = mode == "repaired"
     checks: list[CheckResult] = []

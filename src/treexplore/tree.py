@@ -20,7 +20,6 @@ from itertools import islice
 
 from .errors import (
     InvalidParameterError,
-    NoBranchError,
     TreeParseError,
     VertexNotFoundError,
 )
@@ -110,25 +109,6 @@ class RootedTree:
         path.reverse()
         return path
 
-    def distance(self, u: int, v: int) -> int:
-        """Number of edges on the unique u-v path."""
-        self._require(u)
-        self._require(v)
-        du, dv = self.depth[u], self.depth[v]
-        lca_u, lca_v = u, v
-        while self.depth[lca_u] > self.depth[lca_v]:
-            lca_u = self.parent[lca_u]
-        while self.depth[lca_v] > self.depth[lca_u]:
-            lca_v = self.parent[lca_v]
-        while lca_u != lca_v:
-            lca_u = self.parent[lca_u]
-            lca_v = self.parent[lca_v]
-        return du + dv - 2 * self.depth[lca_u]
-
-    def leaves(self) -> list[int]:
-        """Vertices with no children, ascending."""
-        return [v for v in range(self.n) if not self.children[v]]
-
     def copy(self) -> "RootedTree":
         t = RootedTree.__new__(RootedTree)
         t.parent = list(self.parent)
@@ -198,14 +178,6 @@ def attach_path_with_star(tree: RootedTree, at: int, path_len: int, leaf_count: 
     for _ in range(leaf_count):
         new_ids.append(tree.add_child(tip))
     return new_ids
-
-
-def root_branch(tree: RootedTree, v: int) -> int:
-    """The depth-1 ancestor of ``v``; vertices sharing it form one branch."""
-    tree._require(v)
-    if v == ROOT:
-        raise NoBranchError("the root belongs to no branch")
-    return tree.branch[v]
 
 
 def encode_tree(tree: RootedTree) -> bytes:

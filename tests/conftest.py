@@ -6,7 +6,8 @@ import random
 
 import pytest
 
-from treexplore import ROOT, RootedTree, initial_tree_of, replay_transcript
+from treexplore import ROOT, RootedTree, initial_tree_of, replay
+from treexplore.game import _commit_attachments, _commit_moves
 
 
 def random_tree(n: int, rng: random.Random) -> RootedTree:
@@ -44,18 +45,21 @@ def tree_arrays(tree: RootedTree) -> dict:
     }
 
 
+def apply_round(state, moves, attachments):
+    """One full round in place, moves then attachments, as play and replay commit it."""
+    _commit_moves(state, moves)
+    _commit_attachments(state, attachments)
+    return state
+
+
 def assert_transcript_invariants(transcript):
-    """Replay-based sanity: legality, monotone visits, speed limit, height floor."""
-    state = replay_transcript(transcript, initial_tree_of(transcript))
-    assert state.round == transcript.outcome.final_round
-    assert state.tree.n == transcript.outcome.final_stats.n
-    finished = state.visited_count == state.tree.n
-    assert finished == transcript.outcome.finished
+    """Replay-based sanity: replay's own checks, then the speed limit and height floor."""
+    state = replay(transcript, initial_tree_of(transcript))
     for v in range(state.tree.n):
         fv = state.first_visit[v]
         if fv >= 0:
             assert fv >= state.tree.depth[v], f"vertex {v} visited faster than its depth"
-    if finished:
+    if transcript.outcome.finished:
         assert transcript.outcome.final_round >= state.tree.height()
     return state
 

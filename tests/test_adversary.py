@@ -14,7 +14,6 @@ from treexplore import (
     Alpha,
     CheckpointRevealer,
     GameState,
-    branch_agent_count,
     checkpoint_candidates,
     derive_params,
     fixed_tree_revealer,
@@ -26,7 +25,7 @@ from treexplore import (
     select_targets,
 )
 from treexplore.adversary import CheckpointRecord
-from treexplore.errors import InfeasibleParamsError, NoBranchError
+from treexplore.errors import InfeasibleParamsError
 from treexplore.game import Attachment, _commit_moves
 from treexplore.harness.runner import run_adversary_game
 from treexplore.tree import ROOT, attach_path_with_star, decode_tree, encode_tree
@@ -123,32 +122,54 @@ class TestInitialTree:
         assert make_path_star(-(-3 // 2), 1).n == 3
 
 
+def branch_agent_count(state, v):
+    """Agents inside v's root branch, read off root paths: the oracle for compute's a-values.
+
+    Agents parked on the root are in no branch and count toward nothing.
+    """
+    path = state.tree.path_from_root
+    return sum(1 for p in state.positions if p != ROOT and path(p)[1] == path(v)[1])
+
+
 class TestBranchAgentCount:
+    """A candidate's a-value is the number of agents inside its branch."""
+
     def _toy_state(self):
-        state = GameState(make_path_star(5, 2), 3)
-        return state
+        return GameState(make_path_star(5, 2), 3)
+
+    @staticmethod
+    def _a_values(state):
+        # candidates sit at depth 2, one per branch: ids 2, 4, 6, 8, 10
+        params = AdversaryParams(
+            n=state.tree.n, L=2, m=2, k=state.k, alpha=Alpha(n=1, L=1, m=1),
+            checkpoints=(), round_floor=0, mode="repaired", max_k=state.k,
+        )
+        a_values = CheckpointRevealer(params).compute(state, 1).a_values
+        assert list(a_values) == [2, 4, 6, 8, 10]
+        assert a_values == {v: branch_agent_count(state, v) for v in a_values}
+        return a_values
 
     def test_all_at_root(self):
-        state = self._toy_state()
-        for v in range(1, state.tree.n):
-            assert branch_agent_count(state, v) == 0
+        assert set(self._a_values(self._toy_state()).values()) == {0}
 
     def test_agent_on_vertex_itself(self):
         state = self._toy_state()
         _commit_moves(state, [1, 0, 0])
-        assert branch_agent_count(state, 1) >= 1
+        _commit_moves(state, [2, 0, 0])
+        assert self._a_values(state)[2] == 1
 
     def test_cousin_in_same_branch_counts(self):
         state = self._toy_state()
         _commit_moves(state, [1, 0, 0])
-        _commit_moves(state, [2, 0, 0])
-        # agent sits at depth 2; vertex 1 shares the branch
-        assert branch_agent_count(state, 1) == 1
-        assert branch_agent_count(state, 3) == 0
+        # the agent sits at depth 1; candidate 2 shares its branch
+        a_values = self._a_values(state)
+        assert a_values[2] == 1
+        assert a_values[4] == 0
 
-    def test_root_rejected(self):
-        with pytest.raises(NoBranchError):
-            branch_agent_count(self._toy_state(), 0)
+    def test_root_agents_count_nowhere(self):
+        state = self._toy_state()
+        _commit_moves(state, [1, 3, 0])
+        assert sum(self._a_values(state).values()) == 2
 
 
 class TestCheckpointCandidates:

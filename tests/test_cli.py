@@ -90,7 +90,7 @@ def test_verify_unhashable_checkpoint_index_exits_3(tmp_path, capsys):
     out.write_text(json.dumps(doc))
     capsys.readouterr()
     assert main(["verify", "--transcript", str(out)]) == 3
-    assert "checkpoint record's 'i' is not a number" in json.loads(capsys.readouterr().out)["integrity_error"]
+    assert "checkpoint record's 'i' is not an integer" in json.loads(capsys.readouterr().out)["integrity_error"]
 
 
 def test_offline_bounds(tmp_path, capsys):
@@ -184,13 +184,40 @@ def _deeply_nested(text: str) -> str:
     return "[" * 200000
 
 
-def _first_move(value):
+def _set(*path, to):
+    """Set the field at ``path`` to ``to``, or to ``to(old value)`` when ``to`` is a type."""
+
     def corrupt(text: str) -> str:
         doc = json.loads(text)
-        doc["rounds"][0]["moves"][0] = value
+        *head, last = path
+        obj = doc
+        for key in head:
+            obj = obj[key]
+        obj[last] = to(obj[last]) if isinstance(to, type) else to
         return json.dumps(doc)
 
     return corrupt
+
+
+def _pad(count):
+    """Stay-put rounds after the last one, with final_round raised to match."""
+
+    def corrupt(text: str) -> str:
+        doc = json.loads(text)
+        last = doc["rounds"][-1]
+        for t in range(last["t"] + 1, last["t"] + 1 + count):
+            doc["rounds"].append({"t": t, "moves": last["moves"], "attachments": [], "newly_visited": 0})
+        doc["outcome"]["final_round"] += count
+        return json.dumps(doc)
+
+    return corrupt
+
+
+def _stop_unfinished_before_the_cap(text: str) -> str:
+    doc = json.loads(text)
+    del doc["rounds"][5:]
+    doc["outcome"].update(finished=False, final_round=5)
+    return json.dumps(doc)
 
 
 @pytest.mark.parametrize(
@@ -200,9 +227,9 @@ def _first_move(value):
         (_drop_finished, "missing key 'finished'"),
         (_object_valued_a, "'a' must be a list"),
         (_short_a, "'a' must be a list"),
-        (_first_move("x"), "round record 0 has moves that are not a list of integers"),
-        (_first_move(1.0), "round record 0 has moves that are not a list of integers"),
-        (_first_move(True), "round record 0 has moves that are not a list of integers"),
+        (_set("rounds", 0, "moves", 0, to="x"), "round record 0 has moves that are not a list of integers"),
+        (_set("rounds", 0, "moves", 0, to=1.0), "round record 0 has moves that are not a list of integers"),
+        (_set("rounds", 0, "moves", 0, to=True), "round record 0 has moves that are not a list of integers"),
         (_deeply_nested, "not valid JSON: nested too deeply"),
     ],
 )
@@ -215,6 +242,38 @@ def test_verify_malformed_transcript_exits_3_with_one_line(tmp_path, capsys, cor
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.startswith("integrity error: ")
     assert message in err
+
+
+@pytest.mark.parametrize(
+    "corrupt, message",
+    [
+        (_pad(1), "round 12 is recorded after the tree was fully explored"),
+        (_pad(50), "round 12 is recorded after the tree was fully explored"),
+        (_stop_unfinished_before_the_cap, "game stopped unfinished at round 5, before the cap 1000"),
+        (_set("params", "cap", to=5), "outcome final_round 11 is past the cap 5"),
+        (_set("params", "cap", to=1.5), "need an integer k >= 1 and cap (got k=541, cap=1.5)"),
+        (_set("params", "cap", to="x"), "need an integer k >= 1 and cap (got k=541, cap='x')"),
+        (_set("outcome", "height", to=999), "outcome height 999 != replayed 3"),
+        (_set("outcome", "height", to="x"), "outcome height 'x' != replayed 3"),
+        (_set("outcome", "final_round", to=float), "outcome final_round 11.0 != replayed 11"),
+        (_set("outcome", "finished", to=1), "outcome finished 1 != replayed True"),
+        (_set("rounds", 0, "t", to=float), "round records out of order at t=1.0"),
+        (_set("rounds", 0, "newly_visited", to=float), "new visits, replay saw"),
+        (_set("checkpoints", 0, "i", to=True), "checkpoint record's 'i' is not an integer"),
+        (_set("checkpoints", 0, "i", to=float), "checkpoint record's 'i' is not an integer"),
+    ],
+)
+def test_verify_rejected_replay_exits_3_with_a_one_line_message(tmp_path, capsys, corrupt, message):
+    # a transcript that reads but cannot be replayed gets verify's JSON report with a one-line message
+    out = tmp_path / "tr.json"
+    main(LEMMA_ARGS + ["--out", str(out)])
+    out.write_text(corrupt(out.read_text()))
+    capsys.readouterr()
+    assert main(["verify", "--transcript", str(out)]) == 3
+    captured = capsys.readouterr()
+    report = json.loads(captured.out)
+    assert captured.err == "" and list(report) == ["integrity_error", "round"]
+    assert "\n" not in report["integrity_error"] and message in report["integrity_error"]
 
 
 def test_verify_non_utf8_bytes_exits_3(tmp_path, capsys):

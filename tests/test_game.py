@@ -21,17 +21,17 @@ from treexplore import (
     is_explored,
     make_explorer,
     play,
-    replay_transcript,
+    replay,
     transcript_from_json,
     transcript_to_json,
     validate_moves,
 )
 from treexplore.errors import AttachmentViolation, IntegrityError, InvalidParameterError, MoveViolation
-from treexplore.game import ExplorerView, apply_round
+from treexplore.game import ExplorerView
 from treexplore.harness.runner import run_adversary_game
 from treexplore.harness.verify import verify_transcript
 
-from conftest import assert_transcript_invariants, make_path, make_star, random_tree
+from conftest import apply_round, assert_transcript_invariants, make_path, make_star, random_tree
 
 
 class TestValidateMoves:
@@ -141,7 +141,7 @@ class TestPlay:
 
     def test_replay_reproduces_final_state(self):
         tr = play(make_explorer("single_dfs", 2), fixed_tree_revealer(make_star(4)), 2, 100)
-        state = replay_transcript(tr, initial_tree_of(tr))
+        state = replay(tr, initial_tree_of(tr))
         assert state.positions == tr.final_state.positions
         assert state.visited == tr.final_state.visited
         assert state.tree.parent == tr.final_state.tree.parent
@@ -171,7 +171,62 @@ class TestTranscriptJson:
         doc = json.loads(transcript_to_json(tr))
         doc["rounds"][1]["moves"][0] = 3  # teleport instead of the recorded step
         with pytest.raises(IntegrityError):
-            replay_transcript(transcript_from_json(json.dumps(doc)), initial_tree_of(tr))
+            replay(transcript_from_json(json.dumps(doc)), initial_tree_of(tr))
+
+
+def _pad_one_round(doc):
+    last = doc["rounds"][-1]
+    doc["rounds"].append({**last, "t": last["t"] + 1, "attachments": [], "newly_visited": 0})
+    doc["outcome"]["final_round"] += 1
+
+
+def _stop_unfinished(doc):
+    del doc["rounds"][2:]
+    doc["outcome"].update(finished=False, final_round=2)
+
+
+class TestReplay:
+    def test_observer_sees_each_round_before_and_after_its_attachments(self):
+        tr = run_adversary_game(derive_params(256, 1, 2, 8), "greedy_frontier", cap=6)
+        assert any(rec.attachments for rec in tr.rounds)
+        events = []
+
+        class Observer:
+            def moved(self, state, rec):
+                events.append(("moved", rec.t, state.round, state.tree.n))
+
+            def attached(self, state, rec, created):
+                events.append(("attached", rec.t, state.round, state.tree.n, created))
+
+        initial = initial_tree_of(tr)
+        n = initial.n
+        state = replay(tr, initial, Observer())
+        assert state.tree is initial  # grown in place, never copied
+        expected = []
+        for rec in tr.rounds:
+            grown = sum(a.path_len + a.leaf_count for a in rec.attachments)
+            expected.append(("moved", rec.t, rec.t, n))
+            expected.append(("attached", rec.t, rec.t, n + grown, list(range(n, n + grown))))
+            n += grown
+        assert events == expected
+
+    @pytest.mark.parametrize(
+        "tamper, message",
+        [
+            (_pad_one_round, "round 4 is recorded after the tree was fully explored"),
+            (_stop_unfinished, "game stopped unfinished at round 2, before the cap 100"),
+            (lambda doc: doc["params"].update(cap=2), "outcome final_round 3 is past the cap 2"),
+            (lambda doc: doc["params"].pop("cap"), "need an integer k >= 1 and cap"),
+            (lambda doc: doc["outcome"].update(height=4), "outcome height 4 != replayed 3"),
+        ],
+        ids=["round-after-explored", "unfinished-before-cap", "past-cap", "no-cap", "height"],
+    )
+    def test_fixed_transcript_breaking_play_rules_is_rejected(self, tamper, message):
+        tr = play(make_explorer("single_dfs", 1), fixed_tree_revealer(make_path(3)), 1, 100)
+        doc = json.loads(transcript_to_json(tr))
+        tamper(doc)
+        with pytest.raises(IntegrityError, match=message):
+            replay(transcript_from_json(json.dumps(doc)), initial_tree_of(tr))
 
 
 def reference_to_json(transcript) -> str:

@@ -16,10 +16,10 @@ from treexplore import (
     transcript_to_json,
 )
 from treexplore.errors import StrategyInfeasibleError
-from treexplore.game import ExplorerView, GameState, apply_round
+from treexplore.game import ExplorerView, GameState
 from treexplore.harness.runner import run_adversary_game
 
-from conftest import assert_transcript_invariants, make_path, make_star, random_tree
+from conftest import apply_round, assert_transcript_invariants, make_path, make_star, random_tree
 
 
 def dfs_walk_rounds(tree):

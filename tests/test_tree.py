@@ -13,17 +13,18 @@ from treexplore import (
     decode_tree,
     encode_tree,
     make_path_star,
-    root_branch,
     tree_to_dot,
 )
-from treexplore.errors import (
-    InvalidParameterError,
-    NoBranchError,
-    TreeParseError,
-    VertexNotFoundError,
-)
+from treexplore.errors import InvalidParameterError, TreeParseError, VertexNotFoundError
 
 from conftest import random_tree, tree_arrays
+
+
+def distance(tree, u: int, v: int) -> int:
+    """Edges on the u-v path: both root paths minus twice their common part."""
+    pu, pv = tree.path_from_root(u), tree.path_from_root(v)
+    common = sum(1 for a, b in zip(pu, pv) if a == b)
+    return len(pu) + len(pv) - 2 * common
 
 
 class TestMakePathStar:
@@ -82,19 +83,20 @@ class TestAttachPathWithStar:
 
 
 class TestRootBranch:
+    """``branch[v]`` is the depth-1 ancestor of v; the root has none (-1)."""
+
     def test_child_of_root(self):
         t = make_path_star(3, 2)
-        assert root_branch(t, 1) == 1
+        assert t.branch[1] == 1
 
     def test_grandchild(self):
         t = make_path_star(3, 2)
-        assert root_branch(t, 2) == 1
-        assert root_branch(t, 6) == 5
+        assert t.branch[2] == 1
+        assert t.branch[6] == 5
 
     def test_root_has_no_branch(self):
         t = make_path_star(3, 2)
-        with pytest.raises(NoBranchError):
-            root_branch(t, ROOT)
+        assert t.branch[ROOT] == -1
 
     def test_matches_brute_force_path_walk(self):
         rng = random.Random(7)
@@ -102,7 +104,7 @@ class TestRootBranch:
             t = random_tree(rng.randrange(2, 500), rng)
             for v in range(1, t.n):
                 path = t.path_from_root(v)
-                assert root_branch(t, v) == path[1]
+                assert t.branch[v] == path[1]
 
 
 class TestQueries:
@@ -120,9 +122,9 @@ class TestQueries:
 
     def test_distance(self):
         t = make_path_star(2, 3)
-        assert t.distance(3, 6) == 6
-        assert t.distance(1, 3) == 2
-        assert t.distance(2, 2) == 0
+        assert distance(t, 3, 6) == 6
+        assert distance(t, 1, 3) == 2
+        assert distance(t, 2, 2) == 0
 
 
 @given(st.lists(st.integers(min_value=0, max_value=10**6), min_size=0, max_size=120))
@@ -299,7 +301,7 @@ class TestLeafLayout:
         assert t.children[v] == [w]
         t.add_child(v)
         assert t.children[v] == [w, w + 1]
-        assert t.leaves() == [w, w + 1]
+        assert [v for v in range(t.n) if not t.children[v]] == [w, w + 1]
 
     def test_copy_shares_no_list(self):
         t = make_path_star(3, 2)
