@@ -87,7 +87,6 @@ class GameState:
         "round",
         "first_visit",
         "newly_visited",
-        "visit_log",
     )
 
     def __init__(self, tree: RootedTree, k: int):
@@ -100,15 +99,10 @@ class GameState:
         self.first_visit: list[int] = [-1] * tree.n
         self.first_visit[ROOT] = 0
         self.newly_visited: frozenset[int] = frozenset()
-        self.visit_log: list[int] = [ROOT]
 
     @property
     def k(self) -> int:
         return len(self.positions)
-
-    def is_visited_before_round(self, v: int) -> bool:
-        """Visited status as of the end of the previous round."""
-        return bool(self.visited[v]) and v not in self.newly_visited
 
 
 def is_explored(state: GameState) -> bool:
@@ -146,8 +140,6 @@ def _commit_moves(state: GameState, moves: Sequence[int]) -> None:
     """
     t = state.round + 1
     moves = tuple(moves)
-    if len(moves) != state.k:
-        raise MoveViolation.wrong_length(len(moves), state.k, round=t)
     if moves is state.positions or moves == state.positions:
         # everyone stays; positions are always visited already
         state.newly_visited = frozenset()
@@ -168,8 +160,6 @@ def _commit_moves(state: GameState, moves: Sequence[int]) -> None:
     state.visited_count += len(newly)
     state.positions = moves
     state.newly_visited = frozenset(newly)
-    for v in newly:
-        state.visit_log.append(v)
     state.round = t
 
 
@@ -185,7 +175,7 @@ def _commit_attachments(state: GameState, attachments: Sequence[Attachment]) -> 
     for att in attachments:
         if not (0 <= att.at < n_before):
             raise VertexNotFoundError(f"attachment target {att.at} not in the previous round's tree")
-        if state.is_visited_before_round(att.at):
+        if state.visited[att.at] and att.at not in state.newly_visited:
             raise AttachmentViolation(
                 f"attachment at visited vertex {att.at}", att.at, round=state.round
             )
@@ -205,23 +195,24 @@ class ExplorerView:
     are exposed: children of an unvisited vertex stay hidden until it is
     first visited.
 
-    ``reveal_log`` and ``visit_log`` are append-only; strategies track how
-    much of each they have consumed and stay incremental.
+    ``reveal_log`` lists the exposed vertices in the order they were
+    exposed and only ever grows; in game mode it is ``range(n)``.
+    Strategies track how much of it they have consumed and stay
+    incremental. Everything else is read from the live arrays.
     """
 
-    __slots__ = ("mode", "_state", "reveal_log", "_revealed")
+    __slots__ = ("mode", "_state", "_log", "_revealed")
 
     def __init__(self, state: GameState, mode: str = "game"):
         if mode not in ("game", "local"):
             raise InvalidParameterError(f"unknown view mode {mode!r}")
         self.mode = mode
         self._state = state
-        if mode == "game":
-            self.reveal_log: list[int] = list(range(state.tree.n))
-            self._revealed = None
-        else:
+        self._log: list[int] | None = None
+        self._revealed: bytearray | None = None
+        if mode == "local":
+            self._log = []
             self._revealed = bytearray(state.tree.n)
-            self.reveal_log = []
             self._reveal(ROOT)
             for c in state.tree.children[ROOT]:
                 self._reveal(c)
@@ -231,25 +222,20 @@ class ExplorerView:
     def _reveal(self, v: int) -> None:
         if not self._revealed[v]:
             self._revealed[v] = 1
-            self.reveal_log.append(v)
+            self._log.append(v)
 
     def observe_moves(self) -> None:
         if self.mode == "local":
-            tree = self._state.tree
-            if len(self._revealed) < tree.n:
-                self._revealed.extend(b"\x00" * (tree.n - len(self._revealed)))
+            children = self._state.tree.children
             # sorted: the reveal log feeds strategy tie-breaking
             for v in sorted(self._state.newly_visited):
-                for c in tree.children[v]:
+                for c in children[v]:
                     self._reveal(c)
 
     def observe_attachments(self, created: Sequence[int]) -> None:
-        if self.mode == "game":
-            self.reveal_log.extend(created)
-        else:
+        if self.mode == "local":
             tree = self._state.tree
-            if len(self._revealed) < tree.n:
-                self._revealed.extend(b"\x00" * (tree.n - len(self._revealed)))
+            self._revealed.extend(bytes(tree.n - len(self._revealed)))
             for v in created:
                 # a new vertex is exposed only if its parent is visited
                 if self._state.visited[tree.parent[v]]:
@@ -258,19 +244,19 @@ class ExplorerView:
     # -- strategy-facing queries -------------------------------------------
 
     @property
-    def round(self) -> int:
-        return self._state.round
+    def reveal_log(self) -> Sequence[int]:
+        return range(self._state.tree.n) if self._log is None else self._log
 
     @property
-    def k(self) -> int:
-        return self._state.k
+    def round(self) -> int:
+        return self._state.round
 
     @property
     def positions(self) -> tuple[int, ...]:
         return self._state.positions
 
-    # the live arrays behind parent(v), depth(v), branch(v) and is_visited(v),
-    # for strategies that scan many vertices per round; never mutate them
+    # the live arrays of the tree and the visited set, indexed by vertex id;
+    # never mutate them
 
     @property
     def parents(self) -> list:
@@ -282,33 +268,18 @@ class ExplorerView:
 
     @property
     def branches(self) -> list[int]:
+        """Depth-1 ancestor of each vertex, -1 for the root."""
         return self._state.tree.branch
 
     @property
     def visited(self) -> bytearray:
         return self._state.visited
 
-    def is_visited(self, v: int) -> bool:
-        return bool(self._state.visited[v])
-
-    def parent(self, v: int) -> int | None:
-        return self._state.tree.parent[v]
-
-    def depth(self, v: int) -> int:
-        return self._state.tree.depth[v]
-
     def children(self, v: int) -> Sequence[int]:
         """Child ids of ``v``; empty for a leaf and for a vertex the view hides."""
         if self.mode == "local" and not self._state.visited[v]:
             return []
         return self._state.tree.children[v]
-
-    def branch(self, v: int) -> int:
-        """Depth-1 ancestor of v, or -1 for the root."""
-        return self._state.tree.branch[v]
-
-    def visit_log(self) -> list[int]:
-        return self._state.visit_log
 
 
 class Explorer(Protocol):

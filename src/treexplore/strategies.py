@@ -1,9 +1,10 @@
 """Deterministic explorer strategies.
 
 Every strategy is a per-game instance: construct, then call
-``next_moves(view)`` once per round. Strategies read the view's
-append-only reveal/visit logs incrementally, so per-round work stays
-proportional to what changed plus the number of moving agents.
+``next_moves(view)`` once per round. Strategies read the view's live
+arrays (parents, depths, branches, visited) and consume its append-only
+reveal log incrementally, so per-round work stays proportional to what
+changed plus the number of moving agents.
 """
 
 from __future__ import annotations
@@ -35,6 +36,8 @@ class SingleDfsExplorer:
     subtree and a cursor over its children. The cursor skips exhausted
     subtrees in O(1) amortized and is rewound when new vertices appear
     below an already-passed child, which makes the walk re-descend.
+    Only agent 0 leaves the root, so the one vertex a round can newly
+    visit is agent 0's position; the walk counts it off when first seen.
     """
 
     name = "single_dfs"
@@ -42,7 +45,7 @@ class SingleDfsExplorer:
     def __init__(self, k: int):
         self.k = k
         self._log_pos = 0
-        self._visit_pos = 0
+        self._seen = bytearray()  # vertices already counted off as visited
         self._kids: list[list[int]] = []
         self._childpos: list[int] = []
         self._cursor: list[int] = []
@@ -55,39 +58,39 @@ class SingleDfsExplorer:
             self._childpos.extend([0] * add)
             self._cursor.extend([0] * add)
             self._pending.extend([0] * add)
+            self._seen.extend(bytes(add))
 
     def _sync(self, view: ExplorerView) -> None:
         log = view.reveal_log
-        while self._log_pos < len(log):
-            v = log[self._log_pos]
-            self._log_pos += 1
+        parent = view.parents
+        for v in log[self._log_pos :]:
             self._grow(v + 1)
             if v != ROOT:
-                p = view.parent(v)
+                p = parent[v]
                 self._kids[p].append(v)
                 self._childpos[v] = len(self._kids[p]) - 1
             # count v as pending along its revealed ancestry, rewinding cursors
             self._pending[v] += 1
             while v != ROOT:
-                p = view.parent(v)
+                p = parent[v]
                 if self._cursor[p] > self._childpos[v]:
                     self._cursor[p] = self._childpos[v]
                 self._pending[p] += 1
                 v = p
-        visits = view.visit_log()
-        while self._visit_pos < len(visits):
-            v = visits[self._visit_pos]
-            self._visit_pos += 1
+        self._log_pos = len(log)
+        v = view.positions[0]
+        if not self._seen[v]:
+            self._seen[v] = 1
             while True:
                 self._pending[v] -= 1
                 if v == ROOT:
                     break
-                v = view.parent(v)
+                v = parent[v]
 
     def next_moves(self, view: ExplorerView) -> list[int]:
         self._sync(view)
         moves = list(view.positions)
-        if self.k == 0 or self._pending[ROOT] == 0:
+        if self._pending[ROOT] == 0:
             return moves
         pos = moves[0]
         kids = self._kids[pos]
@@ -98,7 +101,7 @@ class SingleDfsExplorer:
         if cur < len(kids):
             moves[0] = kids[cur]
         elif pos != ROOT:
-            moves[0] = view.parent(pos)
+            moves[0] = view.parents[pos]
         return moves
 
 
@@ -122,9 +125,8 @@ class PhaseBfsExplorer:
 
     def _start_phase(self, view: ExplorerView) -> None:
         self._phase += 1
-        targets = sorted(
-            v for v in view.reveal_log if not view.is_visited(v) and not view.children(v)
-        )
+        visited = view.visited
+        targets = sorted(v for v in view.reveal_log if not visited[v] and not view.children(v))
         if not targets:
             return
         if self._next_fresh + len(targets) > self.k:
@@ -132,6 +134,7 @@ class PhaseBfsExplorer:
                 f"phase {self._phase} needs {len(targets)} fresh agents, "
                 f"only {self.k - self._next_fresh} of {self.k} remain"
             )
+        parent = view.parents
         for v in targets:
             agent = self._next_fresh
             self._next_fresh += 1
@@ -139,7 +142,7 @@ class PhaseBfsExplorer:
             u = v
             while u != ROOT:
                 path.append(u)
-                u = view.parent(u)
+                u = parent[u]
             path.reverse()
             self._walks.append((agent, path, 0))
 

@@ -27,7 +27,7 @@ from treexplore import (
     validate_moves,
 )
 from treexplore.errors import AttachmentViolation, IntegrityError, InvalidParameterError, MoveViolation
-from treexplore.game import ExplorerView
+from treexplore.game import ExplorerView, _commit_attachments, _commit_moves
 from treexplore.harness.runner import run_adversary_game
 from treexplore.harness.verify import verify_transcript
 
@@ -96,6 +96,26 @@ class TestApplyRound:
         with pytest.raises(MoveViolation) as exc:
             apply_round(state, [2], [])
         assert exc.value.round == 1
+
+    @pytest.mark.parametrize("moves", [[], [1], [1, 0, 0]])
+    def test_wrong_length_move_is_a_violation_of_its_round(self, moves):
+        state = GameState(make_path(3), 2)
+        apply_round(state, [1, 0], [])
+        with pytest.raises(MoveViolation, match=f"^joint move has {len(moves)} entries for 2 agents$") as exc:
+            apply_round(state, moves, [])
+        assert exc.value.round == 2
+
+    def test_play_reports_a_wrong_length_move_with_its_round(self):
+        class DropsAnAgent:
+            name = "drops_an_agent"
+
+            def next_moves(self, view):
+                # stays put in round 1, then leaves out the last agent
+                return view.positions[:-1] if view.round == 1 else view.positions
+
+        with pytest.raises(MoveViolation, match="^joint move has 2 entries for 3 agents$") as exc:
+            play(DropsAnAgent(), fixed_tree_revealer(make_star(3)), 3, 10)
+        assert exc.value.round == 2
 
 
 class TestIsExplored:
@@ -619,22 +639,27 @@ class TestLocalView:
 
 class TestViewArrays:
     @pytest.mark.parametrize("mode", ["game", "local"])
-    def test_arrays_agree_with_accessors_as_the_tree_grows(self, mode):
+    def test_arrays_and_reveal_log_stay_live_as_the_tree_grows(self, mode):
         state = GameState(make_star(3), 2)
         view = ExplorerView(state, mode)
         # taken once, before any growth: the properties hand out live arrays
         parents, depths, branches, visited = view.parents, view.depths, view.branches, view.visited
-        for moves, at in (([1, 0], 2), ([1, 2], 3), ([0, 4], 6)):
-            apply_round(state, moves, [Attachment(at=at, path_len=2, leaf_count=2)])
-            n = state.tree.n
-            assert len(parents) == len(depths) == len(branches) == len(visited) == n
-            for v in range(n):
-                assert parents[v] == view.parent(v)
-                assert depths[v] == view.depth(v)
-                assert branches[v] == view.branch(v)
-                assert visited[v] == view.is_visited(v)
+        for moves, at in (([1, 0], 2), ([0, 3], 3), ([2, 0], 8)):
+            # one round as play commits and observes it
+            _commit_moves(state, moves)
+            view.observe_moves()
+            view.observe_attachments(_commit_attachments(state, [Attachment(at=at, path_len=2, leaf_count=2)]))
+            tree = state.tree
+            assert len(parents) == len(depths) == len(branches) == len(visited) == tree.n
+            assert (parents, depths, branches, visited) == (tree.parent, tree.depth, tree.branch, state.visited)
+            if mode == "game":
+                assert view.reveal_log == range(tree.n)
         assert state.tree.n == 16
-        assert visited[4] and not visited[5]
+        assert visited[2] and not visited[4]
+        if mode == "local":
+            # in reveal order: 8 shows at once below 3, which was visited in
+            # the round it grew; 4 waits for the first visit of its parent 2
+            assert view.reveal_log == [0, 1, 2, 3, 8, 4]
 
     def test_unknown_mode_is_an_invalid_parameter(self):
         with pytest.raises(InvalidParameterError, match="unknown view mode"):

@@ -175,51 +175,74 @@ class TestGreedyFrontier:
             assert tr.outcome.finished
 
 
-def _random_fixed_greedy_moves():
-    """Moves of 50 greedy games on random fixed trees, k 1..7, both views."""
+def _random_fixed_moves(name):
+    """Moves of 50 games of ``name`` on random fixed trees, k 1..7, both views.
+
+    phase_bfs needs a fresh agent per target, so it plays with k equal to
+    the tree size; the draw of k still happens, so every name sees the
+    same trees.
+    """
     rng = random.Random(5)
     moves = []
     for i in range(50):
         tree = random_tree(rng.randrange(2, 80), rng)
         k = rng.randrange(1, 8)
+        if name == "phase_bfs":
+            k = tree.n
         cap = 2 * tree.n * (tree.height() + 2)
         view = ("game", "local")[i % 2]
-        tr = play(make_explorer("greedy_frontier", k), fixed_tree_revealer(tree), k, cap, view_mode=view)
+        tr = play(make_explorer(name, k), fixed_tree_revealer(tree), k, cap, view_mode=view)
         moves.append([r.moves for r in tr.rounds])
     return moves
 
 
-def _lemma_greedy_moves(n, L, m, k, cap, mode="repaired", view="game", name="greedy_frontier"):
+def _lemma_moves(n, L, m, k, cap, mode="repaired", view="game", name="greedy_frontier"):
     params = derive_params(n, L, m, k, mode=mode, warn=False)
     tr = run_adversary_game(params, name, cap=cap, view_mode=view)
     return [r.moves for r in tr.rounds]
 
 
-GREEDY_MOVE_CASES = {
-    "small_repaired": lambda: _lemma_greedy_moves(4096, 1, 3, 541, 1000),
-    "small_strict": lambda: _lemma_greedy_moves(4096, 1, 3, 541, 1000, mode="strict"),
-    "long_segments_repaired": lambda: _lemma_greedy_moves(16384, 4, 3, 541, 100),
-    "small_local": lambda: _lemma_greedy_moves(4096, 1, 3, 541, 1000, view="local"),
-    "small_idle_then_greedy": lambda: _lemma_greedy_moves(4096, 1, 3, 541, 1000, name="idle_then_greedy"),
-    "random_fixed_batch": _random_fixed_greedy_moves,
+MOVE_CASES = {
+    "small_repaired": lambda: _lemma_moves(4096, 1, 3, 541, 1000),
+    "small_strict": lambda: _lemma_moves(4096, 1, 3, 541, 1000, mode="strict"),
+    "long_segments_repaired": lambda: _lemma_moves(16384, 4, 3, 541, 100),
+    "small_local": lambda: _lemma_moves(4096, 1, 3, 541, 1000, view="local"),
+    "small_idle_then_greedy": lambda: _lemma_moves(4096, 1, 3, 541, 1000, name="idle_then_greedy"),
+    "random_fixed_batch": lambda: _random_fixed_moves("greedy_frontier"),
+    "single_dfs_small": lambda: _lemma_moves(4096, 1, 3, 541, 1000, name="single_dfs"),
+    "single_dfs_small_local": lambda: _lemma_moves(4096, 1, 3, 541, 1000, view="local", name="single_dfs"),
+    "single_dfs_random_fixed_batch": lambda: _random_fixed_moves("single_dfs"),
+    # phase_bfs plays the full-team variant k = n, as in the acceptance suite
+    "phase_bfs_small": lambda: _lemma_moves(4096, 1, 3, 4096, 1000, name="phase_bfs"),
+    "phase_bfs_small_local": lambda: _lemma_moves(4096, 1, 3, 4096, 1000, view="local", name="phase_bfs"),
+    "phase_bfs_random_fixed_batch": lambda: _random_fixed_moves("phase_bfs"),
 }
 
 # sha256 of repr(moves per round): the golden outcome tables pin only
-# (finished, final_round, n, height), so these pin every joint move
-GREEDY_MOVE_DIGESTS = {
+# (finished, final_round, n, height), so these pin every joint move.
+# Unprefixed cases are greedy_frontier's (idle_then_greedy delegates to it).
+# single_dfs descends in tree order in either view, so its moves never
+# depend on the view; phase_bfs's moves do, but not on the lemma instance.
+MOVE_DIGESTS = {
     "small_repaired": "da4a284c50ad18284ca21e466efea30d18499f0843079a75853b032575bbf195",
     "small_strict": "d9e971f4f69dad9233d6431dfc3146ab4e953b8dcad96e6215af4aa7b420f23f",
     "long_segments_repaired": "53259a8e033db5c18ad59acd057a37f78306fe3808390cae936a7be1c4b745d1",
     "small_local": "93b1a7df37d64feebe1bc41bae288453d939d3c08e302b9d59564d3262d33a79",
     "small_idle_then_greedy": "05d1f148a025bd05c822f6f109bf01d1a8ccb07dab2e73ef708bad47686a8501",
     "random_fixed_batch": "70d3d2b2ad5934e9bbcde032ae76db5e6e1f97035c2e54dad6e07590848565b7",
+    "single_dfs_small": "6eecce3674512cfbdab5f9bd1e8c9b3f95443c3f623908b97ff6dc3e20b97e2d",
+    "single_dfs_small_local": "6eecce3674512cfbdab5f9bd1e8c9b3f95443c3f623908b97ff6dc3e20b97e2d",
+    "single_dfs_random_fixed_batch": "eebd3cbbf4022c81cf0fd23dcfc2eedde919d1b729e3374ca065a3e9be4e2a00",
+    "phase_bfs_small": "bdd516b04b94d0130a03dcb499d941e3661fc6a8e6acfbb1fcbf1565b0dcc60c",
+    "phase_bfs_small_local": "bdd516b04b94d0130a03dcb499d941e3661fc6a8e6acfbb1fcbf1565b0dcc60c",
+    "phase_bfs_random_fixed_batch": "5b5fc7b16d5409ade4167cc99b8010cd769f8f53dcc988940aa7c56026c8c4a4",
 }
 
 
-@pytest.mark.parametrize("case", sorted(GREEDY_MOVE_DIGESTS))
-def test_greedy_frontier_moves_are_pinned(case):
-    moves = GREEDY_MOVE_CASES[case]()
-    assert hashlib.sha256(repr(moves).encode()).hexdigest() == GREEDY_MOVE_DIGESTS[case]
+@pytest.mark.parametrize("case", sorted(MOVE_DIGESTS))
+def test_explorer_moves_are_pinned(case):
+    moves = MOVE_CASES[case]()
+    assert hashlib.sha256(repr(moves).encode()).hexdigest() == MOVE_DIGESTS[case]
 
 
 class TestIdleThen:
