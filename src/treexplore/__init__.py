@@ -11,7 +11,7 @@ from .adversary import (
     fixed_tree_revealer,
     gadget_spec,
     max_team_size,
-    select_targets,
+    selection_mask,
 )
 from .game import (
     Attachment,

@@ -21,10 +21,10 @@ import warnings
 from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass, replace
-from itertools import filterfalse, repeat
+from itertools import compress, filterfalse, islice, repeat
 
 from .errors import InfeasibleParamsError, IntegrityError
-from .game import Attachment, GameState
+from .game import Attachment, GameState, is_int_list
 from .tree import RootedTree, make_path_star
 
 
@@ -201,19 +201,25 @@ def checkpoint_candidates(state: GameState, i: int, params: AdversaryParams) -> 
     return sorted(dict(zip(map(tree.branch.__getitem__, open_ids), open_ids)).values())
 
 
-def select_targets(candidates: Sequence[int], a_values: dict[int, int], alpha: Alpha) -> list[int]:
-    """The ceil(alpha*|candidates|) entries with fewest nearby agents.
+def selection_mask(a: Sequence[int], count: int) -> bytearray:
+    """Marks the ``count`` positions of ``a`` with the smallest values (all if fewer).
 
-    Ties break toward smaller ids; the result is returned id-ascending.
+    Ties go to earlier positions. Candidates are id-ascending, so over a
+    record's ``a`` that is the tie-break toward smaller ids. The cut value
+    comes from a tally of the distinct values, so no entry is sorted.
     """
-    if not candidates:
-        return []
-    count = min(len(candidates), alpha.ceil_mul(len(candidates)))
-    ranked = sorted(candidates)
-    ranked.sort(key=a_values.__getitem__)  # stable: equal counts stay id-ascending
-    chosen = ranked[:count]
-    chosen.sort()
-    return chosen
+    tally = Counter(a)
+    below = 0  # positions with a value under the cut
+    for cut in sorted(tally):
+        if below + tally[cut] >= count:
+            break
+        below += tally[cut]
+    else:
+        return bytearray(b"\x01") * len(a)
+    mask = bytearray(map(cut.__gt__, a)) if below else bytearray(len(a))
+    for j in islice(compress(range(len(a)), map(cut.__eq__, a)), count - below):
+        mask[j] = 1
+    return mask
 
 
 def gadget_spec(i: int, a: int, params: AdversaryParams) -> tuple[int, int]:
@@ -232,41 +238,41 @@ class CheckpointRecord:
     """Everything the revealer computed at one checkpoint."""
 
     i: int
-    K: tuple[int, ...]
-    a_values: dict[int, int]
+    K: tuple[int, ...]  # one candidate per branch, id-ascending
+    a: tuple[int, ...]  # a[j] is the agent count in K[j]'s branch
     S: tuple[int, ...]
     gadgets: tuple[Attachment, ...]
-
-    def a_list(self) -> list[int]:
-        """The a-values in ``K`` order, as the transcript stores them."""
-        return list(map(self.a_values.__getitem__, self.K))
 
     def to_json_obj(self) -> dict:
         return {
             "i": self.i,
             "K": self.K,
-            "a": self.a_list(),
+            "a": self.a,
             "S": self.S,
             "gadgets": [g.to_json_obj() for g in self.gadgets],
         }
 
     @staticmethod
     def from_json_obj(obj: dict, attachments_of: dict | None = None) -> "CheckpointRecord":
-        """Inverse of ``to_json_obj``; ``a`` must be a list aligned with ``K``.
+        """Inverse of ``to_json_obj``; ``K``, ``a`` and ``S`` must be lists of
+        plain ints (no bool or float), and ``a`` must be as long as ``K``.
 
         A ``gadgets`` list whose id is in ``attachments_of`` takes the tuple
         stored there instead of a new one.
         """
-        K, a = obj["K"], obj["a"]
-        if not isinstance(a, list) or len(a) != len(K):
+        K, a, S = obj["K"], obj["a"], obj["S"]
+        for name, values in (("K", K), ("a", a), ("S", S)):
+            if not is_int_list(values):
+                raise IntegrityError(f"checkpoint {obj['i']!r}: '{name}' must be a list of integers")
+        if len(a) != len(K):
             raise IntegrityError(
-                f"checkpoint {obj['i']}: 'a' must be a list of {len(K)} counts aligned with 'K'"
+                f"checkpoint {obj['i']!r}: 'a' must be a list of {len(K)} counts aligned with 'K'"
             )
         return CheckpointRecord(
             i=obj["i"],
             K=tuple(K),
-            a_values=dict(zip(K, a)),
-            S=tuple(obj["S"]),
+            a=tuple(a),
+            S=tuple(S),
             gadgets=_gadgets_from_json(obj["gadgets"], attachments_of or {}),
         )
 
@@ -308,16 +314,13 @@ class CheckpointRevealer:
         # a = agents in the candidate's branch; ROOT is 0, so filter(None, ...)
         # drops the agents parked on the root
         counts = Counter(map(branch.__getitem__, filter(None, state.positions)))
-        a_values = dict(zip(candidates, map(counts.get, map(branch.__getitem__, candidates), repeat(0))))
-        selected = select_targets(candidates, a_values, params.alpha)
-        gadgets = tuple(Attachment(v, *gadget_spec(i, a_values[v], params)) for v in selected)
-        return CheckpointRecord(
-            i=i,
-            K=candidates,
-            a_values=a_values,
-            S=tuple(selected),
-            gadgets=gadgets,
+        a = tuple(map(counts.get, map(branch.__getitem__, candidates), repeat(0)))
+        mask = selection_mask(a, params.alpha.ceil_mul(len(a)))
+        selected = tuple(compress(candidates, mask))
+        gadgets = tuple(
+            Attachment(v, *gadget_spec(i, a_v, params)) for v, a_v in zip(selected, compress(a, mask))
         )
+        return CheckpointRecord(i=i, K=candidates, a=a, S=selected, gadgets=gadgets)
 
 
 class FixedTreeRevealer:

@@ -26,7 +26,7 @@ from .errors import (
 from .tree import ROOT, RootedTree, TreeStats, attach_path_with_star, decode_tree
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Attachment:
     """One revealer move: a path plus star hung below vertex ``at``."""
 
@@ -480,7 +480,7 @@ def transcript_to_json(transcript: Transcript) -> str:
             ',"K":',
             _encode(c.K),
             ',"a":',
-            _encode(c.a_list()),
+            _encode(c.a),
             ',"S":',
             _encode(c.S),
             ',"gadgets":',
@@ -637,6 +637,11 @@ def _load_transcript_json(text: str | bytes):
     return _TranscriptDecoder().document(text)
 
 
+def is_int_list(value) -> bool:
+    """A list of plain ints: no bool, float or string, which may equal an int."""
+    return type(value) is list and set(map(type, value)) <= {int}
+
+
 def _read_rounds(docs: list, attachments_of: dict) -> list[RoundRecord]:
     """Round records from their decoded JSON; equal consecutive moves share one tuple.
 
@@ -651,7 +656,7 @@ def _read_rounds(docs: list, attachments_of: dict) -> list[RoundRecord]:
     for index, r in enumerate(docs):
         mv = r["moves"]
         if last_moves is None or (mv is not last_list and mv != last_list):
-            if type(mv) is not list or not set(map(type, mv)) <= {int}:
+            if not is_int_list(mv):
                 raise IntegrityError(
                     f"round record {index} has moves that are not a list of integers"
                 )

@@ -21,6 +21,7 @@ claims with exact integer comparisons:
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import compress
 from operator import ge
@@ -123,9 +124,9 @@ class _Replay:
         if hits:
             for v in hits:
                 self.arrivals[v] = []
-            for x, p in enumerate(state.positions):
-                if p in hits:
-                    self.arrivals[p].append(x)
+            positions = state.positions
+            for x in compress(range(len(positions)), map(hits.__contains__, positions)):
+                self.arrivals[positions[x]].append(x)
         i = self.level = self.checkpoint_level.get(t)
         if i is None:
             if rec.attachments:
@@ -156,6 +157,12 @@ class _Replay:
         self.gadget_vertices[i] = len(created)
         self.watched.update(leaves)
         self.height_after[i] = state.tree.height()
+
+
+def _selected_a(rec: CheckpointRecord) -> list[int]:
+    """The a-values of ``rec.S``; ``rec`` matched its recomputation, so ``K``
+    is id-ascending and holds every vertex of ``S``."""
+    return [rec.a[bisect_left(rec.K, v)] for v in rec.S]
 
 
 def verify_transcript(
@@ -213,7 +220,7 @@ def verify_transcript(
 
         if i + 1 <= m - 1:
             nxt = rp.records.get(i + 1)
-            min_a = min((rec.a_values[v] for v in rec.S), default=0)
+            min_a = min(_selected_a(rec), default=0)
             if nxt is None:
                 checks.append(
                     CheckResult(
@@ -377,10 +384,11 @@ def _budget_audit(params: AdversaryParams, rp: _Replay, total_vertices: int) -> 
     path_term = 0
     surcharge = 0
     for i, rec in rp.records.items():
-        agent_term += L * (i + 1) * sum(rec.a_values[v] for v in rec.S)
+        selected_a = _selected_a(rec)
+        agent_term += L * (i + 1) * sum(selected_a)
         path_term += len(rec.S) * (L - 1)
         if params.mode == "repaired":
-            surcharge += L * (i + 1) * sum(1 for v in rec.S if rec.a_values[v] == 0)
+            surcharge += L * (i + 1) * selected_a.count(0)
     return {
         "initial_vertices": params.branch_count * L + 1,
         "initial_bound": n / 2 + L + 1,

@@ -4,9 +4,10 @@ import hashlib
 import json
 import random
 from collections import Counter
+from itertools import compress
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from mpmath import mp, mpf
 
 from treexplore import (
@@ -22,7 +23,7 @@ from treexplore import (
     make_path_star,
     max_team_size,
     play,
-    select_targets,
+    selection_mask,
 )
 from treexplore.adversary import CheckpointRecord
 from treexplore.errors import InfeasibleParamsError
@@ -144,8 +145,9 @@ class TestBranchAgentCount:
             n=state.tree.n, L=2, m=2, k=state.k, alpha=Alpha(n=1, L=1, m=1),
             checkpoints=(), round_floor=0, mode="repaired", max_k=state.k,
         )
-        a_values = CheckpointRevealer(params).compute(state, 1).a_values
-        assert list(a_values) == [2, 4, 6, 8, 10]
+        record = CheckpointRevealer(params).compute(state, 1)
+        assert record.K == (2, 4, 6, 8, 10)
+        a_values = dict(zip(record.K, record.a))
         assert a_values == {v: branch_agent_count(state, v) for v in a_values}
         return a_values
 
@@ -202,39 +204,58 @@ class TestCheckpointCandidates:
         assert K == [new[0]]
 
 
-class TestSelectTargets:
+def _select(K, a, alpha):
+    """The candidates compute keeps: the ceil(alpha*|K|) fewest-agent ones."""
+    return list(compress(K, selection_mask(a, alpha.ceil_mul(len(K)))))
+
+
+class TestSelectionMask:
     def test_wide_star_selection_count(self):
         params = derive_params(4096, 1, 3, 541)
         K = list(range(1, 2049))
-        S = select_targets(K, {v: 0 for v in K}, params.alpha)
+        S = _select(K, (0,) * len(K), params.alpha)
         assert len(S) == 162  # ceil(2048 * (2/4096)^(1/3)), integer-exact
         assert S == K[:162]
 
     def test_empty(self):
-        assert select_targets([], {}, Alpha(4096, 1, 3)) == []
+        assert _select([], (), Alpha(4096, 1, 3)) == []
+        assert selection_mask((), 0) == bytearray()
 
     def test_crowded_vertex_selected_last(self):
         # five branches, one agent parked on leaf 3: with a selection
         # fraction of 2/3 the four calm branches win and 3 is left out
         alpha = Alpha(n=3, L=1, m=1)
         K = [1, 2, 3, 4, 5]
-        a = {1: 0, 2: 0, 3: 1, 4: 0, 5: 0}
+        a = (0, 0, 1, 0, 0)
         assert alpha.ceil_mul(5) == 4
-        assert select_targets(K, a, alpha) == [1, 2, 4, 5]
+        assert _select(K, a, alpha) == [1, 2, 4, 5]
 
-    def test_unsorted_candidates_still_break_ties_by_id(self):
-        # ceil(2/3 * 6) = 4: the three calm vertices, then the smallest id of the rest
+    def test_ties_straddling_the_cut_go_to_earlier_positions(self):
+        # ceil(2/3 * 6) = 4: the two calm vertices, then the first two of the
+        # three with one agent; the crowded first candidate and the last tie lose
         alpha = Alpha(n=3, L=1, m=1)
-        K = [9, 4, 7, 1, 5, 3]
-        a = {9: 0, 4: 1, 7: 0, 1: 1, 5: 0, 3: 1}
-        assert select_targets(K, a, alpha) == [1, 5, 7, 9]
-        assert K == [9, 4, 7, 1, 5, 3]
+        K = [1, 3, 4, 5, 7, 9]
+        a = (2, 1, 0, 1, 0, 1)
+        assert _select(K, a, alpha) == [3, 4, 5, 7]
+        assert selection_mask(a, 4) == bytearray([0, 1, 1, 1, 1, 0])
 
     def test_all_ties_take_smallest_ids(self):
         params = derive_params(4096, 1, 3, 541)
         K = list(range(100, 2148))
-        S = select_targets(K, {v: 7 for v in K}, params.alpha)
+        S = _select(K, (7,) * len(K), params.alpha)
         assert S == K[:162]
+
+    @settings(max_examples=300, deadline=None)
+    @given(a=st.lists(st.integers(0, 3), max_size=40), data=st.data())
+    @example(a=[], data=None)
+    @example(a=[2, 0, 2, 1, 1], data=None)
+    def test_matches_a_sort_by_value_then_position(self, a, data):
+        # few distinct values, so most draws tie at the cut; count runs to |K| and past it
+        count = len(a) if data is None else data.draw(st.integers(0, len(a) + 2))
+        mask = selection_mask(tuple(a), count)
+        assert len(mask) == len(a) and set(mask) <= {0, 1}
+        expected = sorted(sorted(range(len(a)), key=lambda j: (a[j], j))[:count])
+        assert list(compress(range(len(a)), mask)) == expected
 
 
 @settings(max_examples=150, deadline=None)
@@ -291,7 +312,7 @@ class TestReveal:
         assert record.i == 1
         assert len(record.K) == 2048
         assert record.S == tuple(range(1, 163))
-        assert set(record.a_values.values()) == {0}
+        assert type(record.a) is tuple and set(record.a) == {0}
 
     def test_toy_star_with_one_crowded_branch(self):
         # five-branch toy: params patched so the selection fraction is 2/3
@@ -306,7 +327,7 @@ class TestReveal:
         _commit_moves(state, [3])
         attachments, record = revealer.reveal(state, 1)
         assert record.K == (1, 2, 3, 4, 5)
-        assert record.a_values == {1: 0, 2: 0, 3: 1, 4: 0, 5: 0}
+        assert record.a == (0, 0, 1, 0, 0)
         assert record.S == (1, 2, 4, 5)
         assert [(a.at, a.path_len, a.leaf_count) for a in attachments] == [
             (1, 0, 2), (2, 0, 2), (4, 0, 2), (5, 0, 2)
@@ -384,11 +405,12 @@ def _reference_record(state, i, params):
             taken.add(tree.branch[v])
             K.append(v)
     counts = Counter(tree.branch[p] for p in state.positions if p != ROOT)
-    a = {v: counts.get(tree.branch[v], 0) for v in K}
+    a = tuple(counts.get(tree.branch[v], 0) for v in K)
+    a_of = dict(zip(K, a))
     count = min(len(K), params.alpha.ceil_mul(len(K))) if K else 0
-    S = sorted(sorted(K, key=lambda v: (a[v], v))[:count])
-    gadgets = tuple(Attachment(v, *gadget_spec(i, a[v], params)) for v in S)
-    return CheckpointRecord(i=i, K=tuple(K), a_values=a, S=tuple(S), gadgets=gadgets)
+    S = sorted(sorted(K, key=lambda v: (a_of[v], v))[:count])
+    gadgets = tuple(Attachment(v, *gadget_spec(i, a_of[v], params)) for v in S)
+    return CheckpointRecord(i=i, K=tuple(K), a=a, S=tuple(S), gadgets=gadgets)
 
 
 def _random_state(rng):
@@ -425,17 +447,18 @@ def test_checkpoint_rule_matches_the_per_vertex_oracle():
             expected = _reference_record(state, i, params)
             record = CheckpointRevealer(params).compute(state, i)
             assert record == expected
-            assert list(record.a_values.items()) == list(expected.a_values.items())
+            assert type(record.a) is tuple and len(record.a) == len(record.K)
             assert checkpoint_candidates(state, i, params) == list(expected.K)
-            assert select_targets(list(expected.K), expected.a_values, params.alpha) == list(expected.S)
+            assert _select(expected.K, expected.a, params.alpha) == list(expected.S)
             branches = [tree.branch[v] for v in tree.vertices_at_depth(params.L * i)]
             seen["branch repeats at depth L*i"] += len(set(branches)) < len(branches)
             seen["fresh visit kept"] += any(v in state.newly_visited for v in expected.K)
             seen["agents on the root"] += ROOT in state.positions
-            seen["agents in a branch"] += any(expected.a_values.values())
-            cut = expected.a_values[expected.S[-1]] if expected.S else None
+            a_of = dict(zip(expected.K, expected.a))
+            seen["agents in a branch"] += any(expected.a)
+            cut = a_of[expected.S[-1]] if expected.S else None
             left = set(expected.K) - set(expected.S)
-            seen["tie across the cut"] += any(expected.a_values[v] == cut for v in left)
+            seen["tie across the cut"] += any(a_of[v] == cut for v in left)
             seen[f"L={params.L}"] += bool(expected.K)
     assert len(seen) == 9 and min(seen.values()) >= 10, seen
 

@@ -227,6 +227,7 @@ def _stop_unfinished_before_the_cap(text: str) -> str:
         (_drop_finished, "missing key 'finished'"),
         (_object_valued_a, "'a' must be a list"),
         (_short_a, "'a' must be a list"),
+        (_set("checkpoints", 0, "a", 0, to=float), "checkpoint 1: 'a' must be a list of integers"),
         (_set("rounds", 0, "moves", 0, to="x"), "round record 0 has moves that are not a list of integers"),
         (_set("rounds", 0, "moves", 0, to=1.0), "round record 0 has moves that are not a list of integers"),
         (_set("rounds", 0, "moves", 0, to=True), "round record 0 has moves that are not a list of integers"),

@@ -277,7 +277,8 @@ def reference_from_json(text) -> Transcript:
     """The reader's contract: one json.loads, then the record checks.
 
     Equal consecutive moves share one tuple; each distinct moves list must
-    hold plain ints.
+    hold plain ints, and so must every checkpoint's K, a and S, with a as
+    long as K.
     """
     try:
         doc = json.loads(text)
@@ -300,7 +301,16 @@ def reference_from_json(text) -> Transcript:
                     newly_visited=r["newly_visited"],
                 )
             )
-        checkpoints = [CheckpointRecord.from_json_obj(c) for c in doc.get("checkpoints", [])]
+        checkpoints = []
+        for c in doc.get("checkpoints", []):
+            K, a, S = c["K"], c["a"], c["S"]
+            for values in (K, a, S):
+                if type(values) is not list or not set(map(type, values)) <= {int}:
+                    raise IntegrityError(f"checkpoint {c['i']!r} has an entry that is not a list of integers")
+            if len(a) != len(K):
+                raise IntegrityError(f"checkpoint {c['i']!r} has 'a' and 'K' of different lengths")
+            gadgets = tuple(Attachment.from_json_obj(g) for g in c["gadgets"])
+            checkpoints.append(CheckpointRecord(i=c["i"], K=tuple(K), a=tuple(a), S=tuple(S), gadgets=gadgets))
         out = doc["outcome"]
         stats = TreeStats(out["n"], out["height"], -1, out["height"])
         outcome = Outcome(out["finished"], out["final_round"], stats)
@@ -420,7 +430,7 @@ class TestSharedMoves:
         equal = (Attachment(1.0, 0, 2),)  # equal to `shared`, encodes differently
 
         def checkpoint(i, gadgets):
-            return CheckpointRecord(i=i, K=(1, 2), a_values={1: 0, 2: 0}, S=(1,), gadgets=gadgets)
+            return CheckpointRecord(i=i, K=(1, 2), a=(0, 0), S=(1,), gadgets=gadgets)
 
         tr = Transcript(
             params={"explorer": "hand", "revealer": "hand", "k": 1},

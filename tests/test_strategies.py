@@ -56,7 +56,7 @@ class TestIdle:
         assert not tr.outcome.finished
         assert [cp.i for cp in tr.checkpoints] == [1, 2]
         for cp in tr.checkpoints:
-            assert set(cp.a_values.values()) == {0}
+            assert set(cp.a) == {0}
 
     def test_single_root_finishes_instantly(self):
         tr = play(make_explorer("idle", 1), fixed_tree_revealer(make_path(0)), 1, 5)

@@ -8,14 +8,17 @@ import pytest
 from treexplore import (
     Attachment,
     CheckpointRecord,
+    CheckpointRevealer,
     Outcome,
     RoundRecord,
     Transcript,
     TreeStats,
     derive_params,
     fixed_tree_revealer,
+    initial_tree_of,
     make_explorer,
     play,
+    replay,
 )
 from treexplore.errors import IntegrityError
 from treexplore.game import transcript_from_json, transcript_to_json
@@ -192,16 +195,54 @@ def test_float_gadget_field_is_an_integrity_error(small_idle_transcript, field):
         verify_transcript(transcript_from_json(json.dumps(doc)))
 
 
+@pytest.mark.parametrize("to", [float, bool])
+@pytest.mark.parametrize("field", ["K", "a", "S"])
+def test_non_integer_checkpoint_entry_is_an_integrity_error(small_idle_transcript, field, to):
+    # 1.0 and true equal 1, and false equals 0, so the recomputation alone would not notice
+    doc = json.loads(transcript_to_json(small_idle_transcript))
+    entries = doc["checkpoints"][0][field]
+    original = entries[0]
+    entries[0] = to(original)
+    assert entries[0] == original
+    with pytest.raises(IntegrityError, match=f"checkpoint 1: '{field}' must be a list of integers"):
+        transcript_from_json(json.dumps(doc))
+
+
+class Recompute:
+    """A replay observer that recomputes each checkpoint record, as verify does."""
+
+    def __init__(self, params):
+        self.revealer = CheckpointRevealer(params)
+        self.level = {t: i + 1 for i, t in enumerate(params.checkpoints)}
+        self.records = []
+
+    def moved(self, state, rec):
+        i = self.level.get(state.round)
+        if i is not None:
+            self.records.append(self.revealer.compute(state, i))
+
+    def attached(self, state, rec, created):
+        pass
+
+
 class TestTranscriptFormat:
     def test_compact_single_line_in_key_order(self, small_greedy_transcript):
         text = transcript_to_json(small_greedy_transcript)
         assert text.index("\n") == len(text) - 1
         assert list(json.loads(text)) == ["params", "rounds", "checkpoints", "outcome"]
 
-    def test_a_is_aligned_with_K(self, small_greedy_transcript):
-        doc = json.loads(transcript_to_json(small_greedy_transcript))
-        for obj, rec in zip(doc["checkpoints"], small_greedy_transcript.checkpoints):
-            assert obj["a"] == [rec.a_values[v] for v in rec.K]
+    def test_a_is_a_tuple_aligned_with_K(self, small_greedy_transcript):
+        text = transcript_to_json(small_greedy_transcript)
+        doc = json.loads(text)
+        played = small_greedy_transcript.checkpoints
+        for obj, rec in zip(doc["checkpoints"], played, strict=True):
+            assert (obj["K"], obj["a"]) == (list(rec.K), list(rec.a))
+        reloaded = transcript_from_json(text)
+        recompute = Recompute(params_from_transcript(reloaded))
+        replay(reloaded, initial_tree_of(reloaded), recompute)
+        assert played == reloaded.checkpoints == recompute.records
+        for rec in (*played, *reloaded.checkpoints, *recompute.records):
+            assert type(rec.a) is tuple and len(rec.a) == len(rec.K)
 
     def test_reload_round_trips_and_verifies_alike(self, small_greedy_transcript):
         text = transcript_to_json(small_greedy_transcript)
