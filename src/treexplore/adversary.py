@@ -23,8 +23,8 @@ from collections.abc import Sequence
 from dataclasses import dataclass, replace
 from itertools import compress, filterfalse, islice, repeat
 
-from .errors import InfeasibleParamsError, IntegrityError
-from .game import Attachment, GameState, is_int_list
+from .errors import InfeasibleParamsError, IntegrityError, TreexploreError
+from .game import Attachment, GameState, Transcript, is_int_list
 from .tree import RootedTree, make_path_star
 
 
@@ -180,6 +180,21 @@ class AdversaryParams:
 
 def derive_params(n: int, L: int, m: int, k: int, mode: str = "repaired", warn: bool = True) -> AdversaryParams:
     return AdversaryParams.derive(n=n, L=L, m=m, k=k, mode=mode, warn=warn)
+
+
+def params_from_transcript(transcript: Transcript) -> AdversaryParams:
+    """The adversary params a lemma transcript's header names; IntegrityError otherwise."""
+    meta = transcript.params
+    if meta.get("revealer") != "lemma":
+        raise IntegrityError(
+            f"transcript was produced by revealer {meta.get('revealer')!r}, not the adversary"
+        )
+    try:
+        return AdversaryParams.derive(
+            n=meta["n"], L=meta["L"], m=meta["m"], k=meta["k"], mode=meta["mode"], warn=False
+        )
+    except (KeyError, TreexploreError) as exc:
+        raise IntegrityError(f"transcript params are not valid adversary params: {exc}") from exc
 
 
 def checkpoint_candidates(state: GameState, i: int, params: AdversaryParams) -> list[int]:

@@ -697,9 +697,7 @@ def transcript_from_json(text: str | bytes) -> Transcript:
         outcome = Outcome(
             finished=out["finished"],
             final_round=out["final_round"],
-            final_stats=TreeStats(
-                n=out["n"], height=out["height"], max_degree=-1, root_ecc=out["height"]
-            ),
+            final_stats=TreeStats(n=out["n"], height=out["height"], root_ecc=out["height"]),
         )
         params = doc["params"]
     except KeyError as exc:
@@ -713,15 +711,11 @@ def transcript_from_json(text: str | bytes) -> Transcript:
 
 def initial_tree_of(transcript: Transcript) -> RootedTree:
     """Reconstruct T_0 for a transcript (derived for the adversary, embedded for fixed)."""
-    params = transcript.params
-    if params.get("revealer") == "lemma":
-        from .adversary import AdversaryParams
+    if transcript.params.get("revealer") == "lemma":
+        from .adversary import params_from_transcript  # local import to avoid a cycle
 
-        return AdversaryParams.derive(
-            n=params["n"], L=params["L"], m=params["m"], k=params["k"], mode=params["mode"],
-            warn=False,
-        ).initial_tree()
-    tree_doc = params.get("tree")
+        return params_from_transcript(transcript).initial_tree()
+    tree_doc = transcript.params.get("tree")
     if tree_doc is None:
         raise IntegrityError("fixed-revealer transcript carries no embedded tree")
     return decode_tree(json.dumps(tree_doc))

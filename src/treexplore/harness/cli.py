@@ -90,12 +90,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    transcript = transcript_from_json(Path(args.transcript).read_bytes())
-    try:
-        report = verify_transcript(transcript)
-    except IntegrityError as exc:
-        sys.stdout.write(_dump({"integrity_error": str(exc), "round": exc.round}))
-        return EXIT_VIOLATION
+    report = verify_transcript(transcript_from_json(Path(args.transcript).read_bytes()))
     sys.stdout.write(_dump(report.to_json_obj()))
     return EXIT_OK if report.ok else EXIT_VIOLATION
 
@@ -161,12 +156,6 @@ def build_parser() -> _Parser:
 
     p_ver = sub.add_parser("verify", help="verify a recorded transcript")
     p_ver.add_argument("--transcript", required=True)
-    p_ver.add_argument(
-        "--params-from-transcript",
-        action="store_true",
-        dest="params_from_transcript",
-        help="read adversary parameters from the transcript metadata (default behavior)",
-    )
     p_ver.set_defaults(func=_cmd_verify)
 
     p_off = sub.add_parser("offline", help="offline bounds for a known tree")

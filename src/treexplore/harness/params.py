@@ -19,8 +19,6 @@ from ..errors import InfeasibleParamsError
 # used only when a regime is asked about feasibility without a concrete n.
 DESK_SCALE_N = 2**20
 
-THEOREMS = ("thm1", "thm2", "thm3", "thm4")
-
 
 @dataclass(frozen=True)
 class TheoremParams:

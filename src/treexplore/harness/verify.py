@@ -26,8 +26,8 @@ from dataclasses import dataclass
 from itertools import compress
 from operator import ge
 
-from ..adversary import AdversaryParams, CheckpointRecord, CheckpointRevealer
-from ..errors import IntegrityError, TreexploreError
+from ..adversary import AdversaryParams, CheckpointRecord, CheckpointRevealer, params_from_transcript
+from ..errors import IntegrityError
 from ..game import GameState, RoundRecord, Transcript, replay
 from ..tree import ROOT
 
@@ -82,27 +82,12 @@ class VerificationReport:
         }
 
 
-def params_from_transcript(transcript: Transcript) -> AdversaryParams:
-    meta = transcript.params
-    if meta.get("revealer") != "lemma":
-        raise IntegrityError(
-            f"transcript was produced by revealer {meta.get('revealer')!r}, not the adversary"
-        )
-    try:
-        return AdversaryParams.derive(
-            n=meta["n"], L=meta["L"], m=meta["m"], k=meta["k"], mode=meta["mode"], warn=False
-        )
-    except (KeyError, TreexploreError) as exc:
-        raise IntegrityError(f"transcript params are not valid adversary params: {exc}") from exc
-
-
 class _Replay:
     """The replay observer: checks each checkpoint round against its
     recomputation and collects what the claim checks need."""
 
     def __init__(self, transcript: Transcript, params: AdversaryParams):
         self.revealer = CheckpointRevealer(params)
-        self.checkpoint_level = {t: i + 1 for i, t in enumerate(params.checkpoints)}
         if any(type(rec.i) is not int for rec in transcript.checkpoints):
             raise IntegrityError("a checkpoint record's 'i' is not an integer")
         self.recorded = {rec.i: rec for rec in transcript.checkpoints}
@@ -127,18 +112,21 @@ class _Replay:
             positions = state.positions
             for x in compress(range(len(positions)), map(hits.__contains__, positions)):
                 self.arrivals[positions[x]].append(x)
-        i = self.level = self.checkpoint_level.get(t)
-        if i is None:
+        gadgets, expected = self.revealer.reveal(state, t)
+        if expected is None:
+            self.level = None
             if rec.attachments:
                 raise IntegrityError(f"round {t} has attachments outside any checkpoint", round=t)
             return
-        expected = self.revealer.compute(state, i)
+        i = self.level = expected.i
         rec_cp = self.recorded.get(i)
         if rec_cp is None:
             raise IntegrityError(f"checkpoint {i} fired at round {t} but has no record", round=t)
         if rec_cp != expected:
-            raise IntegrityError(f"checkpoint {i} record does not match its recomputation", round=t)
-        if tuple(rec.attachments) != expected.gadgets:
+            raise IntegrityError(
+                f"checkpoint {i} record does not match its recomputation at round {t}", round=t
+            )
+        if tuple(rec.attachments) != gadgets:
             raise IntegrityError(f"round {t} attachments differ from checkpoint {i} gadgets", round=t)
         self.records[i] = rec_cp
         self.positions_at[i] = state.positions
@@ -165,21 +153,9 @@ def _selected_a(rec: CheckpointRecord) -> list[int]:
     return [rec.a[bisect_left(rec.K, v)] for v in rec.S]
 
 
-def verify_transcript(
-    transcript: Transcript, params: AdversaryParams | None = None
-) -> VerificationReport:
+def verify_transcript(transcript: Transcript) -> VerificationReport:
     """Replay and evaluate every claim; raises IntegrityError on tampering."""
-    derived = params_from_transcript(transcript)
-    if params is not None:
-        if (params.n, params.L, params.m, params.k, params.mode) != (
-            derived.n,
-            derived.L,
-            derived.m,
-            derived.k,
-            derived.mode,
-        ):
-            raise IntegrityError("supplied params do not match the transcript's metadata")
-    params = derived
+    params = params_from_transcript(transcript)
     rp = _Replay(transcript, params)
     state = replay(transcript, params.initial_tree(), rp)
     extra = set(rp.recorded) - set(rp.records)

@@ -275,20 +275,19 @@ class GreedyFrontierExplorer:
 
 
 class IdleThenExplorer:
-    """Idles through the first ``switch_round`` rounds, then delegates.
+    """Idles through the first ``switch_round`` rounds, then plays greedy_frontier.
 
     Exercises the zero-agents-in-branch behavior of the revealer: parking
     everyone at the root through the first checkpoint makes every branch
     agent count zero there.
     """
 
-    name = "idle_then_greedy"
+    name = "idle_then_greedy_frontier"
 
-    def __init__(self, k: int, switch_round: int, inner=None):
+    def __init__(self, k: int, switch_round: int):
         self.k = k
         self.switch_round = switch_round
-        self.inner = inner if inner is not None else GreedyFrontierExplorer(k)
-        self.name = f"idle_then_{self.inner.name}"
+        self.inner = GreedyFrontierExplorer(k)
 
     def next_moves(self, view: ExplorerView) -> Sequence[int]:
         if view.round + 1 <= self.switch_round:

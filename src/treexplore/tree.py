@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from itertools import islice
 
 from .errors import (
     InvalidParameterError,
@@ -29,11 +28,10 @@ ROOT = 0
 
 @dataclass(frozen=True)
 class TreeStats:
-    """Summary counts of a tree: size, height, and degree extremes."""
+    """Summary counts of a tree: size and height."""
 
     n: int
     height: int
-    max_degree: int
     root_ecc: int  # equal to height; named separately for bound reports
 
 
@@ -120,12 +118,7 @@ class RootedTree:
 
     def stats(self) -> TreeStats:
         h = self.height()
-        kids = self.children
-        # every vertex but the root also has its parent edge
-        max_deg = len(kids[ROOT])
-        if len(kids) > 1:
-            max_deg = max(max_deg, 1 + max(map(len, islice(kids, 1, None))))
-        return TreeStats(n=self.n, height=h, max_degree=max_deg, root_ecc=h)
+        return TreeStats(n=self.n, height=h, root_ecc=h)
 
 
 def make_path_star(branch_count: int, path_len: int) -> RootedTree:

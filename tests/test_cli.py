@@ -61,36 +61,14 @@ def test_verify_accepts_and_repeats(tmp_path, capsys):
     out = tmp_path / "tr.json"
     main(LEMMA_ARGS + ["--out", str(out)])
     capsys.readouterr()
-    assert main(["verify", "--transcript", str(out), "--params-from-transcript"]) == 0
+    assert main(["verify", "--transcript", str(out)]) == 0
     first = capsys.readouterr().out
-    assert main(["verify", "--transcript", str(out), "--params-from-transcript"]) == 0
+    assert main(["verify", "--transcript", str(out)]) == 0
     second = capsys.readouterr().out
     assert first == second
     report = json.loads(first)
     assert report["ok"] is True
     assert report["claims_failed"] == 0
-
-
-def test_verify_tampered_transcript_exits_3(tmp_path, capsys):
-    out = tmp_path / "tr.json"
-    main(LEMMA_ARGS + ["--out", str(out)])
-    doc = json.loads(out.read_text())
-    doc["rounds"][0]["moves"][0] = 40
-    out.write_text(json.dumps(doc))
-    capsys.readouterr()
-    assert main(["verify", "--transcript", str(out)]) == 3
-    assert "integrity_error" in capsys.readouterr().out
-
-
-def test_verify_unhashable_checkpoint_index_exits_3(tmp_path, capsys):
-    out = tmp_path / "tr.json"
-    main(LEMMA_ARGS + ["--out", str(out)])
-    doc = json.loads(out.read_text())
-    doc["checkpoints"][0]["i"] = {}
-    out.write_text(json.dumps(doc))
-    capsys.readouterr()
-    assert main(["verify", "--transcript", str(out)]) == 3
-    assert "checkpoint record's 'i' is not an integer" in json.loads(capsys.readouterr().out)["integrity_error"]
 
 
 def test_offline_bounds(tmp_path, capsys):
@@ -220,61 +198,59 @@ def _stop_unfinished_before_the_cap(text: str) -> str:
     return json.dumps(doc)
 
 
-@pytest.mark.parametrize(
-    "corrupt, message",
-    [
-        (_truncate, "not valid JSON"),
-        (_drop_finished, "missing key 'finished'"),
-        (_object_valued_a, "'a' must be a list"),
-        (_short_a, "'a' must be a list"),
-        (_set("checkpoints", 0, "a", 0, to=float), "checkpoint 1: 'a' must be a list of integers"),
-        (_set("rounds", 0, "moves", 0, to="x"), "round record 0 has moves that are not a list of integers"),
-        (_set("rounds", 0, "moves", 0, to=1.0), "round record 0 has moves that are not a list of integers"),
-        (_set("rounds", 0, "moves", 0, to=True), "round record 0 has moves that are not a list of integers"),
-        (_deeply_nested, "not valid JSON: nested too deeply"),
-    ],
-)
-def test_verify_malformed_transcript_exits_3_with_one_line(tmp_path, capsys, corrupt, message):
-    out = tmp_path / "tr.json"
-    main(LEMMA_ARGS + ["--out", str(out)])
-    out.write_text(corrupt(out.read_text()))
-    capsys.readouterr()
-    assert main(["verify", "--transcript", str(out)]) == 3
-    err = capsys.readouterr().err
-    assert err.count("\n") == 1 and err.startswith("integrity error: ")
-    assert message in err
+def _honest(text: str) -> str:
+    return text
+
+
+NOT_INT_MOVES = "round record 0 has moves that are not a list of integers"
+FIXED_ARGS = ["run", "--explorer", "single_dfs", "--revealer", "fixed", "--k", "1", "--cap", "100"]
 
 
 @pytest.mark.parametrize(
-    "corrupt, message",
+    "revealer, corrupt, message",
     [
-        (_pad(1), "round 12 is recorded after the tree was fully explored"),
-        (_pad(50), "round 12 is recorded after the tree was fully explored"),
-        (_stop_unfinished_before_the_cap, "game stopped unfinished at round 5, before the cap 1000"),
-        (_set("params", "cap", to=5), "outcome final_round 11 is past the cap 5"),
-        (_set("params", "cap", to=1.5), "need an integer k >= 1 and cap (got k=541, cap=1.5)"),
-        (_set("params", "cap", to="x"), "need an integer k >= 1 and cap (got k=541, cap='x')"),
-        (_set("outcome", "height", to=999), "outcome height 999 != replayed 3"),
-        (_set("outcome", "height", to="x"), "outcome height 'x' != replayed 3"),
-        (_set("outcome", "final_round", to=float), "outcome final_round 11.0 != replayed 11"),
-        (_set("outcome", "finished", to=1), "outcome finished 1 != replayed True"),
-        (_set("rounds", 0, "t", to=float), "round records out of order at t=1.0"),
-        (_set("rounds", 0, "newly_visited", to=float), "new visits, replay saw"),
-        (_set("checkpoints", 0, "i", to=True), "checkpoint record's 'i' is not an integer"),
-        (_set("checkpoints", 0, "i", to=float), "checkpoint record's 'i' is not an integer"),
+        # rejected by the reader
+        ("lemma", _truncate, "not valid JSON"),
+        ("lemma", _drop_finished, "missing key 'finished'"),
+        ("lemma", _object_valued_a, "'a' must be a list"),
+        ("lemma", _short_a, "'a' must be a list"),
+        ("lemma", _set("checkpoints", 0, "a", 0, to=float), "checkpoint 1: 'a' must be a list of integers"),
+        ("lemma", _set("rounds", 0, "moves", 0, to="x"), NOT_INT_MOVES),
+        ("lemma", _set("rounds", 0, "moves", 0, to=1.0), NOT_INT_MOVES),
+        ("lemma", _set("rounds", 0, "moves", 0, to=True), NOT_INT_MOVES),
+        ("lemma", _deeply_nested, "not valid JSON: nested too deeply"),
+        # rejected by verify: a header that names no adversary, or a replay that fails
+        ("fixed", _honest, "transcript was produced by revealer 'fixed', not the adversary"),
+        ("lemma", _set("rounds", 0, "moves", 0, to=40), "round 1: recorded 541 new visits, replay saw 540"),
+        ("lemma", _pad(1), "round 12 is recorded after the tree was fully explored"),
+        ("lemma", _pad(50), "round 12 is recorded after the tree was fully explored"),
+        ("lemma", _stop_unfinished_before_the_cap, "game stopped unfinished at round 5, before the cap 1000"),
+        ("lemma", _set("params", "cap", to=5), "outcome final_round 11 is past the cap 5"),
+        ("lemma", _set("params", "cap", to=1.5), "need an integer k >= 1 and cap (got k=541, cap=1.5)"),
+        ("lemma", _set("params", "cap", to="x"), "need an integer k >= 1 and cap (got k=541, cap='x')"),
+        ("lemma", _set("outcome", "height", to=999), "outcome height 999 != replayed 3"),
+        ("lemma", _set("outcome", "height", to="x"), "outcome height 'x' != replayed 3"),
+        ("lemma", _set("outcome", "final_round", to=float), "outcome final_round 11.0 != replayed 11"),
+        ("lemma", _set("outcome", "finished", to=1), "outcome finished 1 != replayed True"),
+        ("lemma", _set("rounds", 0, "t", to=float), "round records out of order at t=1.0"),
+        ("lemma", _set("rounds", 0, "newly_visited", to=float), "new visits, replay saw"),
+        ("lemma", _set("checkpoints", 0, "i", to=True), "checkpoint record's 'i' is not an integer"),
+        ("lemma", _set("checkpoints", 0, "i", to=float), "checkpoint record's 'i' is not an integer"),
+        ("lemma", _set("checkpoints", 0, "i", to={}), "checkpoint record's 'i' is not an integer"),
     ],
 )
-def test_verify_rejected_replay_exits_3_with_a_one_line_message(tmp_path, capsys, corrupt, message):
-    # a transcript that reads but cannot be replayed gets verify's JSON report with a one-line message
+def test_verify_failure_exits_3_with_one_stderr_line(tmp_path, capsys, revealer, corrupt, message):
+    # reader and replay failures have one shape: exit 3, no report, one integrity error line
     out = tmp_path / "tr.json"
-    main(LEMMA_ARGS + ["--out", str(out)])
+    run = LEMMA_ARGS if revealer == "lemma" else FIXED_ARGS + ["--tree", _tree_file(tmp_path)]
+    assert main(run + ["--out", str(out)]) == 0
     out.write_text(corrupt(out.read_text()))
     capsys.readouterr()
     assert main(["verify", "--transcript", str(out)]) == 3
     captured = capsys.readouterr()
-    report = json.loads(captured.out)
-    assert captured.err == "" and list(report) == ["integrity_error", "round"]
-    assert "\n" not in report["integrity_error"] and message in report["integrity_error"]
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and captured.err.startswith("integrity error: ")
+    assert message in captured.err
 
 
 def test_verify_non_utf8_bytes_exits_3(tmp_path, capsys):

@@ -231,6 +231,18 @@ class TestReplay:
         assert events == expected
 
     @pytest.mark.parametrize(
+        "edit",
+        [lambda p: p.pop("m"), lambda p: p.update(m=0), lambda p: p.update(mode="lax")],
+        ids=["missing-m", "m-zero", "unknown-mode"],
+    )
+    def test_bad_lemma_header_is_an_integrity_error(self, edit):
+        # initial_tree_of derives T_0 through the same header check verify uses
+        tr = run_adversary_game(derive_params(256, 1, 2, 8), "greedy_frontier", cap=6)
+        edit(tr.params)
+        with pytest.raises(IntegrityError, match="not valid adversary params"):
+            initial_tree_of(tr)
+
+    @pytest.mark.parametrize(
         "tamper, message",
         [
             (_pad_one_round, "round 4 is recorded after the tree was fully explored"),
@@ -312,7 +324,7 @@ def reference_from_json(text) -> Transcript:
             gadgets = tuple(Attachment.from_json_obj(g) for g in c["gadgets"])
             checkpoints.append(CheckpointRecord(i=c["i"], K=tuple(K), a=tuple(a), S=tuple(S), gadgets=gadgets))
         out = doc["outcome"]
-        stats = TreeStats(out["n"], out["height"], -1, out["height"])
+        stats = TreeStats(out["n"], out["height"], out["height"])
         outcome = Outcome(out["finished"], out["final_round"], stats)
         params = doc["params"]
     except KeyError as exc:
@@ -418,7 +430,7 @@ class TestSharedMoves:
                 for t, (moves, nv) in enumerate(rounds, start=1)
             ],
             checkpoints=[],
-            outcome=Outcome(False, len(rounds), TreeStats(n=3, height=1, max_degree=2, root_ecc=1)),
+            outcome=Outcome(False, len(rounds), TreeStats(n=3, height=1, root_ecc=1)),
         )
         text = transcript_to_json(tr)
         assert text == reference_to_json(tr)
@@ -439,7 +451,7 @@ class TestSharedMoves:
                 RoundRecord(t=2, moves=(0,), attachments=(Attachment(2, 0, 2),), newly_visited=0),
             ],
             checkpoints=[checkpoint(1, shared), checkpoint(2, equal), checkpoint(3, ())],
-            outcome=Outcome(False, 2, TreeStats(n=7, height=2, max_degree=2, root_ecc=2)),
+            outcome=Outcome(False, 2, TreeStats(n=7, height=2, root_ecc=2)),
         )
         text = transcript_to_json(tr)
         assert text == reference_to_json(tr)

@@ -118,7 +118,7 @@ class TestQueries:
 
     def test_stats_single_edge(self):
         s = make_path_star(1, 1).stats()
-        assert (s.n, s.height, s.max_degree, s.root_ecc) == (2, 1, 1, 1)
+        assert (s.n, s.height, s.root_ecc) == (2, 1, 1)
 
     def test_distance(self):
         t = make_path_star(2, 3)
@@ -318,11 +318,3 @@ class TestLeafLayout:
         attach_path_with_star(c, 6, 0, 2)
         assert tree_arrays(t) == before
 
-    def test_stats_max_degree(self):
-        assert make_path_star(1, 1).stats().max_degree == 1
-        assert make_path_star(1, 3).stats().max_degree == 2
-        assert make_path_star(5, 2).stats().max_degree == 5
-        t = make_path_star(2, 2)
-        attach_path_with_star(t, 2, 0, 6)  # 6 children plus the parent edge
-        assert t.stats().max_degree == 7
-        assert RootedTree().stats().max_degree == 0
