@@ -3,24 +3,24 @@
 from .adversary import (
     AdversaryParams,
     Alpha,
-    CheckpointRecord,
     CheckpointRevealer,
     FixedTreeRevealer,
     checkpoint_candidates,
     derive_params,
     fixed_tree_revealer,
     gadget_spec,
+    initial_tree_of,
     max_team_size,
     selection_mask,
 )
 from .game import (
     Attachment,
+    CheckpointRecord,
     ExplorerView,
     GameState,
     Outcome,
     RoundRecord,
     Transcript,
-    initial_tree_of,
     is_explored,
     play,
     replay,

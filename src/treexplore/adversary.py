@@ -12,10 +12,14 @@ agents elsewhere are too far away to help in time.
 All threshold quantities (``ceil(alpha * count)``, the team-size bound)
 are computed with exact integer arithmetic so that boundary cases never
 wobble with floating point.
+
+The revealer fills in ``game.CheckpointRecord``s, whose JSON format is
+``game``'s alone; this module reads only a transcript's header.
 """
 
 from __future__ import annotations
 
+import json
 import math
 import warnings
 from collections import Counter
@@ -24,8 +28,8 @@ from dataclasses import dataclass, replace
 from itertools import compress, filterfalse, islice, repeat
 
 from .errors import InfeasibleParamsError, IntegrityError, TreexploreError
-from .game import Attachment, GameState, Transcript, is_int_list
-from .tree import RootedTree, make_path_star
+from .game import Attachment, CheckpointRecord, GameState, Transcript
+from .tree import RootedTree, decode_tree, make_path_star
 
 
 def _least_root_scaled(target: int, n: int, m: int) -> int:
@@ -197,6 +201,16 @@ def params_from_transcript(transcript: Transcript) -> AdversaryParams:
         raise IntegrityError(f"transcript params are not valid adversary params: {exc}") from exc
 
 
+def initial_tree_of(transcript: Transcript) -> RootedTree:
+    """Reconstruct T_0 for a transcript (derived for the adversary, embedded for fixed)."""
+    if transcript.params.get("revealer") == "lemma":
+        return params_from_transcript(transcript).initial_tree()
+    tree_doc = transcript.params.get("tree")
+    if tree_doc is None:
+        raise IntegrityError("fixed-revealer transcript carries no embedded tree")
+    return decode_tree(json.dumps(tree_doc))
+
+
 def checkpoint_candidates(state: GameState, i: int, params: AdversaryParams) -> list[int]:
     """One representative per branch at depth L*i, unvisited as of the previous round.
 
@@ -246,55 +260,6 @@ def gadget_spec(i: int, a: int, params: AdversaryParams) -> tuple[int, int]:
     """
     mult = a if params.mode == "strict" else max(a, 1)
     return (params.L - 1, params.L * (i + 1) * mult)
-
-
-@dataclass(frozen=True)
-class CheckpointRecord:
-    """Everything the revealer computed at one checkpoint."""
-
-    i: int
-    K: tuple[int, ...]  # one candidate per branch, id-ascending
-    a: tuple[int, ...]  # a[j] is the agent count in K[j]'s branch
-    S: tuple[int, ...]
-    gadgets: tuple[Attachment, ...]
-
-    def to_json_obj(self) -> dict:
-        return {
-            "i": self.i,
-            "K": self.K,
-            "a": self.a,
-            "S": self.S,
-            "gadgets": [g.to_json_obj() for g in self.gadgets],
-        }
-
-    @staticmethod
-    def from_json_obj(obj: dict, attachments_of: dict | None = None) -> "CheckpointRecord":
-        """Inverse of ``to_json_obj``; ``K``, ``a`` and ``S`` must be lists of
-        plain ints (no bool or float), and ``a`` must be as long as ``K``.
-
-        A ``gadgets`` list whose id is in ``attachments_of`` takes the tuple
-        stored there instead of a new one.
-        """
-        K, a, S = obj["K"], obj["a"], obj["S"]
-        for name, values in (("K", K), ("a", a), ("S", S)):
-            if not is_int_list(values):
-                raise IntegrityError(f"checkpoint {obj['i']!r}: '{name}' must be a list of integers")
-        if len(a) != len(K):
-            raise IntegrityError(
-                f"checkpoint {obj['i']!r}: 'a' must be a list of {len(K)} counts aligned with 'K'"
-            )
-        return CheckpointRecord(
-            i=obj["i"],
-            K=tuple(K),
-            a=tuple(a),
-            S=tuple(S),
-            gadgets=_gadgets_from_json(obj["gadgets"], attachments_of or {}),
-        )
-
-
-def _gadgets_from_json(docs: list, attachments_of: dict) -> tuple[Attachment, ...]:
-    shared = attachments_of.get(id(docs))
-    return shared if shared is not None else tuple(Attachment.from_json_obj(g) for g in docs)
 
 
 class CheckpointRevealer:

@@ -1,10 +1,15 @@
-"""Round-based two-player exploration game engine.
+"""Round-based two-player exploration game engine and its transcript format.
 
 One game round: the explorer moves each agent along at most one edge,
 newly reached vertices join the visited set, then the revealer may attach
 subtrees at vertices that were unvisited at the end of the previous
 round. The game ends at the start of the first round in which every
 vertex of the current tree is visited.
+
+This module owns the transcript: its records (rounds, checkpoints,
+outcome), the writer and the reader. The writer and the reader are the
+only code that spells a record's JSON layout, and the reader is the only
+place that checks the type of a record field.
 """
 
 from __future__ import annotations
@@ -13,6 +18,8 @@ import json
 import re
 from dataclasses import dataclass
 from functools import partial
+from itertools import chain, starmap
+from operator import itemgetter
 from typing import Protocol, Sequence
 
 from .errors import (
@@ -23,7 +30,7 @@ from .errors import (
     TreexploreError,
     VertexNotFoundError,
 )
-from .tree import ROOT, RootedTree, TreeStats, attach_path_with_star, decode_tree
+from .tree import ROOT, RootedTree, TreeStats, attach_path_with_star
 
 
 @dataclass(frozen=True, slots=True)
@@ -34,13 +41,6 @@ class Attachment:
     path_len: int
     leaf_count: int
 
-    def to_json_obj(self) -> dict:
-        return {"at": self.at, "path_len": self.path_len, "leaves": self.leaf_count}
-
-    @staticmethod
-    def from_json_obj(obj: dict) -> "Attachment":
-        return Attachment(at=obj["at"], path_len=obj["path_len"], leaf_count=obj["leaves"])
-
 
 @dataclass(frozen=True)
 class RoundRecord:
@@ -48,6 +48,17 @@ class RoundRecord:
     moves: tuple[int, ...]
     attachments: tuple[Attachment, ...]
     newly_visited: int
+
+
+@dataclass(frozen=True)
+class CheckpointRecord:
+    """Everything the adversary's revealer computed at one checkpoint."""
+
+    i: int
+    K: tuple[int, ...]  # one candidate per branch, id-ascending
+    a: tuple[int, ...]  # a[j] is the agent count in K[j]'s branch
+    S: tuple[int, ...]
+    gadgets: tuple[Attachment, ...]
 
 
 @dataclass(frozen=True)
@@ -63,7 +74,7 @@ class Transcript:
 
     params: dict
     rounds: list[RoundRecord]
-    checkpoints: list  # CheckpointRecord entries from the revealer, if any
+    checkpoints: list[CheckpointRecord]  # from the revealer, if any
     outcome: Outcome
     # convenience handle set by play(); not serialized, absent after a reload
     final_state: "GameState | None" = None
@@ -300,7 +311,7 @@ class Revealer(Protocol):
 
     def initial_tree(self) -> RootedTree: ...
 
-    def reveal(self, state: GameState, t: int) -> tuple[Sequence[Attachment], object | None]: ...
+    def reveal(self, state: GameState, t: int) -> tuple[Sequence[Attachment], CheckpointRecord | None]: ...
 
 
 def play(
@@ -333,7 +344,7 @@ def play(
         # adversary trees are derivable from (n, L, m); embed anything else
         params.setdefault("tree", {"n": state.tree.n, "parent": list(state.tree.parent)})
     rounds: list[RoundRecord] = []
-    checkpoints: list = []
+    checkpoints: list[CheckpointRecord] = []
     view = ExplorerView(state, mode=view_mode)
     while True:
         if is_explored(state):
@@ -372,8 +383,9 @@ def replay(transcript: Transcript, initial: RootedTree, observer=None) -> GameSt
     round out of order, an illegal move or attachment, a wrong
     newly-visited count, a round after the tree was fully explored, an
     outcome that disagrees with the replayed state, or one that breaks the
-    transcript's cap. ``observer.moved(state, rec)`` runs after a round's
-    moves commit and before its attachments, and
+    transcript's cap. The record fields' types are the reader's to check
+    (see ``transcript_from_json``). ``observer.moved(state, rec)`` runs
+    after a round's moves commit and before its attachments, and
     ``observer.attached(state, rec, created)`` after them.
     """
     k, cap = transcript.params.get("k"), transcript.params.get("cap")
@@ -384,13 +396,13 @@ def replay(transcript: Transcript, initial: RootedTree, observer=None) -> GameSt
         t = state.round + 1
         if is_explored(state):
             raise IntegrityError(f"round {t} is recorded after the tree was fully explored", round=t)
-        if rec.t != t or type(rec.t) is not int:
+        if rec.t != t:
             raise IntegrityError(f"round records out of order at t={rec.t!r}", round=t)
         try:
             _commit_moves(state, rec.moves)
         except TreexploreError as exc:
             raise IntegrityError(f"replay failed at round {t}: {exc}", round=t) from exc
-        if rec.newly_visited != len(state.newly_visited) or type(rec.newly_visited) is not int:
+        if rec.newly_visited != len(state.newly_visited):
             raise IntegrityError(
                 f"round {t}: recorded {rec.newly_visited!r} new visits, replay saw "
                 f"{len(state.newly_visited)}",
@@ -400,7 +412,7 @@ def replay(transcript: Transcript, initial: RootedTree, observer=None) -> GameSt
             observer.moved(state, rec)
         try:
             created = _commit_attachments(state, rec.attachments)
-        except (TreexploreError, TypeError) as exc:  # TypeError: a field such as 1.0
+        except TreexploreError as exc:
             raise IntegrityError(f"replay failed at round {t}: {exc}", round=t) from exc
         if observer is not None:
             observer.attached(state, rec, created)
@@ -411,8 +423,7 @@ def replay(transcript: Transcript, initial: RootedTree, observer=None) -> GameSt
         ("n", out.final_stats.n, state.tree.n),
         ("height", out.final_stats.height, state.tree.height()),
     ):
-        # the type test tells True from 1 and 1.0 from 1
-        if recorded != replayed or type(recorded) is not type(replayed):
+        if recorded != replayed:
             raise IntegrityError(f"outcome {name} {recorded!r} != replayed {replayed!r}")
     # play's stopping rules: it never plays past the cap and stops short of it only when finished
     if state.round > cap:
@@ -427,6 +438,10 @@ def replay(transcript: Transcript, initial: RootedTree, observer=None) -> GameSt
 
 # encodes every piece of a transcript exactly as json.dumps with these separators
 _encode = json.JSONEncoder(separators=(",", ":")).encode
+
+
+def _attachments_doc(attachments: Sequence[Attachment]) -> list[dict]:
+    return [{"at": a.at, "path_len": a.path_len, "leaves": a.leaf_count} for a in attachments]
 
 
 def transcript_to_json(transcript: Transcript) -> str:
@@ -450,7 +465,7 @@ def transcript_to_json(transcript: Transcript) -> str:
         if r.moves is not last_moves:
             last_moves, moves_text = r.moves, _encode(r.moves)
         if r.attachments:
-            text = attachments_text[id(r.attachments)] = _encode([a.to_json_obj() for a in r.attachments])
+            text = attachments_text[id(r.attachments)] = _encode(_attachments_doc(r.attachments))
         else:
             text = "[]"
         parts += (
@@ -471,8 +486,7 @@ def transcript_to_json(transcript: Transcript) -> str:
     for c in transcript.checkpoints:
         text = attachments_text.get(id(c.gadgets))
         if text is None:
-            text = _encode([g.to_json_obj() for g in c.gadgets])
-        # the layout of CheckpointRecord.to_json_obj
+            text = _encode(_attachments_doc(c.gadgets))
         parts += (
             sep,
             '{"i":',
@@ -642,14 +656,32 @@ def is_int_list(value) -> bool:
     return type(value) is list and set(map(type, value)) <= {int}
 
 
+_attachment_fields = itemgetter("at", "path_len", "leaves")
+
+
+def _require_ints(where: str, **fields) -> None:
+    for name, value in fields.items():
+        if type(value) is not int:
+            raise IntegrityError(f"{where}: '{name}' must be an integer")
+
+
+def _read_attachments(listed, where: str) -> tuple[Attachment, ...]:
+    """Attachments from a list of objects whose fields are plain ints, fetched
+    and type-tested in C: no Python step per attachment before the records."""
+    fields = list(map(_attachment_fields, listed)) if type(listed) is list else None
+    if fields is None or not set(map(type, chain.from_iterable(fields))) <= {int}:
+        raise IntegrityError(f"{where} must be a list of objects with integer 'at', 'path_len' and 'leaves'")
+    return tuple(starmap(Attachment, fields))
+
+
 def _read_rounds(docs: list, attachments_of: dict) -> list[RoundRecord]:
     """Round records from their decoded JSON; equal consecutive moves share one tuple.
 
-    Each distinct moves list must hold plain ints (no bool, float or
-    string). A list equal to the one before needs no check: its round
-    replays as a stay-put round, which ``_commit_moves`` judges by equality.
-    The tuple built from each non-empty attachments list is entered in
-    ``attachments_of`` under the id of that list.
+    Each distinct moves list must hold plain ints. A list equal to the one
+    before needs no check: its round replays as a stay-put round, which
+    ``_commit_moves`` judges by equality. The tuple built from each
+    non-empty attachments list is entered in ``attachments_of`` under the
+    id of that list.
     """
     rounds = []
     last_list = last_moves = None
@@ -657,29 +689,47 @@ def _read_rounds(docs: list, attachments_of: dict) -> list[RoundRecord]:
         mv = r["moves"]
         if last_moves is None or (mv is not last_list and mv != last_list):
             if not is_int_list(mv):
-                raise IntegrityError(
-                    f"round record {index} has moves that are not a list of integers"
-                )
+                raise IntegrityError(f"round record {index} has moves that are not a list of integers")
             last_list, last_moves = mv, tuple(mv)
-        t, listed = r["t"], r["attachments"]
-        attachments = tuple(Attachment.from_json_obj(a) for a in listed)
+        t, newly_visited, listed = r["t"], r["newly_visited"], r["attachments"]
+        _require_ints(f"round record {index}", t=t, newly_visited=newly_visited)
+        attachments = _read_attachments(listed, f"round record {index}: 'attachments'")
         if attachments:
             attachments_of[id(listed)] = attachments
-        rounds.append(
-            RoundRecord(t=t, moves=last_moves, attachments=attachments, newly_visited=r["newly_visited"])
-        )
+        rounds.append(RoundRecord(t, last_moves, attachments, newly_visited))
     return rounds
+
+
+def _read_checkpoints(docs: list, attachments_of: dict) -> list[CheckpointRecord]:
+    """Checkpoint records from their decoded JSON; ``a`` must be as long as ``K``.
+
+    A ``gadgets`` list whose id is in ``attachments_of`` takes the tuple
+    stored there.
+    """
+    checkpoints = []
+    for index, c in enumerate(docs):
+        i, K, a, S, listed = c["i"], c["K"], c["a"], c["S"], c["gadgets"]
+        _require_ints(f"checkpoint record {index}", i=i)
+        for name, values in (("K", K), ("a", a), ("S", S)):
+            if not is_int_list(values):
+                raise IntegrityError(f"checkpoint {i}: '{name}' must be a list of integers")
+        if len(a) != len(K):
+            raise IntegrityError(f"checkpoint {i}: 'a' must be a list of {len(K)} counts aligned with 'K'")
+        gadgets = attachments_of.get(id(listed)) or _read_attachments(listed, f"checkpoint {i}: 'gadgets'")
+        checkpoints.append(CheckpointRecord(i, tuple(K), tuple(a), tuple(S), gadgets))
+    return checkpoints
 
 
 def transcript_from_json(text: str | bytes) -> Transcript:
     """Parse a transcript; malformed input raises IntegrityError with a one-line message.
 
-    Accepts exactly what ``json.loads`` accepts. Rounds with equal
-    consecutive moves share one tuple, and a checkpoint whose gadgets text
-    repeats its round's attachments shares that round's tuple.
+    Accepts exactly what ``json.loads`` accepts. This is the one place that
+    checks the type of a record field: ``finished`` is a bool, every other
+    field a plain int or a list of them (see ``_read_rounds`` for moves).
+    Rounds with equal consecutive moves share one tuple, and a checkpoint
+    whose gadgets text repeats its round's attachments shares that
+    round's tuple.
     """
-    from .adversary import CheckpointRecord  # local import to avoid a cycle
-
     try:
         doc = _load_transcript_json(text)
     except ValueError as exc:  # JSONDecodeError, or bytes that are not UTF-8
@@ -690,15 +740,12 @@ def transcript_from_json(text: str | bytes) -> Transcript:
         # ids stay unique while doc holds the lists
         attachments_of: dict = {}
         rounds = _read_rounds(doc["rounds"], attachments_of)
-        checkpoints = [
-            CheckpointRecord.from_json_obj(c, attachments_of) for c in doc.get("checkpoints", [])
-        ]
+        checkpoints = _read_checkpoints(doc.get("checkpoints", []), attachments_of)
         out = doc["outcome"]
-        outcome = Outcome(
-            finished=out["finished"],
-            final_round=out["final_round"],
-            final_stats=TreeStats(n=out["n"], height=out["height"], root_ecc=out["height"]),
-        )
+        finished, final_round, n, height = out["finished"], out["final_round"], out["n"], out["height"]
+        if type(finished) is not bool:
+            raise IntegrityError("outcome: 'finished' must be a boolean")
+        _require_ints("outcome", final_round=final_round, n=n, height=height)
         params = doc["params"]
     except KeyError as exc:
         raise IntegrityError(f"transcript is missing key {exc}") from exc
@@ -706,16 +753,5 @@ def transcript_from_json(text: str | bytes) -> Transcript:
         raise IntegrityError(f"transcript has a malformed record: {exc}") from exc
     if not isinstance(params, dict):
         raise IntegrityError("transcript params are not an object")
+    outcome = Outcome(finished, final_round, TreeStats(n, height, height))
     return Transcript(params=params, rounds=rounds, checkpoints=checkpoints, outcome=outcome)
-
-
-def initial_tree_of(transcript: Transcript) -> RootedTree:
-    """Reconstruct T_0 for a transcript (derived for the adversary, embedded for fixed)."""
-    if transcript.params.get("revealer") == "lemma":
-        from .adversary import params_from_transcript  # local import to avoid a cycle
-
-        return params_from_transcript(transcript).initial_tree()
-    tree_doc = transcript.params.get("tree")
-    if tree_doc is None:
-        raise IntegrityError("fixed-revealer transcript carries no embedded tree")
-    return decode_tree(json.dumps(tree_doc))

@@ -13,7 +13,6 @@ from __future__ import annotations
 import csv
 import io
 import json
-import warnings
 from fractions import Fraction
 from pathlib import Path
 
@@ -117,9 +116,7 @@ def _lemma_cell(grid_entry: dict, mode: str, cap, name: str, k_setting, view: st
     row_base = [name, "lemma", mode, n, L, m]
     try:
         k = _resolve_k(k_setting, grid_entry)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            params = AdversaryParams.derive(n=n, L=L, m=m, k=k, mode=mode)
+        params = AdversaryParams.derive(n=n, L=L, m=m, k=k, mode=mode, warn=False)
         transcript = run_adversary_game(params, name, cap=cap, view_mode=view)
         report = verify_transcript(transcript)
         return row_base + [k, *_result_columns(transcript, k), report.claims_passed, report.claims_failed, ""]

@@ -26,9 +26,9 @@ from dataclasses import dataclass
 from itertools import compress
 from operator import ge
 
-from ..adversary import AdversaryParams, CheckpointRecord, CheckpointRevealer, params_from_transcript
+from ..adversary import AdversaryParams, CheckpointRevealer, params_from_transcript
 from ..errors import IntegrityError
-from ..game import GameState, RoundRecord, Transcript, replay
+from ..game import CheckpointRecord, GameState, RoundRecord, Transcript, replay
 from ..tree import ROOT
 
 
@@ -88,8 +88,6 @@ class _Replay:
 
     def __init__(self, transcript: Transcript, params: AdversaryParams):
         self.revealer = CheckpointRevealer(params)
-        if any(type(rec.i) is not int for rec in transcript.checkpoints):
-            raise IntegrityError("a checkpoint record's 'i' is not an integer")
         self.recorded = {rec.i: rec for rec in transcript.checkpoints}
         if len(self.recorded) != len(transcript.checkpoints):
             raise IntegrityError("duplicate checkpoint records")

@@ -53,9 +53,6 @@ class Schedule:
         walks.extend([(ROOT,)] * (self.k - len(walks)))
         return tuple(walks)
 
-    def to_json_obj(self) -> dict:
-        return {"rounds": self.rounds, "walks": [list(w) for w in self.walks]}
-
 
 def validate_schedule(tree: RootedTree, schedule: Schedule) -> None:
     """Assert adjacency, full coverage, and makespan consistency."""

@@ -24,6 +24,7 @@ from treexplore import (
     max_team_size,
     play,
     selection_mask,
+    transcript_to_json,
 )
 from treexplore.adversary import CheckpointRecord
 from treexplore.errors import InfeasibleParamsError
@@ -463,9 +464,9 @@ def test_checkpoint_rule_matches_the_per_vertex_oracle():
     assert len(seen) == 9 and min(seen.values()) >= 10, seen
 
 
-# sha256 of json.dumps([c.to_json_obj() for c in tr.checkpoints]) on the medium
-# instance (65536, 1, 4, 5878), cap 100, taken before the checkpoint rule was
-# rewritten with whole-array passes
+# sha256 of the transcript's "checkpoints" array, decoded and dumped again with
+# json.dumps (default separators), on the medium instance (65536, 1, 4, 5878),
+# cap 100, taken before the checkpoint rule was rewritten with whole-array passes
 PINNED_MEDIUM_RECORDS = {
     ("idle", "repaired"): "1cc5470ba6357a5fc54eebeeb567c1710276192c30e1f9af352ca1f9da557164",
     ("idle", "strict"): "1269dd8f1cf6cda1ab1f0d14214e3b9a255f63ab9a3afaeac9eec040cfc15f99",
@@ -478,5 +479,5 @@ PINNED_MEDIUM_RECORDS = {
 def test_medium_checkpoint_records_are_pinned(explorer, mode):
     params = derive_params(65536, 1, 4, 5878, mode=mode)
     tr = run_adversary_game(params, explorer, cap=100)
-    text = json.dumps([c.to_json_obj() for c in tr.checkpoints])
+    text = json.dumps(json.loads(transcript_to_json(tr))["checkpoints"])
     assert hashlib.sha256(text.encode()).hexdigest() == PINNED_MEDIUM_RECORDS[explorer, mode]

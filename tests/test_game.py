@@ -261,6 +261,10 @@ class TestReplay:
             replay(transcript_from_json(json.dumps(doc)), initial_tree_of(tr))
 
 
+def _attachments_doc(attachments) -> list:
+    return [{"at": a.at, "path_len": a.path_len, "leaves": a.leaf_count} for a in attachments]
+
+
 def reference_to_json(transcript) -> str:
     """The writer's contract: one json.dumps of the whole document."""
     doc = {
@@ -269,12 +273,15 @@ def reference_to_json(transcript) -> str:
             {
                 "t": r.t,
                 "moves": r.moves,
-                "attachments": [a.to_json_obj() for a in r.attachments],
+                "attachments": _attachments_doc(r.attachments),
                 "newly_visited": r.newly_visited,
             }
             for r in transcript.rounds
         ],
-        "checkpoints": [c.to_json_obj() for c in transcript.checkpoints],
+        "checkpoints": [
+            {"i": c.i, "K": c.K, "a": c.a, "S": c.S, "gadgets": _attachments_doc(c.gadgets)}
+            for c in transcript.checkpoints
+        ],
         "outcome": {
             "finished": transcript.outcome.finished,
             "final_round": transcript.outcome.final_round,
@@ -285,12 +292,34 @@ def reference_to_json(transcript) -> str:
     return json.dumps(doc, separators=(",", ":")) + "\n"
 
 
+def _plain_int(value) -> bool:
+    return type(value) is int
+
+
+def _int_list(values) -> bool:
+    return type(values) is list and all(map(_plain_int, values))
+
+
+def _reference_attachments(listed) -> tuple:
+    """Attachments from a list of objects whose three fields are plain ints."""
+    if type(listed) is not list:
+        raise IntegrityError("attachments are not a list")
+    attachments = []
+    for obj in listed:
+        fields = (obj["at"], obj["path_len"], obj["leaves"])
+        if not all(map(_plain_int, fields)):
+            raise IntegrityError("an attachment field is not an integer")
+        attachments.append(Attachment(*fields))
+    return tuple(attachments)
+
+
 def reference_from_json(text) -> Transcript:
     """The reader's contract: one json.loads, then the record checks.
 
-    Equal consecutive moves share one tuple; each distinct moves list must
-    hold plain ints, and so must every checkpoint's K, a and S, with a as
-    long as K.
+    Equal consecutive moves share one tuple, and each distinct moves list
+    must hold plain ints. Every other record field is a plain int, or a
+    list of them (K, a, S, with a as long as K), or a list of attachment
+    objects with plain-int fields; the outcome's finished is a bool.
     """
     try:
         doc = json.loads(text)
@@ -302,30 +331,35 @@ def reference_from_json(text) -> Transcript:
         for index, r in enumerate(doc["rounds"]):
             mv = r["moves"]
             if last_moves is None or mv != last_list:
-                if type(mv) is not list or not set(map(type, mv)) <= {int}:
+                if not _int_list(mv):
                     raise IntegrityError(f"round record {index} has moves that are not a list of integers")
                 last_list, last_moves = mv, tuple(mv)
+            if not (_plain_int(r["t"]) and _plain_int(r["newly_visited"])):
+                raise IntegrityError(f"round record {index} has a t or newly_visited that is not an integer")
             rounds.append(
                 RoundRecord(
                     t=r["t"],
                     moves=last_moves,
-                    attachments=tuple(Attachment.from_json_obj(a) for a in r["attachments"]),
+                    attachments=_reference_attachments(r["attachments"]),
                     newly_visited=r["newly_visited"],
                 )
             )
         checkpoints = []
         for c in doc.get("checkpoints", []):
+            if not _plain_int(c["i"]):
+                raise IntegrityError("a checkpoint's i is not an integer")
             K, a, S = c["K"], c["a"], c["S"]
-            for values in (K, a, S):
-                if type(values) is not list or not set(map(type, values)) <= {int}:
-                    raise IntegrityError(f"checkpoint {c['i']!r} has an entry that is not a list of integers")
+            if not (_int_list(K) and _int_list(a) and _int_list(S)):
+                raise IntegrityError(f"checkpoint {c['i']} has an entry that is not a list of integers")
             if len(a) != len(K):
-                raise IntegrityError(f"checkpoint {c['i']!r} has 'a' and 'K' of different lengths")
-            gadgets = tuple(Attachment.from_json_obj(g) for g in c["gadgets"])
+                raise IntegrityError(f"checkpoint {c['i']} has 'a' and 'K' of different lengths")
+            gadgets = _reference_attachments(c["gadgets"])
             checkpoints.append(CheckpointRecord(i=c["i"], K=tuple(K), a=tuple(a), S=tuple(S), gadgets=gadgets))
         out = doc["outcome"]
-        stats = TreeStats(out["n"], out["height"], out["height"])
-        outcome = Outcome(out["finished"], out["final_round"], stats)
+        finished, final_round, n, height = out["finished"], out["final_round"], out["n"], out["height"]
+        if type(finished) is not bool or not all(map(_plain_int, (final_round, n, height))):
+            raise IntegrityError("an outcome field has the wrong type")
+        outcome = Outcome(finished, final_round, TreeStats(n, height, height))
         params = doc["params"]
     except KeyError as exc:
         raise IntegrityError(f"transcript is missing key {exc}") from exc
@@ -456,9 +490,12 @@ class TestSharedMoves:
         text = transcript_to_json(tr)
         assert text == reference_to_json(tr)
         assert '"gadgets":[{"at":1.0,' in text
-        back = transcript_from_json(text)
+        with pytest.raises(IntegrityError, match="checkpoint 2: 'gadgets' must be a list of objects"):
+            transcript_from_json(text)
+        back = transcript_from_json(text.replace('"gadgets":[{"at":1.0,', '"gadgets":[{"at":1,'))
         assert back.checkpoints[0].gadgets is back.rounds[0].attachments
         assert back.checkpoints[1].gadgets == shared
+        assert back.checkpoints[1].gadgets is not back.checkpoints[0].gadgets
 
 
 # (256, 1, 2, 8): one checkpoint at round 1 with 12 gadgets, then stay-put

@@ -127,22 +127,43 @@ class TestTamperDetection:
             verify_transcript(transcript_from_json(json.dumps(doc)))
 
 
+def _plain_int(value) -> bool:
+    return type(value) is int
+
+
+def _unshared_attachments(listed) -> tuple:
+    if type(listed) is not list:
+        raise IntegrityError("attachments are not a list")
+    fields = [(obj["at"], obj["path_len"], obj["leaves"]) for obj in listed]
+    if not all(_plain_int(v) for triple in fields for v in triple):
+        raise IntegrityError("an attachment field is not an integer")
+    return tuple(Attachment(*triple) for triple in fields)
+
+
 def unshared_reader(text: str) -> Transcript:
-    """A reader with a fresh moves tuple per round and no check of the move types."""
+    """A reader with a fresh moves tuple per round and no check of the move
+    types; every other field must be a plain int (a bool for finished)."""
     doc = json.loads(text)
+    rounds = []
+    for r in doc["rounds"]:
+        if not (_plain_int(r["t"]) and _plain_int(r["newly_visited"])):
+            raise IntegrityError("a round's t or newly_visited is not an integer")
+        attachments = _unshared_attachments(r["attachments"])
+        rounds.append(RoundRecord(r["t"], tuple(r["moves"]), attachments, r["newly_visited"]))
+    checkpoints = []
+    for c in doc["checkpoints"]:
+        K, a, S = c["K"], c["a"], c["S"]
+        if not _plain_int(c["i"]) or not all(_plain_int(v) for v in (*K, *a, *S)) or len(a) != len(K):
+            raise IntegrityError("a checkpoint field is not an integer or a list of them")
+        gadgets = _unshared_attachments(c["gadgets"])
+        checkpoints.append(CheckpointRecord(c["i"], tuple(K), tuple(a), tuple(S), gadgets))
     out = doc["outcome"]
+    if type(out["finished"]) is not bool or not all(map(_plain_int, (out["final_round"], out["n"], out["height"]))):
+        raise IntegrityError("an outcome field has the wrong type")
     return Transcript(
         params=doc["params"],
-        rounds=[
-            RoundRecord(
-                t=r["t"],
-                moves=tuple(r["moves"]),
-                attachments=tuple(Attachment.from_json_obj(a) for a in r["attachments"]),
-                newly_visited=r["newly_visited"],
-            )
-            for r in doc["rounds"]
-        ],
-        checkpoints=[CheckpointRecord.from_json_obj(c) for c in doc["checkpoints"]],
+        rounds=rounds,
+        checkpoints=checkpoints,
         outcome=Outcome(
             out["finished"], out["final_round"], TreeStats(out["n"], out["height"], out["height"])
         ),
@@ -182,13 +203,20 @@ class TestSharedMovesVerdicts:
             transcript_from_json(json.dumps(doc))
 
 
+@pytest.mark.parametrize("to", [float, bool])
 @pytest.mark.parametrize("field", ["at", "path_len", "leaves"])
-def test_float_gadget_field_is_an_integrity_error(small_idle_transcript, field):
-    # 1.0 equals the recomputed 1, but no tree array takes it as an index
-    doc = json.loads(transcript_to_json(small_idle_transcript))
-    att = next(r["attachments"] for r in doc["rounds"] if r["attachments"])[0]
-    att[field] = float(att[field])
-    with pytest.raises(IntegrityError, match="replay failed at round 1"):
+@pytest.mark.parametrize("place", ["attachments", "gadgets"])
+def test_float_gadget_field_is_an_integrity_error(small_greedy_transcript, place, field, to):
+    # 1.0 and true equal 1 and false equals 0, so the recomputation alone
+    # would not notice; the reader must
+    doc = json.loads(transcript_to_json(small_greedy_transcript))
+    if place == "attachments":
+        owner, name = next((r, f"round record {j}") for j, r in enumerate(doc["rounds"]) if r["attachments"])
+    else:
+        owner, name = doc["checkpoints"][0], f"checkpoint {doc['checkpoints'][0]['i']}"
+    att = owner[place][0]
+    att[field] = to(att[field])
+    with pytest.raises(IntegrityError, match=f"{name}: '{place}' must be a list of objects with integer"):
         verify_transcript(transcript_from_json(json.dumps(doc)))
 
 
