@@ -28,7 +28,7 @@ from dataclasses import dataclass, replace
 from itertools import compress, filterfalse, islice, repeat
 
 from .errors import InfeasibleParamsError, IntegrityError, TreexploreError
-from .game import Attachment, CheckpointRecord, GameState, Transcript
+from .game import VIEW_MODES, Attachment, CheckpointRecord, GameState, Transcript
 from .tree import RootedTree, decode_tree, make_path_star
 
 
@@ -97,7 +97,7 @@ def max_team_size(n: int, L: int, m: int) -> int:
 
 
 def _check_preconditions(n: int, L: int, m: int) -> None:
-    if not all(isinstance(x, int) for x in (n, L, m)):
+    if not all(type(x) is int for x in (n, L, m)):
         raise InfeasibleParamsError(
             f"n, L, m must be integers (got n={n!r}, L={L!r}, m={m!r})", violated="n,L,m integers"
         )
@@ -133,7 +133,7 @@ class AdversaryParams:
         _check_preconditions(n, L, m)
         if mode not in MODES:
             raise InfeasibleParamsError(f"unknown mode {mode!r}", violated="mode in strict|repaired")
-        if not isinstance(k, int) or k < 1:
+        if type(k) is not int or k < 1:
             raise InfeasibleParamsError(f"k must be a positive integer (got {k!r})", violated="k >= 1")
         max_k = max_team_size(n, L, m)
         if k > max_k and warn:
@@ -192,6 +192,12 @@ def params_from_transcript(transcript: Transcript) -> AdversaryParams:
     if meta.get("revealer") != "lemma":
         raise IntegrityError(
             f"transcript was produced by revealer {meta.get('revealer')!r}, not the adversary"
+        )
+    view, explorer = meta.get("view"), meta.get("explorer")
+    if view not in VIEW_MODES or not isinstance(explorer, str):
+        raise IntegrityError(
+            f"transcript params need view 'game' or 'local' and an explorer name "
+            f"(got view={view!r}, explorer={explorer!r})"
         )
     try:
         return AdversaryParams.derive(

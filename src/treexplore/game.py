@@ -96,7 +96,6 @@ class GameState:
         "visited",
         "visited_count",
         "round",
-        "first_visit",
         "newly_visited",
     )
 
@@ -107,8 +106,6 @@ class GameState:
         self.visited[ROOT] = 1
         self.visited_count = 1
         self.round = 0
-        self.first_visit: list[int] = [-1] * tree.n
-        self.first_visit[ROOT] = 0
         self.newly_visited: frozenset[int] = frozenset()
 
     @property
@@ -162,11 +159,9 @@ def _commit_moves(state: GameState, moves: Sequence[int]) -> None:
         raise violation
     newly = []
     visited = state.visited
-    first_visit = state.first_visit
     for v in moves:
         if not visited[v]:
             visited[v] = 1
-            first_visit[v] = t
             newly.append(v)
     state.visited_count += len(newly)
     state.positions = moves
@@ -192,10 +187,11 @@ def _commit_attachments(state: GameState, attachments: Sequence[Attachment]) -> 
             )
         created.extend(attach_path_with_star(tree, att.at, att.path_len, att.leaf_count))
     if created:
-        grow = tree.n - n_before
-        state.visited.extend(b"\x00" * grow)
-        state.first_visit.extend([-1] * grow)
+        state.visited.extend(b"\x00" * (tree.n - n_before))
     return created
+
+
+VIEW_MODES = ("game", "local")
 
 
 class ExplorerView:
@@ -215,7 +211,7 @@ class ExplorerView:
     __slots__ = ("mode", "_state", "_log", "_revealed")
 
     def __init__(self, state: GameState, mode: str = "game"):
-        if mode not in ("game", "local"):
+        if mode not in VIEW_MODES:
             raise InvalidParameterError(f"unknown view mode {mode!r}")
         self.mode = mode
         self._state = state
@@ -329,9 +325,9 @@ def play(
     hitting it leaves ``finished`` false. A round in which no agent moves
     records the previous round's moves tuple itself.
     """
-    if not isinstance(round_cap, int) or round_cap < 0:
+    if type(round_cap) is not int or round_cap < 0:
         raise InvalidParameterError(f"round cap must be an integer >= 0 (got {round_cap!r})")
-    if not isinstance(k, int) or k < 1:
+    if type(k) is not int or k < 1:
         raise InvalidParameterError(f"team size must be an integer >= 1 (got {k!r})")
     state = GameState(revealer.initial_tree(), k)
     params = dict(params_meta) if params_meta else {}

@@ -16,7 +16,7 @@ from pathlib import Path
 
 from ..adversary import AdversaryParams
 from ..errors import InfeasibleParamsError, IntegrityError, InvalidParameterError, TreexploreError
-from ..game import transcript_from_json, transcript_to_json
+from ..game import VIEW_MODES, transcript_from_json, transcript_to_json
 from ..offline import bounds_report
 from ..strategies import STRATEGY_NAMES
 from ..tree import decode_tree, encode_tree, tree_to_dot
@@ -146,7 +146,7 @@ def build_parser() -> _Parser:
     p_run.add_argument("--m", type=int)
     p_run.add_argument("--k", type=int)
     p_run.add_argument("--mode", choices=("strict", "repaired"), default="repaired")
-    p_run.add_argument("--view", choices=("game", "local"), default="game")
+    p_run.add_argument("--view", choices=VIEW_MODES, default="game")
     p_run.add_argument("--cap", type=int, default=None)
     p_run.add_argument("--tree", help="tree JSON for --revealer fixed")
     p_run.add_argument("--switch-round", type=int, default=None, dest="switch_round")

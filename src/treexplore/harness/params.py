@@ -10,7 +10,7 @@ honestly via the ``feasible`` flag and the violated inequality.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from ..adversary import max_team_size
 from ..errors import InfeasibleParamsError
@@ -31,15 +31,7 @@ class TheoremParams:
     details: dict = field(default_factory=dict)
 
     def to_json_obj(self) -> dict:
-        return {
-            "theorem": self.theorem,
-            "inputs": self.inputs,
-            "L": self.L,
-            "m": self.m,
-            "feasible": self.feasible,
-            "violated": self.violated,
-            "details": self.details,
-        }
+        return asdict(self)
 
 
 def _max_k_or_none(n: int, L: int, m: int) -> int | None:

@@ -68,6 +68,5 @@ def run_fixed_game(
         "m": None,
         "k": k,
         "cap": cap,
-        "tree": {"n": tree.n, "parent": list(tree.parent)},
     }
     return play(explorer, revealer, k, cap, view_mode=view_mode, params_meta=meta)

@@ -81,8 +81,8 @@ def _resolve_k(k_setting, grid_entry: dict) -> int:
 def run_sweep(spec: dict, base_dir: Path | None = None) -> str:
     """Execute all cells and return the CSV text (LF line endings)."""
     out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(CSV_COLUMNS)
+    writer = csv.DictWriter(out, CSV_COLUMNS, restval="", lineterminator="\n")
+    writer.writeheader()
     revealer = spec.get("revealer", "lemma")
     caps = _spec_list(spec, "caps", []) or [spec.get("cap")]
     view = spec.get("view", "game")
@@ -108,23 +108,25 @@ def run_sweep(spec: dict, base_dir: Path | None = None) -> str:
     return out.getvalue()
 
 
-def _lemma_cell(grid_entry: dict, mode: str, cap, name: str, k_setting, view: str) -> list:
+def _lemma_cell(grid_entry: dict, mode: str, cap, name: str, k_setting, view: str) -> dict:
+    row = {"explorer": name, "revealer": "lemma", "mode": mode}
     if not isinstance(grid_entry, dict):
-        blanks = [""] * (len(CSV_COLUMNS) - 4)
-        return [name, "lemma", mode, *blanks, f"grid entry {grid_entry!r} is not an object"]
+        return {**row, "error": f"grid entry {grid_entry!r} is not an object"}
     n, L, m = grid_entry.get("n"), grid_entry.get("L"), grid_entry.get("m")
-    row_base = [name, "lemma", mode, n, L, m]
+    row.update(n=n, L=L, m=m)
     try:
         k = _resolve_k(k_setting, grid_entry)
         params = AdversaryParams.derive(n=n, L=L, m=m, k=k, mode=mode, warn=False)
         transcript = run_adversary_game(params, name, cap=cap, view_mode=view)
         report = verify_transcript(transcript)
-        return row_base + [k, *_result_columns(transcript, k), report.claims_passed, report.claims_failed, ""]
+        claims = {"claims_passed": report.claims_passed, "claims_failed": report.claims_failed}
+        return {**row, "k": k, **_result_columns(transcript, k), **claims}
     except TreexploreError as exc:
-        return row_base + [grid_entry.get("k"), "", "", "", "", "", "", "", "", "", "", str(exc)]
+        return {**row, "k": grid_entry.get("k"), "error": str(exc)}
 
 
-def _fixed_cell(tree_path, base_dir: Path | None, k: int, cap, name: str, view: str) -> list:
+def _fixed_cell(tree_path, base_dir: Path | None, k: int, cap, name: str, view: str) -> dict:
+    row = {"explorer": name, "revealer": "fixed", "k": k}
     try:
         if not isinstance(tree_path, str):
             raise TreexploreError(f"tree path {tree_path!r} is not a string")
@@ -132,29 +134,29 @@ def _fixed_cell(tree_path, base_dir: Path | None, k: int, cap, name: str, view: 
         if base_dir is not None and not path.is_absolute():
             path = base_dir / path
         tree = decode_tree(path.read_bytes())
-        row_base = [name, "fixed", "", tree.n, "", ""]
         transcript = run_fixed_game(tree, name, k, cap=cap, view_mode=view)
-        return row_base + [k, *_result_columns(transcript, k), "", "", ""]
+        return {**row, "n": tree.n, **_result_columns(transcript, k)}
     except (TreexploreError, OSError) as exc:
-        return [name, "fixed", "", "", "", "", k, "", "", "", "", "", "", "", "", "", "", str(exc)]
+        return {**row, "error": str(exc)}
 
 
-def _result_columns(transcript, k: int) -> list:
+def _result_columns(transcript, k: int) -> dict:
     """The columns finished .. ratio_lb_den of one game; a ratio only for a finished game."""
     outcome = transcript.outcome
     stats = outcome.final_stats
     ub = euler_schedule(transcript.final_state.tree, k).rounds
-    ratio = Fraction(outcome.final_round, ub) if outcome.finished and ub > 0 else None
-    return [
-        str(outcome.finished).lower(),
-        outcome.final_round,
-        stats.height,
-        stats.n,
-        trivial_lb(stats.n, stats.height, k),
-        ub,
-        "" if ratio is None else ratio.numerator,
-        "" if ratio is None else ratio.denominator,
-    ]
+    columns = {
+        "finished": str(outcome.finished).lower(),
+        "final_round": outcome.final_round,
+        "height": stats.height,
+        "vertices": stats.n,
+        "trivial_lb": trivial_lb(stats.n, stats.height, k),
+        "euler_ub": ub,
+    }
+    if outcome.finished and ub > 0:
+        ratio = Fraction(outcome.final_round, ub)
+        columns.update(ratio_lb_num=ratio.numerator, ratio_lb_den=ratio.denominator)
+    return columns
 
 
 def load_sweep_spec(path: Path) -> dict:

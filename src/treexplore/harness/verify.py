@@ -1,9 +1,12 @@
 """Transcript verification for adversary games.
 
 Replays the recorded moves and attachments (never the strategies) with
-``game.replay``, whose observer hooks cross check every checkpoint record
-against a fresh recomputation, and then evaluates the construction's
-claims with exact integer comparisons:
+``game.replay`` and gathers its own evidence in the observer ``_Replay``:
+``moved`` cross checks every checkpoint record against a fresh
+recomputation and decides the speed limit and the root-passage floor for
+the round's new visits; ``attached`` opens a checkpoint's root-passage
+window over its gadget leaves. ``verify_transcript`` then evaluates the
+construction's claims with exact integer comparisons:
 
 * claim1 (height growth): after checkpoint i the tree height is at most
   L*(i+1); exactly that in repaired mode whenever something was selected.
@@ -16,20 +19,19 @@ claims with exact integer comparisons:
 * root passage: a gadget leaf visited before the next checkpoint must
   have been reached by an agent that already sat in its branch when the
   gadget was created.
+* speed limit: no vertex is first visited in fewer rounds than its depth.
 * the round floor, the final height, and the vertex budget.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from itertools import compress
-from operator import ge
 
 from ..adversary import AdversaryParams, CheckpointRevealer, params_from_transcript
 from ..errors import IntegrityError
 from ..game import CheckpointRecord, GameState, RoundRecord, Transcript, replay
-from ..tree import ROOT
 
 
 @dataclass(frozen=True)
@@ -44,14 +46,7 @@ class CheckResult:
     values: dict
 
     def to_json_obj(self) -> dict:
-        return {
-            "name": self.name,
-            "checkpoint": self.checkpoint,
-            "ok": self.ok,
-            "asserted": self.asserted,
-            "note": self.note,
-            "values": self.values,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -84,7 +79,8 @@ class VerificationReport:
 
 class _Replay:
     """The replay observer: checks each checkpoint round against its
-    recomputation and collects what the claim checks need."""
+    recomputation and decides the speed limit and the root-passage floor
+    as the rounds go by."""
 
     def __init__(self, transcript: Transcript, params: AdversaryParams):
         self.revealer = CheckpointRevealer(params)
@@ -92,24 +88,27 @@ class _Replay:
         if len(self.recorded) != len(transcript.checkpoints):
             raise IntegrityError("duplicate checkpoint records")
         self.level: int | None = None  # the checkpoint the current round fires, if any
-        self.watched: set[int] = set()
         self.records: dict[int, CheckpointRecord] = {}
         self.height_after: dict[int, int] = {}
         self.positions_at: dict[int, tuple[int, ...]] = {}
-        self.gadget_leaves: dict[int, list[int]] = {}
-        self.arrivals: dict[int, list[int]] = {}
         self.gadget_vertices: dict[int, int] = {}
+        self.violations: dict[int, list[int]] = {}
+        # (checkpoint, its gadget leaves, the round of the next checkpoint): the
+        # leaves first visited before that round are checked for root passage;
+        # only the latest checkpoint's window can be open
+        self.window: tuple[int, frozenset[int], int] = (0, frozenset(), 0)
+        self.speed_ok = True
 
     def moved(self, state: GameState, rec: RoundRecord) -> None:
         """Runs on the tree as it stood before the round's gadgets."""
         t = state.round
-        hits = state.newly_visited & self.watched
-        if hits:
-            for v in hits:
-                self.arrivals[v] = []
-            positions = state.positions
-            for x in compress(range(len(positions)), map(hits.__contains__, positions)):
-                self.arrivals[positions[x]].append(x)
+        newly = state.newly_visited
+        if newly:
+            if max(map(state.tree.depth.__getitem__, newly)) > t:
+                self.speed_ok = False
+            i, leaves, until = self.window
+            if t < until and not leaves.isdisjoint(newly):
+                self._check_passage(state, i, leaves & newly)
         gadgets, expected = self.revealer.reveal(state, t)
         if expected is None:
             self.level = None
@@ -128,6 +127,21 @@ class _Replay:
             raise IntegrityError(f"round {t} attachments differ from checkpoint {i} gadgets", round=t)
         self.records[i] = rec_cp
         self.positions_at[i] = state.positions
+        self.violations[i] = []
+
+    def _check_passage(self, state: GameState, i: int, early: frozenset[int]) -> None:
+        """Checkpoint i's gadget leaves reached before the next checkpoint:
+        each needs an arriving agent that already sat in the leaf's branch
+        when checkpoint i fired, or it is a violation."""
+        positions, before = state.positions, self.positions_at[i]
+        branch = state.tree.branch
+        # the root's branch is -1, so an agent that was on the root never counts
+        reached = {
+            positions[x]
+            for x in compress(range(len(positions)), map(early.__contains__, positions))
+            if branch[before[x]] == branch[positions[x]]
+        }
+        self.violations[i] += early - reached
 
     def attached(self, state: GameState, rec: RoundRecord, created: list[int]) -> None:
         i = self.level
@@ -137,11 +151,10 @@ class _Replay:
         pos = 0
         for att in rec.attachments:
             pos += att.path_len
-            leaves.extend(created[pos : pos + att.leaf_count])
+            leaves += created[pos : pos + att.leaf_count]
             pos += att.leaf_count
-        self.gadget_leaves[i] = leaves
+        self.window = (i, frozenset(leaves), self.revealer.params.checkpoint_round(i + 1))
         self.gadget_vertices[i] = len(created)
-        self.watched.update(leaves)
         self.height_after[i] = state.tree.height()
 
 
@@ -247,20 +260,8 @@ def verify_transcript(transcript: Transcript) -> VerificationReport:
             )
         )
 
-        # gadget leaves reached early must have been reached from inside
         t_next = params.checkpoint_round(i + 1)
-        violations = []
-        for v in rp.gadget_leaves.get(i, ()):
-            fv = state.first_visit[v]
-            if fv == -1 or fv >= t_next:
-                continue
-            pos_then = rp.positions_at[i]
-            branch = state.tree.branch[v]
-            if not any(
-                pos_then[x] != ROOT and state.tree.branch[pos_then[x]] == branch
-                for x in rp.arrivals.get(v, ())
-            ):
-                violations.append(v)
+        violations = sorted(rp.violations[i])
         checks.append(
             CheckResult(
                 name="root_passage_floor",
@@ -269,7 +270,7 @@ def verify_transcript(transcript: Transcript) -> VerificationReport:
                 asserted=True,
                 note="early gadget-leaf visits all came from inside the branch",
                 values={
-                    "leaves": len(rp.gadget_leaves.get(i, ())),
+                    "leaves": sum(att.leaf_count for att in rec.gadgets),
                     "next_checkpoint": t_next,
                     "violations": violations[:10],
                 },
@@ -322,16 +323,11 @@ def verify_transcript(transcript: Transcript) -> VerificationReport:
         )
     )
 
-    # the replay sets visited[v] exactly where first_visit[v] >= 0, so the
-    # unvisited vertices are the ones with no first visit to check
-    speed_ok = all(
-        map(ge, compress(state.first_visit, state.visited), compress(state.tree.depth, state.visited))
-    )
     checks.append(
         CheckResult(
             name="speed_limit",
             checkpoint=None,
-            ok=speed_ok,
+            ok=rp.speed_ok,
             asserted=True,
             note="no vertex visited earlier than its depth",
             values={},

@@ -197,14 +197,14 @@ def decode_tree(data: bytes | str) -> RootedTree:
     if not isinstance(doc, dict) or "n" not in doc or "parent" not in doc:
         raise TreeParseError("expected an object with 'n' and 'parent' keys", position=0)
     n, parents = doc["n"], doc["parent"]
-    if not isinstance(n, int) or not isinstance(parents, list) or len(parents) != n or n < 1:
+    if type(n) is not int or not isinstance(parents, list) or len(parents) != n or n < 1:
         raise TreeParseError(f"'parent' must be a list of length n >= 1 (n={n})", position=0)
     if parents[0] is not None:
         raise TreeParseError("parent[0] must be null", position=0)
     tree = RootedTree()
     for i in range(1, n):
         p = parents[i]
-        if not isinstance(p, int) or not (0 <= p < i):
+        if type(p) is not int or not (0 <= p < i):
             raise TreeParseError(
                 f"parent[{i}] = {p!r} violates the requirement 0 <= parent[i] < i",
                 position=i,

@@ -52,13 +52,21 @@ def apply_round(state, moves, attachments):
     return state
 
 
+class SpeedLimit:
+    """Replay observer: no vertex is first reached in fewer rounds than its depth."""
+
+    def moved(self, state, rec):
+        depth = state.tree.depth
+        for v in state.newly_visited:
+            assert depth[v] <= state.round, f"vertex {v} visited faster than its depth"
+
+    def attached(self, state, rec, created):
+        pass
+
+
 def assert_transcript_invariants(transcript):
-    """Replay-based sanity: replay's own checks, then the speed limit and height floor."""
-    state = replay(transcript, initial_tree_of(transcript))
-    for v in range(state.tree.n):
-        fv = state.first_visit[v]
-        if fv >= 0:
-            assert fv >= state.tree.depth[v], f"vertex {v} visited faster than its depth"
+    """Replay-based sanity: replay's own checks, the speed limit each round, then the height floor."""
+    state = replay(transcript, initial_tree_of(transcript), SpeedLimit())
     if transcript.outcome.finished:
         assert transcript.outcome.final_round >= state.tree.height()
     return state

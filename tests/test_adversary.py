@@ -200,7 +200,6 @@ class TestCheckpointCandidates:
         state = GameState(params.initial_tree(), 1)
         new = attach_path_with_star(state.tree, 1, 0, 3)  # three depth-2 leaves under 1
         state.visited.extend(b"\x00" * 3)
-        state.first_visit.extend([-1] * 3)
         K = checkpoint_candidates(state, 2, params)
         assert K == [new[0]]
 

@@ -96,6 +96,7 @@ def test_offline_nonpositive_k_exits_1_with_one_line(tmp_path, capsys, k):
         (b"\xff\xfe{}", "invalid UTF-8"),
         pytest.param(b"[" * 200000, "invalid JSON: nested too deeply", id="nested-200000"),
         (b'{"n": 3, "parent": [null, 2, 1]}', "violates the requirement"),
+        (b'{"n": 3, "parent": [null, false, true]}', "parent[1] = False violates the requirement"),
     ],
 )
 def test_offline_malformed_tree_exits_1_with_one_line(tmp_path, capsys, content, message):
@@ -242,6 +243,10 @@ FIXED_ARGS = ["run", "--explorer", "single_dfs", "--revealer", "fixed", "--k", "
         ("lemma", _set("params", "cap", to=1.5), "need an integer k >= 1 and cap (got k=541, cap=1.5)"),
         ("lemma", _set("params", "cap", to="x"), "need an integer k >= 1 and cap (got k=541, cap='x')"),
         ("lemma", _set("outcome", "height", to=999), "outcome height 999 != replayed 3"),
+        # rejected by the header derivation
+        ("lemma", _set("params", "L", to=True), "n, L, m must be integers (got n=4096, L=True, m=3)"),
+        ("lemma", _set("params", "view", to="nope"), "need view 'game' or 'local' and an explorer name (got view='nope'"),
+        ("lemma", _set("params", "explorer", to=5), "an explorer name (got view='game', explorer=5)"),
     ],
 )
 def test_verify_failure_exits_3_with_one_stderr_line(tmp_path, capsys, revealer, corrupt, message):
@@ -382,6 +387,11 @@ BAD_SWEEPS = {
     ),
     "grid_entry_n_not_an_integer": (
         _lemma_spec(["idle"], [GOOD_ENTRY, {"n": "4096", "L": 1, "m": 3, "k": 541}]),
+        _lemma_spec(["idle"], [GOOD_ENTRY]),
+        "n, L, m must be integers",
+    ),
+    "grid_entry_L_a_bool": (
+        _lemma_spec(["idle"], [GOOD_ENTRY, {"n": 4096, "L": True, "m": 3, "k": 541}]),
         _lemma_spec(["idle"], [GOOD_ENTRY]),
         "n, L, m must be integers",
     ),

@@ -76,7 +76,6 @@ class TestApplyRound:
         apply_round(state, [1], [])
         assert sorted(v for v in range(2) if state.visited[v]) == [0, 1]
         assert is_explored(state)
-        assert state.first_visit[1] == 1
 
     def test_attach_at_visited_vertex_rejected(self):
         state = GameState(make_path(2), 1)
@@ -165,7 +164,6 @@ class TestPlay:
         assert state.positions == tr.final_state.positions
         assert state.visited == tr.final_state.visited
         assert state.tree.parent == tr.final_state.tree.parent
-        assert state.first_visit == tr.final_state.first_visit
 
     def test_play_twice_is_byte_identical(self):
         def one():
@@ -654,10 +652,16 @@ class TestReaderMatchesJsonLoads:
 
 
 class TestTeamSize:
-    @pytest.mark.parametrize("k", [0, -1, "2", 2.0, None])
+    @pytest.mark.parametrize("k", [0, -1, "2", 2.0, None, True])
     def test_play_rejects_a_bad_team_size(self, k):
         with pytest.raises(InvalidParameterError, match="team size must be an integer >= 1"):
             play(make_explorer("greedy_frontier", k), fixed_tree_revealer(make_star(3)), k, 10)
+
+
+@pytest.mark.parametrize("cap", [-1, "10", 10.0, None, True])
+def test_play_rejects_a_bad_round_cap(cap):
+    with pytest.raises(InvalidParameterError, match="round cap must be an integer >= 0"):
+        play(make_explorer("greedy_frontier", 2), fixed_tree_revealer(make_star(3)), 2, cap)
 
 
 class TestLocalView:

@@ -1,4 +1,4 @@
-"""Package structure: module imports stay at module level."""
+"""Package structure: module imports stay at module level, plain ints are tested by type."""
 
 import ast
 from pathlib import Path
@@ -25,5 +25,29 @@ def test_no_module_imports_inside_a_function():
         f"{path.relative_to(PACKAGE)}:{line}"
         for path in modules
         for line in _imports_in_functions(path.read_text(encoding="utf-8"))
+    }
+    assert not found
+
+
+def _isinstance_int_calls(source: str) -> list[int]:
+    """Line numbers of the ``isinstance(x, int)`` calls, ``int`` alone or in a tuple."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "isinstance":
+            kinds = node.args[1:]
+            if kinds and isinstance(kinds[0], ast.Tuple):
+                kinds = kinds[0].elts
+            if any(isinstance(k, ast.Name) and k.id == "int" for k in kinds):
+                lines.append(node.lineno)
+    return lines
+
+
+def test_no_isinstance_int_under_src():
+    # isinstance(True, int) holds, so a JSON true would pass as the integer 1;
+    # every integer check under src/ is type(x) is int
+    found = {
+        f"{path.relative_to(PACKAGE)}:{line}"
+        for path in sorted(PACKAGE.rglob("*.py"))
+        for line in _isinstance_int_calls(path.read_text(encoding="utf-8"))
     }
     assert not found

@@ -178,6 +178,8 @@ class TestWireFormats:
             b'{"n": 2, "parent": [null]}',
             b'{"n": 1, "parent": [0]}',
             b'{"n": 0, "parent": []}',
+            b'{"n": true, "parent": [null]}',
+            b'{"n": 3, "parent": [null, false, true]}',
             b"\xff\xfe{}",
             pytest.param(b"[" * 200000, id="nested-200000"),
         ],

@@ -1,5 +1,6 @@
 """Verification: claim evaluation, tamper detection, budget audit."""
 
+import hashlib
 import json
 import warnings
 
@@ -22,8 +23,9 @@ from treexplore import (
 )
 from treexplore.errors import IntegrityError
 from treexplore.game import transcript_from_json, transcript_to_json
+from treexplore.harness import verify
 from treexplore.harness.runner import run_adversary_game
-from treexplore.harness.verify import params_from_transcript, verify_transcript
+from treexplore.harness.verify import _Replay, params_from_transcript, verify_transcript
 
 from conftest import make_star
 
@@ -78,6 +80,87 @@ class TestVerify:
         a = json.dumps(verify_transcript(small_greedy_transcript).to_json_obj())
         b = json.dumps(verify_transcript(small_greedy_transcript).to_json_obj())
         assert a == b
+
+
+# sha256 of the concatenated verify stdout (the report as json.dumps(..., indent=2)
+# plus a newline) of idle, single_dfs, phase_bfs (k = n) and greedy_frontier, in
+# repaired then strict mode, each game played in memory
+REPORT_DIGESTS = {
+    "small": ((4096, 1, 3, 541), 1000, "a462bd7a24b363cdc419a87abbd2b9b268ccc2f40903fbefec29736ab8da5fe6"),
+    "long_segments": ((16384, 4, 3, 541), 100, "c9decaab04aaef7a8c1176791010086cf564fab29d8f4c57c0a0353f30a71101"),
+}
+
+
+@pytest.mark.parametrize("instance", sorted(REPORT_DIGESTS))
+def test_reports_are_pinned(instance):
+    (n, L, m, k), cap, digest = REPORT_DIGESTS[instance]
+    sha = hashlib.sha256()
+    for mode in ("repaired", "strict"):
+        for explorer in ("idle", "single_dfs", "phase_bfs", "greedy_frontier"):
+            params = derive_params(n, L, m, n if explorer == "phase_bfs" else k, mode=mode, warn=False)
+            report = verify_transcript(run_adversary_game(params, explorer, cap=cap))
+            sha.update((json.dumps(report.to_json_obj(), indent=2) + "\n").encode())
+    assert sha.hexdigest() == digest
+
+
+class TestClaimsDecidedPerRound:
+    """verify's observer decides the speed limit and the root-passage floor
+    round by round. No legal game breaks either, so these tests hand the
+    observer a round that does."""
+
+    @pytest.fixture
+    def observed(self):
+        """The observer and end state of an idle long-segment game stopped at
+        round 11: checkpoint 1 fired at round 4, checkpoint 2 would fire at 12."""
+        params = derive_params(16384, 4, 3, 541)
+        tr = run_adversary_game(params, "idle", cap=11)
+        rp = _Replay(tr, params)
+        return rp, replay(tr, params.initial_tree(), rp)
+
+    @staticmethod
+    def _arrive(rp, state, t, v, *others):
+        """Round ``t`` by hand: agent 0 steps onto ``v`` and agents 1, 2, ... onto
+        ``others``, all visited for the first time."""
+        state.round = t
+        state.positions = (v, *others, *state.positions[1 + len(others) :])
+        state.newly_visited = frozenset({v, *others})
+        rp.moved(state, RoundRecord(t, state.positions, (), len(state.newly_visited)))
+
+    def test_leaf_reached_from_outside_its_branch_is_a_violation(self, observed):
+        rp, state = observed
+        leaf = state.tree.n - 1  # the last star leaf of checkpoint 1's last gadget
+        self._arrive(rp, state, 11, leaf)
+        assert rp.violations == {1: [leaf]}
+        assert rp.speed_ok
+
+    def test_leaf_reached_from_inside_its_branch_is_not(self, observed):
+        rp, state = observed
+        leaf = state.tree.n - 1
+        inside = rp.records[1].gadgets[-1].at
+        rp.positions_at[1] = (inside, *rp.positions_at[1][1:])
+        self._arrive(rp, state, 11, leaf)
+        assert rp.violations == {1: []}
+
+    def test_vertex_deeper_than_the_round_breaks_the_speed_limit(self, observed):
+        rp, state = observed
+        leaf = state.tree.n - 1
+        assert state.tree.depth[leaf] == 8
+        self._arrive(rp, state, 7, leaf, 1)  # vertex 1 is at depth 1
+        assert not rp.speed_ok
+
+    def test_observer_verdicts_reach_the_report(self, monkeypatch, small_idle_transcript):
+        class Failing(_Replay):
+            def attached(self, state, rec, created):
+                super().attached(state, rec, created)
+                self.speed_ok = False
+                if self.level is not None:
+                    self.violations[self.level].append(created[-1])
+
+        monkeypatch.setattr(verify, "_Replay", Failing)
+        report = verify_transcript(small_idle_transcript)
+        failed = [(c.name, c.checkpoint) for c in report.checks if not c.ok]
+        assert failed == [("root_passage_floor", 1), ("root_passage_floor", 2), ("speed_limit", None)]
+        assert report.claims_failed == 3
 
 
 class TestTamperDetection:
