@@ -5,7 +5,6 @@ from .adversary import (
     Alpha,
     CheckpointRevealer,
     FixedTreeRevealer,
-    checkpoint_candidates,
     derive_params,
     fixed_tree_revealer,
     gadget_spec,

@@ -25,9 +25,10 @@ import warnings
 from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass, replace
-from itertools import compress, filterfalse, islice, repeat
+from itertools import compress, islice, repeat
+from operator import not_
 
-from .errors import InfeasibleParamsError, IntegrityError, TreexploreError
+from .errors import InfeasibleParamsError, IntegrityError, InvalidParameterError, TreexploreError
 from .game import VIEW_MODES, Attachment, CheckpointRecord, GameState, Transcript
 from .tree import RootedTree, decode_tree, make_path_star
 
@@ -105,10 +106,35 @@ def _check_preconditions(n: int, L: int, m: int) -> None:
         raise InfeasibleParamsError(
             f"n, L, m must be positive (got n={n}, L={L}, m={m})", violated="n,L,m >= 1"
         )
-    if n < L * 16**m:
+    if below_budget(n, L, m):
         raise InfeasibleParamsError(
-            f"n >= L*16^m required: {n} < {L * 16 ** m}", violated="n >= L*16^m"
+            f"n >= L*16^m required: {n} < {least_budget(L, m) or f'{L}*16^{m}'}",
+            violated="n >= L*16^m",
         )
+
+
+# a power this long is still cheap to build, and its decimal form is far
+# past the default int-to-str limit of 4300 digits
+_BUILDABLE_BITS = 1 << 16
+
+
+def below_budget(n: int, L: int, m: int) -> bool:
+    """n < L*16^m, decided by bit lengths first, so a huge m never builds 16^m."""
+    bits = L.bit_length() + 4 * m
+    return n.bit_length() < bits or n < L << 4 * m
+
+
+def least_budget(L: int, m: int) -> int | None:
+    """L*16^m, the least n the construction admits, or None when its decimal
+    form is too long to print; a huge m never builds the power."""
+    if L.bit_length() + 4 * m > _BUILDABLE_BITS:
+        return None
+    budget = L << 4 * m
+    try:
+        str(budget)
+    except ValueError:  # past the int-to-str digit limit
+        return None
+    return budget
 
 
 MODES = ("strict", "repaired")
@@ -217,25 +243,6 @@ def initial_tree_of(transcript: Transcript) -> RootedTree:
     return decode_tree(json.dumps(tree_doc))
 
 
-def checkpoint_candidates(state: GameState, i: int, params: AdversaryParams) -> list[int]:
-    """One representative per branch at depth L*i, unvisited as of the previous round.
-
-    Eligibility uses the visited set from the end of round t_i - 1, so a
-    vertex an agent stepped onto this very round still qualifies. The
-    smallest eligible id represents its branch; output is id-ascending.
-    """
-    tree = state.tree
-    prev = state.visited
-    if state.newly_visited:
-        prev = bytearray(prev)
-        for v in state.newly_visited:
-            prev[v] = 0
-    bucket = tree.vertices_at_depth(params.L * i)
-    # descending ids, so dict() below keeps the smallest one per branch
-    open_ids = list(filterfalse(prev.__getitem__, reversed(bucket)))
-    return sorted(dict(zip(map(tree.branch.__getitem__, open_ids), open_ids)).values())
-
-
 def selection_mask(a: Sequence[int], count: int) -> bytearray:
     """Marks the ``count`` positions of ``a`` with the smallest values (all if fewer).
 
@@ -269,13 +276,23 @@ def gadget_spec(i: int, a: int, params: AdversaryParams) -> tuple[int, int]:
 
 
 class CheckpointRevealer:
-    """Revealer that grows gadgets at checkpoint rounds and idles otherwise."""
+    """Revealer that grows gadgets at checkpoint rounds and idles otherwise.
+
+    The vertices at depth L*i are the ends of the initial paths at i = 1
+    and exactly the star leaves of checkpoint i-1's gadgets after that.
+    ``leaf_ranges`` holds those leaves for the last checkpoint, one range
+    per gadget: ids are dense in creation order, so they follow from
+    ``tree.n`` at compute time. Checkpoint i >= 2 reads them and so must
+    come right after checkpoint i-1.
+    """
 
     name = "lemma"
 
     def __init__(self, params: AdversaryParams):
         self.params = params
         self._round_to_level = {t: i + 1 for i, t in enumerate(params.checkpoints)}
+        self._level = 0  # the last checkpoint computed
+        self.leaf_ranges: tuple[range, ...] = ()
 
     def initial_tree(self) -> RootedTree:
         return self.params.initial_tree()
@@ -292,11 +309,28 @@ class CheckpointRevealer:
         return record.gadgets, record
 
     def compute(self, state: GameState, i: int) -> CheckpointRecord:
-        """The checkpoint-i record for ``state``; verify recomputes records with it."""
+        """The checkpoint-i record for ``state``; verify recomputes records with it.
+
+        K holds, id-ascending, each branch's smallest id at depth L*i that
+        was unvisited as of the previous round, so a vertex first reached
+        this very round still qualifies. Checkpoint 1 may come at any time.
+        """
+        if i != 1 and i != self._level + 1:
+            raise InvalidParameterError(f"checkpoint {i} cannot follow checkpoint {self._level}")
         params = self.params
+        tree = state.tree
+        prev = state.visited
+        if state.newly_visited:
+            prev = bytearray(prev)
+            for v in state.newly_visited:
+                prev[v] = 0
         # a tuple of ints drops out of the young GC generation after one scan
-        candidates = tuple(checkpoint_candidates(state, i, params))
-        branch = state.tree.branch
+        if i == 1:
+            L, n = params.L, tree.n  # the path ends of T_0, one per branch
+            candidates = tuple(compress(range(L, n, L), map(not_, prev[L:n:L])))
+        else:
+            candidates = tuple(v for r in self.leaf_ranges if (v := prev.find(0, r.start, r.stop)) >= 0)
+        branch = tree.branch
         # a = agents in the candidate's branch; ROOT is 0, so filter(None, ...)
         # drops the agents parked on the root
         counts = Counter(map(branch.__getitem__, filter(None, state.positions)))
@@ -306,6 +340,11 @@ class CheckpointRevealer:
         gadgets = tuple(
             Attachment(v, *gadget_spec(i, a_v, params)) for v, a_v in zip(selected, compress(a, mask))
         )
+        end, ranges = tree.n, []
+        for att in gadgets:  # the round creates each gadget's path, then its leaves
+            end += att.path_len + att.leaf_count
+            ranges.append(range(end - att.leaf_count, end))
+        self._level, self.leaf_ranges = i, tuple(ranges)
         return CheckpointRecord(i=i, K=candidates, a=a, S=selected, gadgets=gadgets)
 
 

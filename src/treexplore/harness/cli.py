@@ -47,6 +47,13 @@ def _dump(obj: dict) -> str:
 
 
 def _cmd_run(args) -> int:
+    if args.switch_round is not None:
+        if args.explorer != "idle_then_greedy" or args.revealer != "lemma":
+            raise InvalidParameterError(
+                "--switch-round applies only to --explorer idle_then_greedy with --revealer lemma"
+            )
+        if args.switch_round < 0:
+            raise InvalidParameterError(f"--switch-round must be >= 0 (got {args.switch_round})")
     if args.revealer == "lemma":
         for field in ("n", "L", "m", "k"):
             if getattr(args, field) is None:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass, field
 
-from ..adversary import max_team_size
+from ..adversary import below_budget, least_budget, max_team_size
 from ..errors import InfeasibleParamsError
 
 # Largest initial vertex budget we consider simulable on a desk machine;
@@ -57,8 +57,8 @@ def _ceil_snapped(x: float) -> int:
 def _feasibility(n: int, L: int, m: int, k: int) -> tuple[bool, str | None, int | None]:
     if m < 2:
         return False, "m must exceed 1 for a nonzero round bound", _max_k_or_none(n, L, m)
-    if n < L * 16**m:
-        return False, f"n >= L*16^m fails: {n} < {L * 16 ** m}", None
+    if below_budget(n, L, m):
+        return False, f"n >= L*16^m fails: {n} < {least_budget(L, m) or f'{L}*16^{m}'}", None
     kmax = max_team_size(n, L, m)
     if k > kmax:
         return False, f"k <= max team size fails: {k} > {kmax}", kmax
@@ -103,9 +103,15 @@ def pick_params_thm2(eps: float, n: int | None = None, k: int | None = None) -> 
         raise InfeasibleParamsError(
             f"eps must lie in (0, 1/5) (got {eps})", violated="0 < eps < 1/5"
         )
-    m = _ceil_snapped(1 / (2 * eps))
+    half_inverse = 1 / (2 * eps)  # infinite for the smallest subnormal eps
+    m = _ceil_snapped(half_inverse) if half_inverse < math.inf else None
+    min_n = None if m is None else least_budget(1, m)
+    if min_n is None:
+        raise InfeasibleParamsError(
+            f"eps = {eps} is too small: the least n, 16^ceil(1/(2 eps)), is too long to print",
+            violated="n >= 16^m",
+        )
     L = 1
-    min_n = 16**m
     round_bound = m / (5 * eps)
     binom = math.comb(m, 2)
     details: dict = {

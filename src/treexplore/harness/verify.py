@@ -5,8 +5,9 @@ Replays the recorded moves and attachments (never the strategies) with
 ``moved`` cross checks every checkpoint record against a fresh
 recomputation and decides the speed limit and the root-passage floor for
 the round's new visits; ``attached`` opens a checkpoint's root-passage
-window over its gadget leaves. ``verify_transcript`` then evaluates the
-construction's claims with exact integer comparisons:
+window over the gadget leaves, read from the recomputing revealer, whose
+gadgets the round's attachments matched. ``verify_transcript`` then
+evaluates the construction's claims with exact integer comparisons:
 
 * claim1 (height growth): after checkpoint i the tree height is at most
   L*(i+1); exactly that in repaired mode whenever something was selected.
@@ -27,7 +28,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import asdict, dataclass
-from itertools import compress
+from itertools import chain, compress
 
 from ..adversary import AdversaryParams, CheckpointRevealer, params_from_transcript
 from ..errors import IntegrityError
@@ -147,13 +148,8 @@ class _Replay:
         i = self.level
         if i is None:
             return
-        leaves: list[int] = []
-        pos = 0
-        for att in rec.attachments:
-            pos += att.path_len
-            leaves += created[pos : pos + att.leaf_count]
-            pos += att.leaf_count
-        self.window = (i, frozenset(leaves), self.revealer.params.checkpoint_round(i + 1))
+        leaves = frozenset(chain.from_iterable(self.revealer.leaf_ranges))
+        self.window = (i, leaves, self.revealer.params.checkpoint_round(i + 1))
         self.gadget_vertices[i] = len(created)
         self.height_after[i] = state.tree.height()
 

@@ -130,7 +130,8 @@ def brute_opt(
     """Exact optimum by breadth-first search over joint configurations.
 
     States are (sorted agent positions, visited bitmask); agents are
-    interchangeable. Meant for tiny instances (n <= 8, k <= 2). Returns
+    interchangeable, so the agents on one vertex take each multiset of
+    moves once. Meant for tiny instances (n <= 8, k <= 2). Returns
     None when ``cap`` rounds pass without finishing; raises
     ResourceLimitError when the state space exceeds ``state_limit``.
     """
@@ -147,11 +148,16 @@ def brute_opt(
     for t in range(1, cap + 1):
         next_frontier = []
         for positions, mask in frontier:
-            for joint in itertools.product(*(options[p] for p in positions)):
+            groups = [
+                itertools.combinations_with_replacement(options[v], len(list(same)))
+                for v, same in itertools.groupby(positions)
+            ]
+            for joint in itertools.product(*groups):
+                moved = tuple(itertools.chain.from_iterable(joint))
                 new_mask = mask
-                for v in joint:
+                for v in moved:
                     new_mask |= 1 << v
-                state = (tuple(sorted(joint)), new_mask)
+                state = (tuple(sorted(moved)), new_mask)
                 if state in seen:
                     continue
                 if new_mask == full:

@@ -3,7 +3,9 @@
 Vertices are dense integers assigned in creation order; id 0 is the root.
 Growth is append-only: attaching below an existing vertex never changes
 earlier ids, parents, or depths. Children are kept in creation order,
-which coincides with ascending id order.
+which coincides with ascending id order. ``branch`` (each vertex's
+depth-1 ancestor) is the one derived index: the adversary knows from its
+construction which vertices sit at a checkpoint's depth.
 
 Almost every vertex of the adversary's trees is a leaf, so a leaf holds
 the shared empty tuple ``()`` as its children entry and gets a list only
@@ -38,16 +40,16 @@ class TreeStats:
 class RootedTree:
     """Append-only rooted tree indexed by dense integer ids.
 
-    Exposes parent/children/depth as flat lists plus two derived indexes
+    Exposes parent/children/depth as flat lists plus one derived index
     kept in sync on every insertion: the depth-1 ancestor of each vertex
-    (its branch) and a by-depth bucket list.
+    (its branch). The height is a running maximum of the depths.
 
     ``children[v]`` is the shared empty tuple ``()`` while ``v`` is a leaf
     and its own list of child ids from the first child on: readers may
     index, iterate and take ``len``, but not concatenate it with a list.
     """
 
-    __slots__ = ("parent", "children", "depth", "branch", "_by_depth")
+    __slots__ = ("parent", "children", "depth", "branch", "_height")
 
     def __init__(self) -> None:
         self.parent: list[int | None] = [None]
@@ -55,7 +57,7 @@ class RootedTree:
         self.depth: list[int] = [0]
         # branch[v] is the depth-1 ancestor of v, or -1 for the root
         self.branch: list[int] = [-1]
-        self._by_depth: list[list[int]] = [[ROOT]]
+        self._height = 0
 
     @property
     def n(self) -> int:
@@ -79,23 +81,13 @@ class RootedTree:
         else:
             self.children[parent] = [v]
         self.branch.append(v if d == 1 else self.branch[parent])
-        if d == len(self._by_depth):
-            self._by_depth.append([])
-        self._by_depth[d].append(v)
+        if d > self._height:
+            self._height = d
         return v
 
     def height(self) -> int:
         """Maximum depth over all vertices."""
-        h = len(self._by_depth) - 1
-        while h > 0 and not self._by_depth[h]:
-            h -= 1
-        return h
-
-    def vertices_at_depth(self, d: int) -> list[int]:
-        """All vertex ids at depth ``d``, ascending."""
-        if d < 0 or d >= len(self._by_depth):
-            return []
-        return list(self._by_depth[d])
+        return self._height
 
     def path_from_root(self, v: int) -> list[int]:
         """Vertices on the root-to-``v`` path, root first."""
@@ -113,7 +105,7 @@ class RootedTree:
         t.children = [list(c) if c else () for c in self.children]
         t.depth = list(self.depth)
         t.branch = list(self.branch)
-        t._by_depth = [list(b) for b in self._by_depth]
+        t._height = self._height
         return t
 
     def stats(self) -> TreeStats:
@@ -151,7 +143,7 @@ def make_path_star(branch_count: int, path_len: int) -> RootedTree:
     tree.children = children
     tree.depth = [0] + list(range(1, L + 1)) * B
     tree.branch = branch
-    tree._by_depth = [[ROOT]] + [ids[d::L] for d in range(L)]
+    tree._height = L
     return tree
 
 

@@ -5,9 +5,14 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import settings
 
 from treexplore import ROOT, RootedTree, initial_tree_of, replay
 from treexplore.game import _commit_attachments, _commit_moves
+
+# every process draws the same examples: a fixed derivation and no example database
+settings.register_profile("reproducible", derandomize=True, database=None)
+settings.load_profile("reproducible")
 
 
 def random_tree(n: int, rng: random.Random) -> RootedTree:
@@ -39,10 +44,14 @@ def tree_arrays(tree: RootedTree) -> dict:
         "parent": list(tree.parent),
         "depth": list(tree.depth),
         "branch": list(tree.branch),
-        "by_depth": [list(b) for b in tree._by_depth],
         "children": [list(c) for c in tree.children],
         "stats": tree.stats(),
     }
+
+
+def vertices_at_depth(tree: RootedTree, d: int) -> list[int]:
+    """All vertex ids at depth ``d``, ascending: the by-depth bucket rule as a test oracle."""
+    return [v for v, depth in enumerate(tree.depth) if depth == d]
 
 
 def apply_round(state, moves, attachments):

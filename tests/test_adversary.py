@@ -4,6 +4,7 @@ import hashlib
 import json
 import random
 from collections import Counter
+from dataclasses import replace
 from itertools import compress
 
 import pytest
@@ -15,7 +16,6 @@ from treexplore import (
     Alpha,
     CheckpointRevealer,
     GameState,
-    checkpoint_candidates,
     derive_params,
     fixed_tree_revealer,
     gadget_spec,
@@ -23,16 +23,17 @@ from treexplore import (
     make_path_star,
     max_team_size,
     play,
+    replay,
     selection_mask,
     transcript_to_json,
 )
 from treexplore.adversary import CheckpointRecord
-from treexplore.errors import InfeasibleParamsError
-from treexplore.game import Attachment, _commit_moves
+from treexplore.errors import InfeasibleParamsError, InvalidParameterError
+from treexplore.game import Attachment, _commit_attachments, _commit_moves
 from treexplore.harness.runner import run_adversary_game
 from treexplore.tree import ROOT, attach_path_with_star, decode_tree, encode_tree
 
-from conftest import make_path, tree_arrays
+from conftest import make_path, tree_arrays, vertices_at_depth
 
 
 def _mp_ceil_snapped(x, guard_bits=190):
@@ -182,26 +183,45 @@ class TestCheckpointCandidates:
         params = derive_params(4096, 1, 3, 541)
         state = GameState(params.initial_tree(), 5)
         _commit_moves(state, [1, 5, 9, 2047, 0])
-        K = checkpoint_candidates(state, 1, params)
-        assert len(K) == 2048
-        assert K == list(range(1, 2049))
+        K = CheckpointRevealer(params).compute(state, 1).K
+        assert K == tuple(range(1, 2049))
 
     def test_previously_visited_branch_contributes_nothing(self):
         params = derive_params(4096, 1, 3, 541)
         state = GameState(params.initial_tree(), 1)
         _commit_moves(state, [7])   # round 1: visit leaf 7
         _commit_moves(state, [7])   # round 2: stay; leaf 7 is now old news
-        K = checkpoint_candidates(state, 1, params)
+        K = CheckpointRevealer(params).compute(state, 1).K
         assert 7 not in K
         assert len(K) == 2047
 
     def test_one_representative_per_branch_smallest_id(self):
+        # checkpoint 1 hangs two leaves below each selected path end; at
+        # checkpoint 2 each such branch offers its smallest unvisited leaf
         params = derive_params(4096, 1, 3, 541)
+        revealer = CheckpointRevealer(params)
         state = GameState(params.initial_tree(), 1)
-        new = attach_path_with_star(state.tree, 1, 0, 3)  # three depth-2 leaves under 1
-        state.visited.extend(b"\x00" * 3)
-        K = checkpoint_candidates(state, 2, params)
-        assert K == [new[0]]
+        _commit_moves(state, [0])
+        attachments, record = revealer.reveal(state, 1)
+        assert record.S == tuple(range(1, 163))
+        leaves = _commit_attachments(state, attachments)
+        assert revealer.leaf_ranges == tuple(range(v, v + 2) for v in leaves[::2])
+        for v in (1, leaves[0], leaves[0]):  # the last round stays, so leaves[0] is old news
+            _commit_moves(state, [v])
+        K = revealer.compute(state, 2).K
+        assert K == (leaves[1], *leaves[2::2])
+
+    def test_out_of_order_compute_raises(self):
+        params = derive_params(4096, 1, 3, 541)
+        revealer = CheckpointRevealer(params)
+        state = GameState(params.initial_tree(), 1)
+        with pytest.raises(InvalidParameterError, match="checkpoint 2 cannot follow checkpoint 0"):
+            revealer.compute(state, 2)
+        revealer.compute(state, 1)
+        with pytest.raises(InvalidParameterError, match="checkpoint 3 cannot follow checkpoint 1"):
+            revealer.compute(state, 3)
+        # checkpoint 1 starts over at any time
+        assert revealer.compute(state, 1) == CheckpointRevealer(params).compute(state, 1)
 
 
 def _select(K, a, alpha):
@@ -398,7 +418,7 @@ def _reference_record(state, i, params):
     """The checkpoint rule written one vertex at a time, as a test oracle."""
     tree = state.tree
     taken, K = set(), []
-    for v in tree.vertices_at_depth(params.L * i):
+    for v in vertices_at_depth(tree, params.L * i):
         if state.visited[v] and v not in state.newly_visited:
             continue
         if tree.branch[v] not in taken:
@@ -413,54 +433,112 @@ def _reference_record(state, i, params):
     return CheckpointRecord(i=i, K=tuple(K), a=a, S=tuple(S), gadgets=gadgets)
 
 
-def _random_state(rng):
-    """A path star grown by gadgets, with random visits, fresh visits and agents."""
-    L = rng.randint(1, 4)
-    tree = make_path_star(rng.randint(1, 12), L)
-    for level in range(1, 4):
-        # several stars per branch and level, so branches repeat at depth L*(level+1)
-        for v in tree.vertices_at_depth(L * level):
-            for _ in range(rng.choice((0, 0, 1, 2))):
-                attach_path_with_star(tree, v, L - 1, rng.randint(0, 3))
-    state = GameState(tree, rng.randint(1, 8))
-    visited = [v for v in range(1, tree.n) if rng.random() < 0.4]
-    for v in visited:
-        state.visited[v] = 1
-    state.newly_visited = frozenset(v for v in visited if rng.random() < 0.5)
-    state.positions = [rng.choice((ROOT, rng.randrange(tree.n))) for _ in state.positions]
+class _OracleCheck:
+    """Replay observer: at every checkpoint round the played record must equal
+    the per-vertex oracle on the replayed state; ``seen`` counts the cases met."""
+
+    def __init__(self, transcript, params, seen):
+        self.recorded = {rec.i: rec for rec in transcript.checkpoints}
+        self.level = {t: i for i, t in enumerate(params.checkpoints, 1)}
+        self.params = params
+        self.seen = seen
+
+    def moved(self, state, rec):
+        i = self.level.get(state.round)
+        if i is None:
+            return
+        params, seen, tree = self.params, self.seen, state.tree
+        expected = _reference_record(state, i, params)
+        record = self.recorded.pop(i)
+        assert record == expected
+        assert type(record.a) is tuple and len(record.a) == len(record.K)
+        assert _select(expected.K, expected.a, params.alpha) == list(expected.S)
+        branches = [tree.branch[v] for v in vertices_at_depth(tree, params.L * i)]
+        seen["branch repeats at depth L*i"] += len(set(branches)) < len(branches)
+        seen["visited vertex passed over"] += any(
+            state.visited[v] and v not in state.newly_visited
+            for v in vertices_at_depth(tree, params.L * i)
+        )
+        seen["fresh visit kept"] += any(v in state.newly_visited for v in expected.K)
+        seen["agents on the root"] += ROOT in state.positions
+        seen["agents in a branch"] += any(expected.a)
+        a_of = dict(zip(expected.K, expected.a))
+        cut = a_of[expected.S[-1]] if expected.S else None
+        left = set(expected.K) - set(expected.S)
+        seen["tie across the cut"] += any(a_of[v] == cut for v in left)
+        seen[f"L={params.L} checkpoint {i}"] += bool(expected.K)
+
+    def attached(self, state, rec, created):
+        pass
+
+
+def _assert_records_match_the_oracle(transcript, params, seen):
+    check = _OracleCheck(transcript, params, seen)
+    replay(transcript, params.initial_tree(), check)
+    assert not check.recorded, "a checkpoint record has no matching round"
+
+
+class _RandomWalk:
+    """Each agent stays, steps up, or steps down at random, down half the time."""
+
+    name = "random_walk"
+
+    def __init__(self, rng):
+        self.rng = rng
+
+    def next_moves(self, view):
+        rng, parents = self.rng, view.parents
+        moves = []
+        for p in view.positions:
+            down = view.children(p)
+            if down and rng.random() < 0.5:
+                moves.append(rng.choice(down))
+            else:
+                moves.append(rng.choice((p,) if p == ROOT else (p, parents[p])))
+        return moves
+
+
+def _toy_params(rng, L, mode):
+    """Three checkpoints on a few short branches, with a selection fraction
+    far above the paper's so that most branches keep growing."""
+    k = rng.randint(1, 8)
     params = AdversaryParams(
-        n=tree.n, L=L, m=4, k=state.k,
+        n=2 * L * rng.randint(1, 12), L=L, m=4, k=k,
         alpha=Alpha(n=rng.randint(2, 9), L=1, m=rng.randint(1, 2)),
-        checkpoints=(), round_floor=0,
-        mode=rng.choice(("strict", "repaired")), max_k=state.k,
+        checkpoints=(), round_floor=0, mode=mode, max_k=k,
     )
-    return state, params
+    return replace(
+        params,
+        checkpoints=tuple(map(params.checkpoint_round, range(1, 4))),
+        round_floor=params.checkpoint_round(3),
+    )
 
 
-def test_checkpoint_rule_matches_the_per_vertex_oracle():
+@pytest.mark.parametrize("mode", ["repaired", "strict"])
+def test_random_walks_meet_the_per_vertex_oracle(mode):
     rng = random.Random(20161)
     seen = Counter()
-    for _ in range(400):
-        state, params = _random_state(rng)
-        tree = state.tree
-        for i in range(1, 5):
-            expected = _reference_record(state, i, params)
-            record = CheckpointRevealer(params).compute(state, i)
-            assert record == expected
-            assert type(record.a) is tuple and len(record.a) == len(record.K)
-            assert checkpoint_candidates(state, i, params) == list(expected.K)
-            assert _select(expected.K, expected.a, params.alpha) == list(expected.S)
-            branches = [tree.branch[v] for v in tree.vertices_at_depth(params.L * i)]
-            seen["branch repeats at depth L*i"] += len(set(branches)) < len(branches)
-            seen["fresh visit kept"] += any(v in state.newly_visited for v in expected.K)
-            seen["agents on the root"] += ROOT in state.positions
-            a_of = dict(zip(expected.K, expected.a))
-            seen["agents in a branch"] += any(expected.a)
-            cut = a_of[expected.S[-1]] if expected.S else None
-            left = set(expected.K) - set(expected.S)
-            seen["tie across the cut"] += any(a_of[v] == cut for v in left)
-            seen[f"L={params.L}"] += bool(expected.K)
-    assert len(seen) == 9 and min(seen.values()) >= 10, seen
+    for _ in range(100):
+        for L in range(1, 5):
+            params = _toy_params(rng, L, mode)
+            tr = play(_RandomWalk(rng), CheckpointRevealer(params), params.k, params.round_floor)
+            _assert_records_match_the_oracle(tr, params, seen)
+    assert len(seen) == 18 and min(seen.values()) >= 10, seen
+
+
+SWEEP_INSTANCES = ((4096, 1, 3, 541, 1000), (65536, 1, 4, 5878, 100), (16384, 4, 3, 541, 100))
+
+
+@pytest.mark.parametrize("mode", ["repaired", "strict"])
+@pytest.mark.parametrize("instance", SWEEP_INSTANCES)
+def test_sweep_grid_records_meet_the_per_vertex_oracle(instance, mode):
+    n, L, m, k, cap = instance
+    seen = Counter()
+    for explorer in ("idle", "single_dfs", "phase_bfs", "greedy_frontier"):
+        params = derive_params(n, L, m, n if explorer == "phase_bfs" else k, mode=mode, warn=False)
+        tr = run_adversary_game(params, explorer, cap=cap)
+        _assert_records_match_the_oracle(tr, params, seen)
+    assert seen[f"L={L} checkpoint 1"] == 4
 
 
 # sha256 of the transcript's "checkpoints" array, decoded and dumped again with

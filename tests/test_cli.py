@@ -300,6 +300,39 @@ def test_params_missing_input_exits_1_with_one_line(capsys, args, missing):
     assert f"{missing} is required with --thm {args[1]}" in _one_error_line(capsys)
 
 
+@pytest.mark.parametrize(
+    "explorer, extra, message",
+    [
+        ("idle", ["--switch-round", "3"], "applies only to --explorer idle_then_greedy"),
+        ("idle", ["--switch-round", "-7"], "applies only to --explorer idle_then_greedy"),
+        ("idle_then_greedy", ["--switch-round", "-7"], "must be >= 0 (got -7)"),
+        ("idle_then_greedy", ["--switch-round", "3", "--revealer", "fixed"], "with --revealer lemma"),
+    ],
+)
+def test_run_switch_round_where_it_does_nothing_exits_1(capsys, explorer, extra, message):
+    assert main(LEMMA_ARGS[:2] + [explorer] + LEMMA_ARGS[3:] + extra) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1
+    assert captured.err.startswith("error: ") and message in captured.err
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["params", "--thm", "2", "--eps", "1e-12"], "eps = 1e-12 is too small"),
+        (["params", "--thm", "2", "--eps", "5e-324"], "eps = 5e-324 is too small"),
+        (
+            ["run", "--explorer", "idle", "--revealer", "lemma", "--n", "5", "--L", "1", "--m", "100000000000", "--k", "1"],
+            "n >= L*16^m required: 5 < 1*16^100000000000",
+        ),
+    ],
+)
+def test_astronomical_budget_exits_2_with_one_line(capsys, args, message):
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("infeasible parameters: ") and message in err
+
+
 def test_run_negative_cap_exits_1_with_one_line(capsys):
     assert main(LEMMA_ARGS[:-2] + ["--cap", "-1"]) == 1
     err = capsys.readouterr().err

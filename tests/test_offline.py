@@ -2,6 +2,7 @@
 
 import csv
 import io
+import itertools
 import random
 from fractions import Fraction
 
@@ -12,6 +13,7 @@ from treexplore import (
     attach_path_with_star,
     bounds_report,
     brute_opt,
+    decode_tree,
     euler_schedule,
     euler_tour,
     make_path_star,
@@ -188,6 +190,26 @@ def test_sweep_bound_columns_pinned():
     assert got == SWEEP_BOUNDS
 
 
+def _ordered_brute_opt(tree, k):
+    """Breadth-first search over every ordered joint move: the reference for brute_opt."""
+    full = (1 << tree.n) - 1
+    options = [[v, *([] if p is None else [p]), *tree.children[v]] for v, p in enumerate(tree.parent)]
+    frontier = {((ROOT,) * k, 1)}
+    seen = set(frontier)
+    for t in range(2 * tree.n + 1):
+        if any(mask == full for _, mask in frontier):
+            return t
+        step = set()
+        for positions, mask in frontier:
+            for joint in itertools.product(*(options[p] for p in positions)):
+                state = (tuple(sorted(joint)), mask | sum(1 << v for v in set(joint)))
+                if state not in seen:
+                    seen.add(state)
+                    step.add(state)
+        frontier = step
+    return None
+
+
 class TestBruteOpt:
     def test_path(self):
         assert brute_opt(make_path(3), 1) == 3
@@ -214,6 +236,18 @@ class TestBruteOpt:
         report = bounds_report(tree, 2, brute=True)
         assert report.brute_opt == opt2
         assert report.trivial_lb <= opt2 <= report.euler_ub
+
+    def test_crowded_root_moves_as_a_multiset(self):
+        # 14 agents on the root: 3^14 ordered joint moves but 120 multisets
+        tree = decode_tree(b'{"n": 4, "parent": [null, 0, 0, 1]}')
+        assert brute_opt(tree, 14) == 2
+
+    def test_matches_the_ordered_joint_move_search(self):
+        rng = random.Random(3)
+        for _ in range(60):
+            tree = random_tree(rng.randrange(1, 7), rng)
+            for k in (1, 2, 3):
+                assert brute_opt(tree, k) == _ordered_brute_opt(tree, k)
 
     def test_sandwich_and_one_agent_identity(self):
         rng = random.Random(99)

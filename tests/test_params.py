@@ -1,8 +1,10 @@
 """Regime parameter pickers: values, feasibility flags, precision stability."""
 
 import pytest
+from hypothesis import given, strategies as st
 from mpmath import mp, mpf
 
+from treexplore.adversary import below_budget, least_budget
 from treexplore.errors import InfeasibleParamsError
 from treexplore.harness.params import (
     pick_params,
@@ -90,10 +92,34 @@ class TestThm4:
         assert not p.feasible
         assert "16^" in p.violated or "16" in p.violated
 
+    def test_astronomical_m_is_reported_without_the_power(self):
+        p = pick_params_thm4(100, 1, 10**11, k=1)
+        assert not p.feasible
+        assert p.violated == "n >= L*16^m fails: 100 < 1*16^100000000000"
+
     def test_m_growth_flagged(self):
         p = pick_params_thm4(16384, 1, 9, k=1)
         assert not p.details["m_within_limit"]
         assert not p.feasible
+
+
+@given(L=st.integers(1, 2**12), m=st.integers(1, 40), delta=st.integers(-(2**9), 2**9), far=st.booleans())
+def test_below_budget_matches_the_power(L, m, delta, far):
+    n = max(1, (L * 16**m if not far else L * m) + delta)
+    assert below_budget(n, L, m) == (n < L * 16**m)
+
+
+@pytest.mark.parametrize("L,m", [(1, 1), (7, 20), (1, 3571), (1, 3572), (3, 4000), (1, 10**11)])
+def test_least_budget_is_the_power_while_it_prints(L, m):
+    if m > 10**4:
+        assert least_budget(L, m) is None
+        return
+    try:
+        str(L * 16**m)
+    except ValueError:  # past the int-to-str digit limit
+        assert least_budget(L, m) is None
+    else:
+        assert least_budget(L, m) == L * 16**m
 
 
 def test_dispatch():

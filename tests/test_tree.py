@@ -108,10 +108,13 @@ class TestRootBranch:
 
 
 class TestQueries:
-    def test_vertices_at_depth(self):
+    def test_height_follows_growth(self):
         t = make_path_star(3, 2)
-        assert t.vertices_at_depth(2) == [2, 4, 6]
-        assert t.vertices_at_depth(5) == []
+        assert t.height() == 2
+        attach_path_with_star(t, 6, 2, 3)
+        assert t.height() == 5
+        attach_path_with_star(t, 1, 0, 4)  # shallower growth leaves it alone
+        assert t.height() == 5 == t.copy().height()
 
     def test_height(self):
         assert make_path_star(10, 5).height() == 5
@@ -140,8 +143,6 @@ def test_construction_invariants(parent_choices):
         assert t.depth[v] == t.depth[p] + 1
         assert v in t.children[p]
     assert t.height() == max(t.depth)
-    for d in range(t.height() + 1):
-        assert t.vertices_at_depth(d) == [v for v in range(t.n) if t.depth[v] == d]
 
 
 class TestWireFormats:
@@ -245,8 +246,6 @@ class TestBulkBuilders:
         t = make_path_star(branch_count, path_len)
         assert tree_arrays(t) == tree_arrays(_reference_path_star(branch_count, path_len))
         _assert_leaf_layout(t)
-        # the by-depth buckets and the root's children are separate lists
-        assert t.children[ROOT] is not t._by_depth[1]
 
     @pytest.mark.parametrize(
         "shape,attachments",
@@ -289,7 +288,6 @@ class TestBulkBuilders:
         new = attach_path_with_star(t, 1, 0, 3)
         new.append(99)
         assert t.children[1] == [3, 4, 5]
-        assert t.vertices_at_depth(2) == [3, 4, 5]
 
 
 class TestLeafLayout:
@@ -311,10 +309,10 @@ class TestLeafLayout:
         c = t.copy()
         assert tree_arrays(c) == tree_arrays(t)
         _assert_leaf_layout(c)
-        for name in ("parent", "depth", "branch", "_by_depth", "children"):
+        for name in ("parent", "depth", "branch", "children"):
             assert getattr(c, name) is not getattr(t, name)
-        originals = {id(x) for x in t.children + t._by_depth if isinstance(x, list)}
-        assert not originals & {id(x) for x in c.children + c._by_depth if isinstance(x, list)}
+        originals = {id(x) for x in t.children if isinstance(x, list)}
+        assert not originals & {id(x) for x in c.children if isinstance(x, list)}
         before = tree_arrays(t)
         attach_path_with_star(c, 4, 0, 2)
         attach_path_with_star(c, 6, 0, 2)

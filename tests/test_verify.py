@@ -27,7 +27,7 @@ from treexplore.harness import verify
 from treexplore.harness.runner import run_adversary_game
 from treexplore.harness.verify import _Replay, params_from_transcript, verify_transcript
 
-from conftest import make_star
+from conftest import make_star, vertices_at_depth
 
 
 @pytest.fixture(scope="module")
@@ -125,6 +125,14 @@ class TestClaimsDecidedPerRound:
         state.positions = (v, *others, *state.positions[1 + len(others) :])
         state.newly_visited = frozenset({v, *others})
         rp.moved(state, RoundRecord(t, state.positions, (), len(state.newly_visited)))
+
+    def test_window_holds_exactly_the_checkpoint_leaves(self, observed):
+        rp, state = observed
+        i, leaves, until = rp.window
+        assert (i, until) == (1, 12)
+        # checkpoint 1's star leaves are the only vertices at depth L*(i+1) = 8
+        assert leaves == frozenset(vertices_at_depth(state.tree, 8))
+        assert len(leaves) == sum(att.leaf_count for att in rp.records[1].gadgets)
 
     def test_leaf_reached_from_outside_its_branch_is_a_violation(self, observed):
         rp, state = observed
