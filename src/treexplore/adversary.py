@@ -19,6 +19,7 @@ The revealer fills in ``game.CheckpointRecord``s, whose JSON format is
 
 from __future__ import annotations
 
+import decimal
 import json
 import math
 import warnings
@@ -33,20 +34,30 @@ from .game import VIEW_MODES, Attachment, CheckpointRecord, GameState, Transcrip
 from .tree import RootedTree, decode_tree, make_path_star
 
 
+def _iroot(q: int, m: int) -> int:
+    """floor(q ** (1/m)) for integers q >= 0, m >= 1, by Newton's method.
+
+    The iteration starts above the root, from the root of q's top bits
+    scaled back up, which already has about half of its bits right. From
+    above, each integer Newton step falls toward the root and stops on it.
+    """
+    if q < 2 or m == 1:
+        return q
+    b = q.bit_length()
+    s = b // m // 2
+    x = (_iroot(q >> m * s, m) + 1) << s if s else 1 << -(-b // m)
+    while True:
+        y = ((m - 1) * x + q // x ** (m - 1)) // m
+        if y >= x:
+            return x
+        x = y
+
+
 def _least_root_scaled(target: int, n: int, m: int) -> int:
     """Least integer s >= 0 with s**m * n >= target (all integers)."""
     if target <= 0:
         return 0
-    lo, hi = 0, 1
-    while hi**m * n < target:
-        hi *= 2
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if mid**m * n >= target:
-            hi = mid
-        else:
-            lo = mid + 1
-    return lo
+    return _iroot(-(-target // n) - 1, m) + 1
 
 
 @dataclass(frozen=True)
@@ -75,26 +86,51 @@ def max_team_size(n: int, L: int, m: int) -> int:
     """Largest team the round-floor guarantee covers, floor-exact.
 
     Evaluates floor(n^(1+1/m) / (6 L (m+1)^2 (2L)^(1/m))) as the greatest
-    integer k with (6 L (m+1)^2 k)^m * 2L <= n^(m+1).
+    integer k with (6 L (m+1)^2 k)^m * 2L <= n^(m+1), that is
+    floor(root_m(n^(m+1) // 2L)) // (6 L (m+1)^2). The root is exact
+    integer arithmetic, unless n^(m+1) is long and its root short: there
+    each Newton step raises a long root to a large power, and a decimal
+    evaluation of the root decides it instead.
     """
     _check_preconditions(n, L, m)
     c = 6 * L * (m + 1) ** 2
-    rhs = n ** (m + 1)
+    root_bits = n.bit_length() * (m + 1) // m + 1
+    if m * root_bits > _EXACT_ROOT_BITS and root_bits <= _DECIMAL_ROOT_BITS:
+        return _decimal_root(n, L, m) // c
+    return _iroot(n ** (m + 1) // (2 * L), m) // c
 
-    def fits(k: int) -> bool:
-        return (c * k) ** m * 2 * L <= rhs
 
-    hi = 1
-    while fits(hi):
-        hi *= 2
-    lo = hi // 2  # fits(lo) holds, fits(hi) does not
-    while lo + 1 < hi:
-        mid = (lo + hi) // 2
-        if fits(mid):
-            lo = mid
-        else:
-            hi = mid
-    return lo if fits(lo) else 0
+# above this many bits of n^(m+1) the exact root's powers get slow
+_EXACT_ROOT_BITS = 1 << 20
+# the decimal evaluation's cost grows with the cube of the root's digits
+_DECIMAL_ROOT_BITS = 1 << 13
+
+
+def _decimal_root(n: int, L: int, m: int) -> int:
+    """floor(y) for y = n * (n / 2L)^(1/m) = root_m(n^(m+1) / 2L).
+
+    y has fewer than ``digits`` decimal digits. The five decimal
+    operations are each correctly rounded to ``prec`` digits, so y's
+    relative error stays below 10^(1-prec) * (ln n + 4) and its absolute
+    error below 10^-18. A fractional part farther than 10^-12 from an
+    integer decides the floor; otherwise integer checks settle it.
+    """
+    digits = n.bit_length() * (m + 1) // m * 30103 // 100000 + 2
+    prec = digits + len(str(n.bit_length())) + 20  # ln n + 4 < 1.1 * 10^len(str(bits))
+    with decimal.localcontext(decimal.Context(prec=prec)):
+        y = decimal.Decimal(n) * ((decimal.Decimal(n) / (2 * L)).ln() / m).exp()
+        r = int(y)
+        frac = y - r
+    if _DECIMAL_SLACK < frac < 1 - _DECIMAL_SLACK:
+        return r
+    q = n ** (m + 1) // (2 * L)
+    r -= 1  # y is off by far less than 1, so its floor is at least r - 1
+    while (r + 1) ** m <= q:
+        r += 1
+    return r
+
+
+_DECIMAL_SLACK = decimal.Decimal("1e-12")
 
 
 def _check_preconditions(n: int, L: int, m: int) -> None:

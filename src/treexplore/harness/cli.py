@@ -48,10 +48,8 @@ def _dump(obj: dict) -> str:
 
 def _cmd_run(args) -> int:
     if args.switch_round is not None:
-        if args.explorer != "idle_then_greedy" or args.revealer != "lemma":
-            raise InvalidParameterError(
-                "--switch-round applies only to --explorer idle_then_greedy with --revealer lemma"
-            )
+        if args.explorer != "idle_then_greedy":
+            raise InvalidParameterError("--switch-round applies only to --explorer idle_then_greedy")
         if args.switch_round < 0:
             raise InvalidParameterError(f"--switch-round must be >= 0 (got {args.switch_round})")
     if args.revealer == "lemma":
@@ -68,7 +66,9 @@ def _cmd_run(args) -> int:
         if args.k is None:
             raise InfeasibleParamsError("--k is required with --revealer fixed")
         tree = decode_tree(Path(args.tree).read_bytes())
-        transcript = run_fixed_game(tree, args.explorer, args.k, cap=args.cap, view_mode=args.view)
+        transcript = run_fixed_game(
+            tree, args.explorer, args.k, cap=args.cap, view_mode=args.view, switch_round=args.switch_round
+        )
     if args.out:
         _write_text(Path(args.out), transcript_to_json(transcript))
     if args.emit_tree:

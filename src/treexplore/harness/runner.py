@@ -51,12 +51,17 @@ def run_fixed_game(
     k: int,
     cap: int | None = None,
     view_mode: str = "game",
+    switch_round: int | None = None,
 ) -> Transcript:
-    """One game on a known tree that never grows."""
+    """One game on a known tree that never grows.
+
+    ``switch_round`` only matters for idle_then_greedy, which needs it:
+    a fixed tree has no checkpoint to default to.
+    """
     stats = tree.stats()
     if cap is None:
         cap = default_round_cap(stats.n, stats.height)
-    explorer = make_explorer(explorer_name, k)
+    explorer = make_explorer(explorer_name, k, switch_round=switch_round)
     revealer = FixedTreeRevealer(tree)
     meta = {
         "explorer": explorer.name,

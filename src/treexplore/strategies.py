@@ -63,8 +63,8 @@ class SingleDfsExplorer:
     def _sync(self, view: ExplorerView) -> None:
         log = view.reveal_log
         parent = view.parents
+        self._grow(len(parent))
         for v in log[self._log_pos :]:
-            self._grow(v + 1)
             if v != ROOT:
                 p = parent[v]
                 self._kids[p].append(v)
@@ -168,6 +168,11 @@ class GreedyFrontierExplorer:
     toward their target, everyone else stays. Matching is recomputed from
     scratch every round, over the view's flat arrays, in
     O(k + targets scanned + in-branch agents scanned) plus the tree walks.
+
+    A target whose branch holds no agent takes the front of the unmatched
+    agents in (depth, index) order, in O(1): every path from an agent to
+    it runs through the root, so each distance is the agent's depth plus
+    the target's, and that order is the (distance, index) order.
     """
 
     name = "greedy_frontier"
@@ -236,6 +241,14 @@ class GreedyFrontierExplorer:
                 if visited[v]:
                     continue
                 bv = branch[v]
+                if bv not in head:  # no agent in v's branch: the front agent is nearest
+                    x = nxt[k]
+                    matched[x] = 1
+                    nxt[k] = nxt[x]
+                    prv[nxt[x]] = k
+                    p = positions[x]
+                    moves[x] = bv if p == ROOT else parent[p]
+                    continue
                 best_d = best_x = -1
                 x = head.get(bv, -1)
                 while x >= 0:  # exact distance inside the branch, via the LCA

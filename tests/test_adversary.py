@@ -3,6 +3,7 @@
 import hashlib
 import json
 import random
+import time
 from collections import Counter
 from dataclasses import replace
 from itertools import compress
@@ -27,6 +28,7 @@ from treexplore import (
     selection_mask,
     transcript_to_json,
 )
+from treexplore import adversary
 from treexplore.adversary import CheckpointRecord
 from treexplore.errors import InfeasibleParamsError, InvalidParameterError
 from treexplore.game import Attachment, _commit_attachments, _commit_moves
@@ -67,6 +69,69 @@ class TestMaxTeamSize:
     def test_precondition(self):
         with pytest.raises(InfeasibleParamsError):
             max_team_size(100, 1, 3)
+
+    @staticmethod
+    def doubling_search(n, L, m):
+        """The search max_team_size used to run, kept as the oracle: double
+        hi from 1 until k = hi no longer fits, then bisect."""
+        c = 6 * L * (m + 1) ** 2
+        rhs = n ** (m + 1)
+
+        def fits(k):
+            return (c * k) ** m * 2 * L <= rhs
+
+        hi = 1
+        while fits(hi):
+            hi *= 2
+        lo = hi // 2
+        while lo + 1 < hi:
+            mid = (lo + hi) // 2
+            if fits(mid):
+                lo = mid
+            else:
+                hi = mid
+        return lo if fits(lo) else 0
+
+    @staticmethod
+    def small_grid():
+        """(n, L, m) from the least budget up: the budget itself, small
+        offsets, perfect-power cases and seeded random n."""
+        rng = random.Random(44)
+        for m in range(1, 7):
+            for L in (1, 2, 3, 4, 7):
+                least = L * 16**m
+                ns = {least, least + 1, least + 47, 2 * least, 4 * least, 48 * L * 16**m}
+                ns.update(least + rng.randrange(64 * least) for _ in range(12))
+                for n in sorted(ns):
+                    yield n, L, m
+
+    @pytest.mark.parametrize("path", ["as chosen", "decimal"])
+    def test_matches_the_doubling_search_on_a_small_grid(self, monkeypatch, path):
+        # "decimal" sends every case through the decimal root, including
+        # the ones whose root is an integer and must be settled exactly
+        if path == "decimal":
+            monkeypatch.setattr(adversary, "_EXACT_ROOT_BITS", 0)
+        cases = list(self.small_grid())
+        assert len(cases) > 500
+        for n, L, m in cases:
+            assert max_team_size(n, L, m) == self.doubling_search(n, L, m), (n, L, m)
+
+    def test_integer_root_matches_the_power_test(self):
+        rng = random.Random(8)
+        for _ in range(400):
+            m = rng.randrange(1, 12)
+            q = rng.choice([rng.randrange(2**70), rng.randrange(2**8) ** m, rng.randrange(2**20) ** m - 1])
+            r = adversary._iroot(q, m)
+            assert r**m <= q < (r + 1) ** m, (q, m)
+
+    def test_long_power_short_root_is_floor_exact_and_quick(self):
+        # the doubling search did not end within 18 s at n = 16^400
+        n, L, m = 16**1000, 1, 1000
+        start = time.perf_counter()
+        k = max_team_size(n, L, m)
+        assert time.perf_counter() - start < 1.0
+        c = 6 * L * (m + 1) ** 2
+        assert (c * k) ** m * 2 * L <= n ** (m + 1) < (c * (k + 1)) ** m * 2 * L
 
 
 class TestDeriveParams:

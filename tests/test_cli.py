@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from treexplore import decode_tree, encode_tree, make_path_star
+from treexplore import decode_tree, encode_tree, make_path_star, transcript_from_json
 from treexplore.harness.cli import main
 from treexplore.harness.sweep import run_sweep
 
@@ -306,7 +306,6 @@ def test_params_missing_input_exits_1_with_one_line(capsys, args, missing):
         ("idle", ["--switch-round", "3"], "applies only to --explorer idle_then_greedy"),
         ("idle", ["--switch-round", "-7"], "applies only to --explorer idle_then_greedy"),
         ("idle_then_greedy", ["--switch-round", "-7"], "must be >= 0 (got -7)"),
-        ("idle_then_greedy", ["--switch-round", "3", "--revealer", "fixed"], "with --revealer lemma"),
     ],
 )
 def test_run_switch_round_where_it_does_nothing_exits_1(capsys, explorer, extra, message):
@@ -314,6 +313,26 @@ def test_run_switch_round_where_it_does_nothing_exits_1(capsys, explorer, extra,
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err.count("\n") == 1
     assert captured.err.startswith("error: ") and message in captured.err
+
+
+FIXED_IDLE_THEN_GREEDY = ["run", "--explorer", "idle_then_greedy", "--revealer", "fixed", "--k", "2"]
+
+
+@pytest.mark.parametrize("switch_round", [0, 3])
+def test_run_idle_then_greedy_on_a_fixed_tree_parks_then_plays(tmp_path, capsys, switch_round):
+    out = tmp_path / "tr.json"
+    args = ["--tree", _tree_file(tmp_path), "--switch-round", str(switch_round), "--out", str(out)]
+    assert main(FIXED_IDLE_THEN_GREEDY + args) == 0
+    summary = json.loads(capsys.readouterr().out)
+    assert summary["finished"] and summary["explorer"] == "idle_then_greedy_frontier"
+    rounds = transcript_from_json(out.read_bytes()).rounds
+    assert [r.moves for r in rounds[:switch_round]] == [(0, 0)] * switch_round
+    assert rounds[switch_round].moves != (0, 0)
+
+
+def test_run_idle_then_greedy_on_a_fixed_tree_needs_a_switch_round(tmp_path, capsys):
+    assert main(FIXED_IDLE_THEN_GREEDY + ["--tree", _tree_file(tmp_path)]) == 1
+    assert "idle_then_greedy needs a switch round" in _one_error_line(capsys)
 
 
 @pytest.mark.parametrize(

@@ -4,6 +4,7 @@ import hashlib
 import random
 import warnings
 import zlib
+from collections import Counter
 
 import pytest
 
@@ -18,6 +19,8 @@ from treexplore import (
 from treexplore.errors import StrategyInfeasibleError
 from treexplore.game import ExplorerView, GameState
 from treexplore.harness.runner import run_adversary_game
+from treexplore.strategies import GreedyFrontierExplorer
+from treexplore.tree import ROOT
 
 from conftest import apply_round, assert_transcript_invariants, make_path, make_star, random_tree
 
@@ -175,6 +178,126 @@ class TestGreedyFrontier:
             assert tr.outcome.finished
 
 
+class ReferenceGreedyFrontier(GreedyFrontierExplorer):
+    """The per-target matcher before the no-agent-branch shortcut, as an oracle.
+
+    Every target runs the in-branch chain scan, the out-of-branch scan and
+    the (distance, index) comparison. ``kinds`` counts the targets matched
+    with and without an agent standing in their branch.
+    """
+
+    def __init__(self, k):
+        super().__init__(k)
+        self.kinds = Counter()
+
+    def next_moves(self, view):
+        self._sync(view)
+        k = self.k
+        parent = view.parents
+        depth = view.depths
+        branch = view.branches
+        visited = view.visited
+        positions = view.positions
+
+        head = {}
+        chain = [-1] * k
+        byd = [[] for _ in range(max(map(depth.__getitem__, positions), default=0) + 1)]
+        for x, p in enumerate(positions):
+            if p != ROOT:
+                b = branch[p]
+                chain[x] = head.get(b, -1)
+                head[b] = x
+            byd[depth[p]].append(x)
+        order = [x for bucket in byd for x in bucket]
+        nxt = [0] * (k + 1)
+        prv = [0] * (k + 1)
+        for a, b in zip([k] + order, order + [k]):
+            nxt[a] = b
+            prv[b] = a
+
+        matched = bytearray(k)
+        moves = list(positions)
+        for dv in sorted(self._buckets):
+            bucket = self._buckets[dv]
+            del bucket[: next((i for i, u in enumerate(bucket) if not visited[u]), len(bucket))]
+            for v in bucket:
+                if nxt[k] == k:
+                    return moves
+                if visited[v]:
+                    continue
+                bv = branch[v]
+                self.kinds["agent in branch" if bv in head else "no agent in branch"] += 1
+                best_d = best_x = -1
+                x = head.get(bv, -1)
+                while x >= 0:
+                    if not matched[x]:
+                        u, w = positions[x], v
+                        while u != w:
+                            if depth[u] < depth[w]:
+                                w = parent[w]
+                            else:
+                                u = parent[u]
+                        d = depth[positions[x]] + dv - 2 * depth[u]
+                        if best_x < 0 or d < best_d or (d == best_d and x < best_x):
+                            best_d, best_x = d, x
+                    x = chain[x]
+                x = nxt[k]
+                while x != k:
+                    p = positions[x]
+                    if branch[p] != bv:
+                        d = depth[p] + dv
+                        if best_x < 0 or d < best_d or (d == best_d and x < best_x):
+                            best_x = x
+                        break
+                    x = nxt[x]
+                matched[best_x] = 1
+                nxt[prv[best_x]] = nxt[best_x]
+                prv[nxt[best_x]] = prv[best_x]
+                pos = positions[best_x]
+                w = v
+                for _ in range(dv - depth[pos] - 1):
+                    w = parent[w]
+                moves[best_x] = w if parent[w] == pos else parent[pos]
+        return moves
+
+
+class _LockStep:
+    """Plays greedy_frontier and asserts, every round, that the reference agrees."""
+
+    name = "greedy_frontier"
+
+    def __init__(self, k):
+        self.explorer = GreedyFrontierExplorer(k)
+        self.reference = ReferenceGreedyFrontier(k)
+        self.rounds = 0
+
+    def next_moves(self, view):
+        expected = self.reference.next_moves(view)
+        moves = self.explorer.next_moves(view)
+        assert moves == expected, f"round {view.round + 1}"
+        self.rounds += 1
+        return moves
+
+
+def test_greedy_frontier_matches_the_per_target_reference_round_by_round():
+    rng = random.Random(2017)
+    kinds = Counter()
+    rounds = 0
+    for i in range(200):
+        tree = random_tree(rng.randrange(2, 120), rng)
+        k = rng.randrange(1, 13)
+        cap = 2 * tree.n * (tree.height() + 2)
+        view = ("game", "local")[i % 2]
+        lockstep = _LockStep(k)
+        tr = play(lockstep, fixed_tree_revealer(tree), k, cap, view_mode=view)
+        assert tr.outcome.finished
+        kinds += lockstep.reference.kinds
+        rounds += lockstep.rounds
+    # both kinds of target occur often, so both matching paths are compared
+    assert kinds["agent in branch"] >= 1000 and kinds["no agent in branch"] >= 1000, kinds
+    assert rounds >= 2000
+
+
 def _random_fixed_moves(name):
     """Moves of 50 games of ``name`` on random fixed trees, k 1..7, both views.
 
@@ -206,6 +329,9 @@ MOVE_CASES = {
     "small_repaired": lambda: _lemma_moves(4096, 1, 3, 541, 1000),
     "small_strict": lambda: _lemma_moves(4096, 1, 3, 541, 1000, mode="strict"),
     "long_segments_repaired": lambda: _lemma_moves(16384, 4, 3, 541, 100),
+    # at k = 5878 targets in branches with and without agents interleave
+    "medium_repaired": lambda: _lemma_moves(65536, 1, 4, 5878, 100),
+    "medium_strict": lambda: _lemma_moves(65536, 1, 4, 5878, 100, mode="strict"),
     "small_local": lambda: _lemma_moves(4096, 1, 3, 541, 1000, view="local"),
     "small_idle_then_greedy": lambda: _lemma_moves(4096, 1, 3, 541, 1000, name="idle_then_greedy"),
     "random_fixed_batch": lambda: _random_fixed_moves("greedy_frontier"),
@@ -227,6 +353,8 @@ MOVE_DIGESTS = {
     "small_repaired": "da4a284c50ad18284ca21e466efea30d18499f0843079a75853b032575bbf195",
     "small_strict": "d9e971f4f69dad9233d6431dfc3146ab4e953b8dcad96e6215af4aa7b420f23f",
     "long_segments_repaired": "53259a8e033db5c18ad59acd057a37f78306fe3808390cae936a7be1c4b745d1",
+    "medium_repaired": "d06ebb91fa8bfa3b0ba1cd4cfa31832ba8c2fe009436f271c5b0df1ebeab615c",
+    "medium_strict": "2c0be4406efb7d8671bb1b1744cbfe548959158e064f60fcdb8338675de12b7b",
     "small_local": "93b1a7df37d64feebe1bc41bae288453d939d3c08e302b9d59564d3262d33a79",
     "small_idle_then_greedy": "05d1f148a025bd05c822f6f109bf01d1a8ccb07dab2e73ef708bad47686a8501",
     "random_fixed_batch": "70d3d2b2ad5934e9bbcde032ae76db5e6e1f97035c2e54dad6e07590848565b7",
