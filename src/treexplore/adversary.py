@@ -88,22 +88,23 @@ def max_team_size(n: int, L: int, m: int) -> int:
     Evaluates floor(n^(1+1/m) / (6 L (m+1)^2 (2L)^(1/m))) as the greatest
     integer k with (6 L (m+1)^2 k)^m * 2L <= n^(m+1), that is
     floor(root_m(n^(m+1) // 2L)) // (6 L (m+1)^2). The root is exact
-    integer arithmetic, unless n^(m+1) is long and its root short: there
-    each Newton step raises a long root to a large power, and a decimal
-    evaluation of the root decides it instead.
+    integer arithmetic when it is long next to m; when it is short, each
+    Newton step would raise it to a large power, and a decimal evaluation
+    of the root decides it instead.
     """
     _check_preconditions(n, L, m)
     c = 6 * L * (m + 1) ** 2
     root_bits = n.bit_length() * (m + 1) // m + 1
-    if m * root_bits > _EXACT_ROOT_BITS and root_bits <= _DECIMAL_ROOT_BITS:
+    if root_bits <= _DECIMAL_ROOT_RATIO * m:
         return _decimal_root(n, L, m) // c
     return _iroot(n ** (m + 1) // (2 * L), m) // c
 
 
-# above this many bits of n^(m+1) the exact root's powers get slow
-_EXACT_ROOT_BITS = 1 << 20
-# the decimal evaluation's cost grows with the cube of the root's digits
-_DECIMAL_ROOT_BITS = 1 << 13
+# The exact root's cost grows with the length of its powers, m times the
+# root's bits; the decimal root's with about the cube of the root's bits.
+# Measured, the two break even where the root has about 32 bits per unit
+# of m (at 4096 and 8192 root bits; below 1024 bits both take under 2 ms).
+_DECIMAL_ROOT_RATIO = 32
 
 
 def _decimal_root(n: int, L: int, m: int) -> int:
@@ -112,22 +113,23 @@ def _decimal_root(n: int, L: int, m: int) -> int:
     y has fewer than ``digits`` decimal digits. The five decimal
     operations are each correctly rounded to ``prec`` digits, so y's
     relative error stays below 10^(1-prec) * (ln n + 4) and its absolute
-    error below 10^-18. A fractional part farther than 10^-12 from an
-    integer decides the floor; otherwise integer checks settle it.
+    error below 10^-18. A y farther than 10^-12 from its nearest integer
+    r decides the floor; otherwise the floor is r if r^m * 2L <= n^(m+1),
+    else r - 1.
     """
     digits = n.bit_length() * (m + 1) // m * 30103 // 100000 + 2
     prec = digits + len(str(n.bit_length())) + 20  # ln n + 4 < 1.1 * 10^len(str(bits))
     with decimal.localcontext(decimal.Context(prec=prec)):
         y = decimal.Decimal(n) * ((decimal.Decimal(n) / (2 * L)).ln() / m).exp()
-        r = int(y)
-        frac = y - r
-    if _DECIMAL_SLACK < frac < 1 - _DECIMAL_SLACK:
-        return r
-    q = n ** (m + 1) // (2 * L)
-    r -= 1  # y is off by far less than 1, so its floor is at least r - 1
-    while (r + 1) ** m <= q:
-        r += 1
-    return r
+        r = int(y.to_integral_value())
+        if abs(y - r) > _DECIMAL_SLACK:
+            return int(y)
+    # Dividing r and n by their gcd keeps the comparison. When y is an
+    # integer, a^m * 2L = g * b^(m+1) with a, b coprime, so b^(m+1) divides
+    # 2L and both sides are at most 2Ln: the power is short.
+    g = math.gcd(r, n)
+    a, b = r // g, n // g
+    return r if a**m * 2 * L <= g * b ** (m + 1) else r - 1
 
 
 _DECIMAL_SLACK = decimal.Decimal("1e-12")

@@ -266,3 +266,15 @@ def test_criterion_10_parameter_pickers():
     p3 = pick_params_thm3(2**20)
     assert p3.m == 4
     assert not p3.feasible
+
+
+@criterion(11, "team bound at m = 1000: params --thm 4 at n = 16^1000 and 2*16^1000, <1s each")
+def test_criterion_11_team_bound_at_a_huge_m(capsys):
+    for n in (16**1000, 2 * 16**1000):
+        start = time.perf_counter()
+        code = cli_main(["params", "--thm", "4", "--n", str(n), "--D", "1", "--m", "1000", "--k", "1"])
+        elapsed = time.perf_counter() - start
+        out = json.loads(capsys.readouterr().out)
+        assert code == 0
+        assert out["details"]["max_team_size"] == max_team_size(n, 1, 1000)
+        assert elapsed < 1.0, f"n of {n.bit_length()} bits took {elapsed:.2f}s"

@@ -1,9 +1,9 @@
 """Adversary construction: team bound, selection arithmetic, checkpoints."""
 
+import decimal
 import hashlib
 import json
 import random
-import time
 from collections import Counter
 from dataclasses import replace
 from itertools import compress
@@ -95,26 +95,42 @@ class TestMaxTeamSize:
     @staticmethod
     def small_grid():
         """(n, L, m) from the least budget up: the budget itself, small
-        offsets, perfect-power cases and seeded random n."""
+        offsets, perfect-power cases and seeded random n, plus n far past
+        the budget, whose root is long next to m."""
         rng = random.Random(44)
         for m in range(1, 7):
             for L in (1, 2, 3, 4, 7):
                 least = L * 16**m
                 ns = {least, least + 1, least + 47, 2 * least, 4 * least, 48 * L * 16**m}
                 ns.update(least + rng.randrange(64 * least) for _ in range(12))
+                ns.update(rng.getrandbits(bits) | 1 << bits - 1 for bits in (40 * m, 64 * m))
                 for n in sorted(ns):
                     yield n, L, m
 
-    @pytest.mark.parametrize("path", ["as chosen", "decimal"])
-    def test_matches_the_doubling_search_on_a_small_grid(self, monkeypatch, path):
-        # "decimal" sends every case through the decimal root, including
-        # the ones whose root is an integer and must be settled exactly
-        if path == "decimal":
-            monkeypatch.setattr(adversary, "_EXACT_ROOT_BITS", 0)
+    def test_matches_the_doubling_search_on_a_small_grid(self, monkeypatch):
+        decimal_roots = []
+        decimal_root = adversary._decimal_root
+
+        def counted(n, L, m):
+            decimal_roots.append((n, L, m))
+            return decimal_root(n, L, m)
+
+        monkeypatch.setattr(adversary, "_decimal_root", counted)
         cases = list(self.small_grid())
         assert len(cases) > 500
         for n, L, m in cases:
             assert max_team_size(n, L, m) == self.doubling_search(n, L, m), (n, L, m)
+        assert 0 < len(decimal_roots) < len(cases)  # the grid reaches both roots
+
+    @pytest.mark.parametrize("slack", ["1e-12", "1"])
+    def test_decimal_root_matches_the_integer_root(self, monkeypatch, slack):
+        # the root itself, since max_team_size's division by 6L(m+1)^2
+        # hides most off-by-one roots; a slack of 1 settles every root by
+        # the gcd comparison, which then decides both r and r - 1
+        monkeypatch.setattr(adversary, "_DECIMAL_SLACK", decimal.Decimal(slack))
+        for n, L, m in self.small_grid():
+            exact = adversary._iroot(n ** (m + 1) // (2 * L), m)
+            assert adversary._decimal_root(n, L, m) == exact, (n, L, m)
 
     def test_integer_root_matches_the_power_test(self):
         rng = random.Random(8)
@@ -124,14 +140,18 @@ class TestMaxTeamSize:
             r = adversary._iroot(q, m)
             assert r**m <= q < (r + 1) ** m, (q, m)
 
-    def test_long_power_short_root_is_floor_exact_and_quick(self):
-        # the doubling search did not end within 18 s at n = 16^400
-        n, L, m = 16**1000, 1, 1000
-        start = time.perf_counter()
-        k = max_team_size(n, L, m)
-        assert time.perf_counter() - start < 1.0
-        c = 6 * L * (m + 1) ** 2
-        assert (c * k) ** m * 2 * L <= n ** (m + 1) < (c * (k + 1)) ** m * 2 * L
+    @pytest.mark.parametrize("n", [16**1000, 2 * 16**1000], ids=["16^1000", "2*16^1000"])
+    def test_long_power_short_root_is_floor_exact(self, n):
+        # the doubling search did not end within 18 s at n = 16^400; at
+        # 2*16^1000 the root is exactly 2*16^1001 and integers settle it.
+        # The oracle's value is at least 2^-32 from an integer, far more
+        # than its rounding error, so its floor is exact.
+        L, m = 1, 1000
+        with mp.workprec(n.bit_length() + 96):
+            val = mpf(n) ** (1 + mpf(1) / m) / (6 * L * (m + 1) ** 2 * mpf(2 * L) ** (mpf(1) / m))
+            assert abs(val - mp.nint(val)) > mpf(2) ** -32
+            expected = int(mp.floor(val))
+        assert max_team_size(n, L, m) == expected
 
 
 class TestDeriveParams:
