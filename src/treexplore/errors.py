@@ -88,4 +88,5 @@ class IntegrityError(TreexploreError):
 
 
 class ResourceLimitError(TreexploreError):
-    """A brute-force search exceeded its configured state budget."""
+    """An input is too large to handle: a brute-force search over its state
+    budget, or an initial tree over ``tree.MAX_PATH_STAR_VERTICES``."""

@@ -117,34 +117,46 @@ def is_explored(state: GameState) -> bool:
     return state.visited_count == state.tree.n
 
 
-def validate_moves(state: GameState, proposed: Sequence[int]) -> MoveViolation | None:
-    """Check one joint move; returns the first violation, or None if legal.
-
-    A proposed position must equal the agent's current vertex or be its
-    parent or one of its children in the current tree.
+def _scan_moves(state: GameState, proposed: Sequence[int]) -> MoveViolation | frozenset[int]:
+    """One pass over a joint move: its first violation, or the set of vertices
+    it visits first. A proposed position must equal the agent's current
+    vertex or be its parent or one of its children; ``state`` is not changed.
     """
     if len(proposed) != state.k:
         return MoveViolation.wrong_length(len(proposed), state.k)
     n = state.tree.n
     parent = state.tree.parent
+    visited = state.visited
+    newly = []
     for origin, target in zip(state.positions, proposed):
         if target == origin:
             continue
         if not (0 <= target < n) or (parent[target] != origin and parent[origin] != target):
             break
+        if not visited[target]:
+            newly.append(target)
     else:
-        return None
+        return frozenset(newly)
     # an earlier agent with the same (origin, target) would have failed first,
     # so the first agent with this pair is the one that broke the rule
     agent = next(i for i, pair in enumerate(zip(state.positions, proposed)) if pair == (origin, target))
     return MoveViolation(agent, origin, target)
 
 
+def validate_moves(state: GameState, proposed: Sequence[int]) -> MoveViolation | None:
+    """Check one joint move; returns the first violation (the scan
+    ``_commit_moves`` acts on), or None if legal."""
+    scan = _scan_moves(state, proposed)
+    return scan if isinstance(scan, MoveViolation) else None
+
+
 def _commit_moves(state: GameState, moves: Sequence[int]) -> None:
-    """Advance one round: validate, move agents, update the visited set.
+    """Advance one round: move agents and add their first visits, or raise.
 
     The moves become ``state.positions`` as one tuple; when everyone stays,
     the previous tuple is kept, so stay-put rounds share one object.
+    Otherwise one scan decides legality and the first visits, and
+    ``state`` changes only once the whole move is legal.
     """
     t = state.round + 1
     moves = tuple(moves)
@@ -153,19 +165,16 @@ def _commit_moves(state: GameState, moves: Sequence[int]) -> None:
         state.newly_visited = frozenset()
         state.round = t
         return
-    violation = validate_moves(state, moves)
-    if violation is not None:
-        violation.round = t
-        raise violation
-    newly = []
+    newly = _scan_moves(state, moves)
+    if isinstance(newly, MoveViolation):
+        newly.round = t
+        raise newly
     visited = state.visited
-    for v in moves:
-        if not visited[v]:
-            visited[v] = 1
-            newly.append(v)
+    for v in newly:
+        visited[v] = 1
     state.visited_count += len(newly)
     state.positions = moves
-    state.newly_visited = frozenset(newly)
+    state.newly_visited = newly
     state.round = t
 
 

@@ -31,7 +31,7 @@ from dataclasses import asdict, dataclass
 from itertools import chain, compress
 
 from ..adversary import AdversaryParams, CheckpointRevealer, params_from_transcript
-from ..errors import IntegrityError
+from ..errors import IntegrityError, ResourceLimitError
 from ..game import CheckpointRecord, GameState, RoundRecord, Transcript, replay
 
 
@@ -164,7 +164,11 @@ def verify_transcript(transcript: Transcript) -> VerificationReport:
     """Replay and evaluate every claim; raises IntegrityError on tampering."""
     params = params_from_transcript(transcript)
     rp = _Replay(transcript, params)
-    state = replay(transcript, params.initial_tree(), rp)
+    try:
+        initial = params.initial_tree()
+    except ResourceLimitError as exc:  # play refuses such an instance, so it wrote no such transcript
+        raise IntegrityError(f"transcript params name an instance play refuses: {exc}") from exc
+    state = replay(transcript, initial, rp)
     extra = set(rp.recorded) - set(rp.records)
     if extra:
         raise IntegrityError(f"checkpoint records {sorted(extra)} have no matching rounds")

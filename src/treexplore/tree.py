@@ -21,11 +21,15 @@ from dataclasses import dataclass
 
 from .errors import (
     InvalidParameterError,
+    ResourceLimitError,
     TreeParseError,
     VertexNotFoundError,
 )
 
 ROOT = 0
+# the most vertices make_path_star builds: 8 times the 2^19 + 1 of the
+# (2^20, 1, 4) instance, whose whole pipeline peaks near 260 MiB
+MAX_PATH_STAR_VERTICES = 1 << 22
 
 
 @dataclass(frozen=True)
@@ -117,7 +121,9 @@ def make_path_star(branch_count: int, path_len: int) -> RootedTree:
     """Build a root with ``branch_count`` disjoint paths of ``path_len`` edges.
 
     Ids go branch by branch, top to bottom: branch j occupies ids
-    (j-1)*path_len+1 .. j*path_len.
+    (j-1)*path_len+1 .. j*path_len. A star of more than
+    ``MAX_PATH_STAR_VERTICES`` vertices raises ResourceLimitError before
+    any list is built.
     """
     if branch_count < 1 or path_len < 1:
         raise InvalidParameterError(
@@ -125,6 +131,10 @@ def make_path_star(branch_count: int, path_len: int) -> RootedTree:
         )
     B, L = branch_count, path_len
     n = B * L + 1
+    if n > MAX_PATH_STAR_VERTICES:
+        raise ResourceLimitError(
+            f"a path star of {n} vertices is over the size limit of {MAX_PATH_STAR_VERTICES} vertices"
+        )
     # every array takes its ids from this one list, so each id is one int object
     ids = list(range(1, n))
     heads = ids[::L]  # the depth-1 vertex of each branch

@@ -247,6 +247,8 @@ FIXED_ARGS = ["run", "--explorer", "single_dfs", "--revealer", "fixed", "--k", "
         ("lemma", _set("params", "L", to=True), "n, L, m must be integers (got n=4096, L=True, m=3)"),
         ("lemma", _set("params", "view", to="nope"), "need view 'game' or 'local' and an explorer name (got view='nope'"),
         ("lemma", _set("params", "explorer", to=5), "an explorer name (got view='game', explorer=5)"),
+        # rejected before the replay: play refuses an initial tree this large
+        ("lemma", _set("params", "n", to=10**12), "path star of 500000000001 vertices is over the size limit"),
     ],
 )
 def test_verify_failure_exits_3_with_one_stderr_line(tmp_path, capsys, revealer, corrupt, message):
@@ -350,6 +352,12 @@ def test_astronomical_budget_exits_2_with_one_line(capsys, args, message):
     assert main(args) == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.startswith("infeasible parameters: ") and message in err
+
+
+def test_run_over_the_size_limit_exits_1_with_one_line(capsys):
+    args = ["run", "--explorer", "greedy_frontier", "--revealer", "lemma", "--n", "1000000000000"]
+    assert main(args + ["--L", "1", "--m", "2", "--k", "1", "--cap", "1"]) == 1
+    assert "path star of 500000000001 vertices is over the size limit" in _one_error_line(capsys)
 
 
 def test_run_negative_cap_exits_1_with_one_line(capsys):
@@ -476,6 +484,11 @@ BAD_SWEEPS = {
         {**_lemma_spec(["idle"], [GOOD_ENTRY]), "caps": [20, "x"]},
         _lemma_spec(["idle"], [GOOD_ENTRY]),
         "round cap must be an integer >= 0 (got 'x')",
+    ),
+    "grid_entry_over_the_size_limit": (
+        _lemma_spec(["idle"], [GOOD_ENTRY, {"n": 10**12, "L": 1, "m": 2, "k": 1}]),
+        _lemma_spec(["idle"], [GOOD_ENTRY]),
+        "path star of 500000000001 vertices is over the size limit",
     ),
     "fixed_cap_not_an_integer": (
         {**_fixed_spec(["single_dfs"]), "caps": ["x", 50]},

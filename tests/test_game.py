@@ -2,12 +2,14 @@
 
 import json
 import random
+from collections import Counter
 from math import comb
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from treexplore import (
+    ROOT,
     Attachment,
     CheckpointRecord,
     GameState,
@@ -115,6 +117,155 @@ class TestApplyRound:
         with pytest.raises(MoveViolation, match="^joint move has 2 entries for 3 agents$") as exc:
             play(DropsAnAgent(), fixed_tree_revealer(make_star(3)), 3, 10)
         assert exc.value.round == 2
+
+
+def reference_commit(state, moves):
+    """The joint move in two passes, every pair checked and then every
+    target marked: the engine's former rule, kept as the oracle."""
+    t = state.round + 1
+    moves = tuple(moves)
+    if moves == state.positions:
+        state.newly_visited = frozenset()
+        state.round = t
+        return
+    if len(moves) != state.k:
+        raise MoveViolation.wrong_length(len(moves), state.k, round=t)
+    n, parent = state.tree.n, state.tree.parent
+    for agent, (origin, target) in enumerate(zip(state.positions, moves)):
+        if target != origin and not (0 <= target < n and (parent[target] == origin or parent[origin] == target)):
+            raise MoveViolation(agent, origin, target, round=t)
+    newly = []
+    for v in moves:
+        if not state.visited[v]:
+            state.visited[v] = 1
+            newly.append(v)
+    state.visited_count += len(newly)
+    state.positions = moves
+    state.newly_visited = frozenset(newly)
+    state.round = t
+
+
+def _snapshot(state):
+    return state.positions, state.newly_visited, bytes(state.visited), state.visited_count, state.round
+
+
+def _verdict_of(commit, state, moves):
+    """None for a committed move, else the violation's (agent, origin, target, round, message)."""
+    try:
+        commit(state, moves)
+    except MoveViolation as exc:
+        return exc.agent, exc.origin, exc.target, exc.round, str(exc)
+    return None
+
+
+def _random_joint_move(tree, positions, rng, seen) -> list:
+    """Stays, down- and up-moves, sometimes with illegal entries or a wrong length."""
+    moves = []
+    for p in positions:
+        kind = rng.choice(("stay", "down", "up"))
+        if kind == "down" and tree.children[p]:
+            seen["move from the root" if p == ROOT else "down-move"] += 1
+            moves.append(rng.choice(tree.children[p]))
+        elif kind == "up" and p != ROOT:
+            seen["up-move"] += 1
+            moves.append(tree.parent[p])
+        else:
+            seen["stay"] += 1
+            moves.append(p)
+    roll = rng.random()
+    if roll < 0.1:
+        seen["wrong length"] += 1
+        return moves[:-1] if rng.random() < 0.5 else moves + [ROOT]
+    if roll < 0.4:
+        for _ in range(rng.choice((1, 2))):
+            agent = rng.randrange(len(moves))
+            p = positions[agent]
+            far = [v for v in range(tree.n) if v != p and tree.parent[v] != p and tree.parent[p] != v]
+            kind = rng.choice(("jump", "negative target", "target >= n"))
+            if kind == "jump" and far:
+                moves[agent] = rng.choice(far)
+            elif kind == "negative target":
+                moves[agent] = -rng.randint(1, 3)
+            else:
+                kind = "target >= n"
+                moves[agent] = tree.n + rng.randrange(3)
+            seen[kind] += 1
+    return moves
+
+
+class TestJointMoveScan:
+    """The one-pass scan of ``_commit_moves`` in lockstep with the two-pass oracle."""
+
+    def test_engine_matches_the_two_pass_oracle(self):
+        seen = Counter()
+        for seed in range(60):
+            rng = random.Random(seed)
+            tree = random_tree(rng.randint(2, 30), rng)
+            k = rng.randint(1, 6)
+            engine, oracle = GameState(tree, k), GameState(tree, k)
+            for _ in range(25):
+                moves = _random_joint_move(tree, engine.positions, rng, seen)
+                before = _snapshot(engine)
+                fresh = [
+                    v for p, v in zip(engine.positions, moves) if v != p and 0 <= v < tree.n and not engine.visited[v]
+                ]
+                verdict = validate_moves(engine, moves)
+                assert _snapshot(engine) == before
+                expected = _verdict_of(reference_commit, oracle, moves)
+                assert _verdict_of(_commit_moves, engine, moves) == expected
+                assert _snapshot(engine) == _snapshot(oracle)
+                if expected is None:
+                    assert verdict is None
+                    seen["legal"] += 1
+                    seen["two agents converge on a new vertex"] += len(set(fresh)) < len(fresh)
+                else:
+                    assert (verdict.agent, verdict.origin, verdict.target) == expected[:3]
+                    assert _snapshot(engine) == before
+                    seen["rejected"] += 1
+        cases = (
+            "stay", "down-move", "up-move", "move from the root", "two agents converge on a new vertex",
+            "jump", "target >= n", "negative target", "wrong length", "legal", "rejected",
+        )
+        assert {case: seen[case] for case in cases if seen[case] == 0} == {}
+
+
+class TestRejectedMoveLeavesStateAlone:
+    @staticmethod
+    def _state():
+        # agents 0 and 2 stand on vertex 1 of the path 0-1-2-3-4, agent 1 on the root
+        state = GameState(make_path(4), 3)
+        _commit_moves(state, [1, 0, 1])
+        return state
+
+    @pytest.mark.parametrize(
+        "moves, agent",
+        [
+            ([2, 1, 3], 2),  # agent 0 would reach new vertex 2 before agent 2 jumps
+            ([2, 1, 5], 2),
+            ([2, 0, -1], 2),
+            ([3, 0, 2], 0),
+            ([2, 0], -1),
+            ([2, 1, 2, 0], -1),
+        ],
+    )
+    def test_rejected_commit_changes_nothing(self, moves, agent):
+        state = self._state()
+        positions, newly, before = state.positions, state.newly_visited, _snapshot(state)
+        assert _snapshot(state) == ((1, 0, 1), frozenset({1}), b"\x01\x01\x00\x00\x00", 2, 1)
+        with pytest.raises(MoveViolation) as exc:
+            _commit_moves(state, moves)
+        assert (exc.value.agent, exc.value.round) == (agent, 2)
+        assert _snapshot(state) == before
+        assert state.positions is positions and state.newly_visited is newly
+        _commit_moves(state, [2, 1, 2])
+        assert _snapshot(state) == ((2, 1, 2), frozenset({2}), b"\x01\x01\x01\x00\x00", 3, 2)
+
+    @pytest.mark.parametrize("moves", [[2, 1, 2], [1, 0, 1], [2, 1, 3], [2, 0], [0, 0, -4]])
+    def test_validate_moves_changes_nothing(self, moves):
+        state = self._state()
+        before = _snapshot(state)
+        validate_moves(state, moves)
+        assert _snapshot(state) == before
 
 
 class TestIsExplored:

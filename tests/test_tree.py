@@ -11,11 +11,13 @@ from treexplore import (
     RootedTree,
     attach_path_with_star,
     decode_tree,
+    derive_params,
     encode_tree,
     make_path_star,
     tree_to_dot,
 )
-from treexplore.errors import InvalidParameterError, TreeParseError, VertexNotFoundError
+from treexplore import tree as tree_module
+from treexplore.errors import InvalidParameterError, ResourceLimitError, TreeParseError, VertexNotFoundError
 
 from conftest import random_tree, tree_arrays
 
@@ -54,6 +56,26 @@ class TestMakePathStar:
     def test_zero_arguments_rejected(self, bad):
         with pytest.raises(InvalidParameterError):
             make_path_star(*bad)
+
+    @pytest.mark.parametrize("branches, path_len", [(5 * 10**11, 1), (2, 10**15), (10**9, 10**9)])
+    def test_over_the_size_limit_raises_before_building(self, branches, path_len):
+        # without the guard the first list alone would not fit in memory
+        with pytest.raises(ResourceLimitError, match=f"path star of {branches * path_len + 1} vertices"):
+            make_path_star(branches, path_len)
+
+    @pytest.mark.parametrize("branches, path_len, fits", [(20, 1, True), (10, 2, True), (21, 1, False), (5, 5, False)])
+    def test_the_limit_counts_every_vertex(self, monkeypatch, branches, path_len, fits):
+        monkeypatch.setattr(tree_module, "MAX_PATH_STAR_VERTICES", 21)
+        if fits:
+            assert make_path_star(branches, path_len).n == 21
+        else:
+            with pytest.raises(ResourceLimitError, match="over the size limit of 21 vertices"):
+                make_path_star(branches, path_len)
+
+    @pytest.mark.parametrize("n, L, m", [(2**20, 1, 4), (2**20, 4, 4), (65536, 1, 4), (16384, 4, 3)])
+    def test_the_limit_admits_the_benchmark_instances(self, n, L, m):
+        params = derive_params(n, L, m, 1, warn=False)
+        assert params.branch_count * L + 1 <= tree_module.MAX_PATH_STAR_VERTICES
 
 
 class TestAttachPathWithStar:
