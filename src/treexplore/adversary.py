@@ -26,12 +26,20 @@ import warnings
 from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass, replace
-from itertools import compress, islice, repeat
-from operator import not_
+from itertools import accumulate, compress, islice, repeat
+from operator import add, and_, itemgetter, sub
 
 from .errors import InfeasibleParamsError, IntegrityError, InvalidParameterError, TreexploreError
-from .game import VIEW_MODES, Attachment, CheckpointRecord, GameState, Transcript
-from .tree import RootedTree, decode_tree, make_path_star
+from .game import (
+    VIEW_MODES,
+    Attachment,
+    CheckpointRecord,
+    GameState,
+    Transcript,
+    attachments_from_rows,
+    check_team_size,
+)
+from .tree import ROOT, RootedTree, check_path_star, decode_tree, make_path_star
 
 
 def _iroot(q: int, m: int) -> int:
@@ -167,12 +175,16 @@ def least_budget(L: int, m: int) -> int | None:
     form is too long to print; a huge m never builds the power."""
     if L.bit_length() + 4 * m > _BUILDABLE_BITS:
         return None
-    budget = L << 4 * m
+    return printable_or_none(L << 4 * m)
+
+
+def printable_or_none(x: int) -> int | None:
+    """x, or None when its decimal form is past the int-to-str digit limit."""
     try:
-        str(budget)
-    except ValueError:  # past the int-to-str digit limit
+        str(x)
+    except ValueError:
         return None
-    return budget
+    return x
 
 
 MODES = ("strict", "repaired")
@@ -199,6 +211,8 @@ class AdversaryParams:
             raise InfeasibleParamsError(f"unknown mode {mode!r}", violated="mode in strict|repaired")
         if type(k) is not int or k < 1:
             raise InfeasibleParamsError(f"k must be a positive integer (got {k!r})", violated="k >= 1")
+        check_team_size(k)
+        check_path_star(-(-n // (2 * L)), L)  # T_0, before any warning
         max_k = max_team_size(n, L, m)
         if k > max_k and warn:
             warnings.warn(
@@ -286,20 +300,43 @@ def selection_mask(a: Sequence[int], count: int) -> bytearray:
 
     Ties go to earlier positions. Candidates are id-ascending, so over a
     record's ``a`` that is the tie-break toward smaller ids. The cut value
-    comes from a tally of the distinct values, so no entry is sorted.
+    is 0 when zeros fill the selection and nothing is negative, the usual
+    case; otherwise it comes from a tally of the distinct values. No entry
+    is sorted, and the mask is built in C: every position up to the last
+    one taken at the cut is marked if its value is at most the cut, every
+    later one if it is under it.
     """
-    tally = Counter(a)
-    below = 0  # positions with a value under the cut
-    for cut in sorted(tally):
-        if below + tally[cut] >= count:
-            break
-        below += tally[cut]
-    else:
+    if count <= 0:
+        return bytearray(len(a))
+    if count >= len(a):
         return bytearray(b"\x01") * len(a)
-    mask = bytearray(map(cut.__gt__, a)) if below else bytearray(len(a))
-    for j in islice(compress(range(len(a)), map(cut.__eq__, a)), count - below):
-        mask[j] = 1
+    zeros = a.count(0)
+    if zeros >= count and (zeros == len(a) or min(a) >= 0):
+        cut, below = 0, 0  # positions with a value under the cut
+    else:
+        tally = Counter(a)
+        below = 0
+        for cut in sorted(tally):
+            if below + tally[cut] >= count:
+                break
+            below += tally[cut]
+    last = next(islice(compress(range(len(a)), map(cut.__eq__, a)), count - below - 1, None)) + 1
+    mask = bytearray(map(cut.__ge__, a[:last]))
+    mask += bytearray(map(cut.__gt__, a[last:])) if below else bytearray(len(a) - last)
     return mask
+
+
+_UNVISITED = bytes.maketrans(b"\x00\x01", b"\x01\x00")  # visited bytes -> open flags
+
+
+def _open_at_depth(tree: RootedTree, prev: bytearray, d: int) -> tuple[int, ...]:
+    """Each branch's smallest id at depth ``d`` that ``prev`` marks unvisited,
+    id-ascending: the checkpoint rule by a scan of every depth."""
+    open_ = prev.translate(_UNVISITED)
+    found = list(compress(range(tree.n), map(and_, map(d.__eq__, tree.depth), open_)))
+    # the last write per branch wins, so walking down the ids keeps the smallest
+    first = dict(zip(map(tree.branch.__getitem__, reversed(found)), reversed(found)))
+    return tuple(sorted(first.values()))
 
 
 def gadget_spec(i: int, a: int, params: AdversaryParams) -> tuple[int, int]:
@@ -316,12 +353,14 @@ def gadget_spec(i: int, a: int, params: AdversaryParams) -> tuple[int, int]:
 class CheckpointRevealer:
     """Revealer that grows gadgets at checkpoint rounds and idles otherwise.
 
-    The vertices at depth L*i are the ends of the initial paths at i = 1
-    and exactly the star leaves of checkpoint i-1's gadgets after that.
-    ``leaf_ranges`` holds those leaves for the last checkpoint, one range
-    per gadget: ids are dense in creation order, so they follow from
-    ``tree.n`` at compute time. Checkpoint i >= 2 reads them and so must
-    come right after checkpoint i-1.
+    The vertices at depth L*i sit in slots known without a search: T_0's
+    path ends at i = 1, one per branch, and after that the star leaves of
+    checkpoint i-1's gadgets, one leaf range per gadget. Ids are dense in
+    creation order, so the ranges follow from ``tree.n`` at compute time,
+    and checkpoint i >= 2 must come right after checkpoint i-1. The slots
+    hold every depth-L*i vertex only while the tree is T_0 plus the
+    revealer's own gadgets, which its size tells; any other tree falls
+    back to a scan of the depths.
     """
 
     name = "lemma"
@@ -330,7 +369,17 @@ class CheckpointRevealer:
         self.params = params
         self._round_to_level = {t: i + 1 for i, t in enumerate(params.checkpoints)}
         self._level = 0  # the last checkpoint computed
-        self.leaf_ranges: tuple[range, ...] = ()
+        self._selected: tuple[int, ...] = ()  # its S, one per gadget, in gadget order
+        self._leaf_starts: list[int] = []  # each gadget's leaf range
+        self._leaf_ends: list[int] = []
+        # after a checkpoint whose slots were exact, the tree size its gadgets
+        # lead to: the next checkpoint's slots are exact at that size
+        self._exact_n: int | None = None
+
+    @property
+    def leaf_ranges(self) -> tuple[range, ...]:
+        """The star leaves of the last checkpoint's gadgets, one range per gadget."""
+        return tuple(map(range, self._leaf_starts, self._leaf_ends))
 
     def initial_tree(self) -> RootedTree:
         return self.params.initial_tree()
@@ -352,37 +401,60 @@ class CheckpointRevealer:
         K holds, id-ascending, each branch's smallest id at depth L*i that
         was unvisited as of the previous round, so a vertex first reached
         this very round still qualifies. Checkpoint 1 may come at any time.
+        The work per vertex of K is a few passes in C; the Python work
+        grows with the agents and the distinct a-values only.
         """
         if i != 1 and i != self._level + 1:
             raise InvalidParameterError(f"checkpoint {i} cannot follow checkpoint {self._level}")
         params = self.params
-        tree = state.tree
+        L, tree, branch = params.L, state.tree, state.tree.branch
         prev = state.visited
         if state.newly_visited:
             prev = bytearray(prev)
             for v in state.newly_visited:
                 prev[v] = 0
-        # a tuple of ints drops out of the young GC generation after one scan
-        if i == 1:
-            L, n = params.L, tree.n  # the path ends of T_0, one per branch
-            candidates = tuple(compress(range(L, n, L), map(not_, prev[L:n:L])))
+        # agents per occupied branch; ROOT is 0, so filter(None, ...) drops the
+        # agents parked on the root
+        occupied = Counter(map(branch.__getitem__, filter(None, state.positions)))
+        exact = tree.n == (params.branch_count * L + 1 if i == 1 else self._exact_n)
+        if not exact:
+            candidates = _open_at_depth(tree, prev, L * i)
+            a = tuple(map(occupied.get, map(branch.__getitem__, candidates), repeat(0)))
         else:
-            candidates = tuple(v for r in self.leaf_ranges if (v := prev.find(0, r.start, r.stop)) >= 0)
-        branch = tree.branch
-        # a = agents in the candidate's branch; ROOT is 0, so filter(None, ...)
-        # drops the agents parked on the root
-        counts = Counter(map(branch.__getitem__, filter(None, state.positions)))
-        a = tuple(map(counts.get, map(branch.__getitem__, candidates), repeat(0)))
+            if i == 1:
+                # slot j is T_0's path end L*(j+1), in branch L*j+1; at L = 1 the
+                # path ends are the root's children, whose int objects K shares
+                slots = tree.children[ROOT] if L == 1 else range(L, tree.n, L)
+                open_ = prev[L::L].translate(_UNVISITED)
+            else:  # slot g is the first unvisited leaf of gadget g, or -1
+                slots = list(map(prev.find, repeat(0), self._leaf_starts, self._leaf_ends))
+                open_ = bytearray(map((-1).__ne__, slots))
+            # a tuple of ints drops out of the young GC generation after one scan
+            candidates = tuple(compress(slots, open_))
+            a = (0,) * len(candidates)
+            if occupied:
+                a_slots = [0] * len(slots)
+                slot_of = None
+                if i > 1:  # gadget g hangs in the branch of the previous checkpoint's S[g]
+                    slot_of = dict(zip(map(branch.__getitem__, self._selected), range(len(slots))))
+                for b, agents in occupied.items():
+                    j = (b - 1) // L if slot_of is None else slot_of.get(b)
+                    if j is not None:
+                        a_slots[j] = agents
+                a = tuple(compress(a_slots, open_))
         mask = selection_mask(a, params.alpha.ceil_mul(len(a)))
         selected = tuple(compress(candidates, mask))
-        gadgets = tuple(
-            Attachment(v, *gadget_spec(i, a_v, params)) for v, a_v in zip(selected, compress(a, mask))
-        )
-        end, ranges = tree.n, []
-        for att in gadgets:  # the round creates each gadget's path, then its leaves
-            end += att.path_len + att.leaf_count
-            ranges.append(range(end - att.leaf_count, end))
-        self._level, self.leaf_ranges = i, tuple(ranges)
+        selected_a = list(compress(a, mask))
+        spec_of = {x: gadget_spec(i, x, params) for x in set(selected_a)}
+        specs = list(map(spec_of.__getitem__, selected_a))
+        gadgets = attachments_from_rows(map(add, zip(selected), specs))
+        # the round creates each gadget's path, then its leaves
+        ends = list(accumulate(map(sum, specs), initial=tree.n))
+        self._exact_n = ends[-1] if exact else None
+        del ends[0]
+        self._leaf_starts = list(map(sub, ends, map(itemgetter(1), specs)))
+        self._leaf_ends = ends
+        self._level, self._selected = i, selected
         return CheckpointRecord(i=i, K=candidates, a=a, S=selected, gadgets=gadgets)
 
 

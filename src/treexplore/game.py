@@ -18,28 +18,47 @@ import json
 import re
 from dataclasses import dataclass
 from functools import partial
-from itertools import chain, starmap
+from itertools import chain, repeat
 from operator import itemgetter
-from typing import Protocol, Sequence
+from typing import Iterable, NamedTuple, Protocol, Sequence
 
 from .errors import (
     AttachmentViolation,
     IntegrityError,
     InvalidParameterError,
     MoveViolation,
+    ResourceLimitError,
     TreexploreError,
     VertexNotFoundError,
 )
 from .tree import ROOT, RootedTree, TreeStats, attach_path_with_star
 
+# the positions of a team are one tuple of k entries; this many agents play
+# a full team on the largest initial tree
+MAX_TEAM_SIZE = 1 << 23
 
-@dataclass(frozen=True, slots=True)
-class Attachment:
-    """One revealer move: a path plus star hung below vertex ``at``."""
+
+def check_team_size(k: int) -> None:
+    """ResourceLimitError for a team over ``MAX_TEAM_SIZE``, before anything that large is built."""
+    if k > MAX_TEAM_SIZE:
+        raise ResourceLimitError(f"a team of more than {MAX_TEAM_SIZE} agents is over the size limit")
+
+
+class Attachment(NamedTuple):
+    """One revealer move: a path plus star hung below vertex ``at``.
+
+    A tuple, so records holding attachments compare in C.
+    """
 
     at: int
     path_len: int
     leaf_count: int
+
+
+def attachments_from_rows(rows: Iterable[tuple[int, int, int]]) -> tuple[Attachment, ...]:
+    """Attachments from (at, path_len, leaf_count) rows, each built in C:
+    ``Attachment(*row)`` would run the named tuple's Python ``__new__``."""
+    return tuple(map(tuple.__new__, repeat(Attachment), rows))
 
 
 @dataclass(frozen=True)
@@ -338,6 +357,7 @@ def play(
         raise InvalidParameterError(f"round cap must be an integer >= 0 (got {round_cap!r})")
     if type(k) is not int or k < 1:
         raise InvalidParameterError(f"team size must be an integer >= 1 (got {k!r})")
+    check_team_size(k)
     state = GameState(revealer.initial_tree(), k)
     params = dict(params_meta) if params_meta else {}
     params.setdefault("explorer", getattr(explorer, "name", explorer.__class__.__name__))
@@ -396,6 +416,8 @@ def replay(transcript: Transcript, initial: RootedTree, observer=None) -> GameSt
     k, cap = transcript.params.get("k"), transcript.params.get("cap")
     if type(k) is not int or k < 1 or type(cap) is not int:
         raise IntegrityError(f"transcript params need an integer k >= 1 and cap (got k={k!r}, cap={cap!r})")
+    if k > MAX_TEAM_SIZE:  # play refuses such a team, so it wrote no such transcript
+        raise IntegrityError(f"transcript params name a team of more than {MAX_TEAM_SIZE} agents")
     state = GameState(initial, k)
     for rec in transcript.rounds:
         t = state.round + 1
@@ -445,8 +467,17 @@ def replay(transcript: Transcript, initial: RootedTree, observer=None) -> GameSt
 _encode = json.JSONEncoder(separators=(",", ":")).encode
 
 
-def _attachments_doc(attachments: Sequence[Attachment]) -> list[dict]:
-    return [{"at": a.at, "path_len": a.path_len, "leaves": a.leaf_count} for a in attachments]
+_ATTACHMENT_JSON = '{"at":%d,"path_len":%d,"leaves":%d}'
+
+
+def _attachments_text(attachments: Sequence[Attachment]) -> str:
+    """The encoded list of attachment objects. When every field is a plain
+    int (tested in C), each object is one %-format, which writes an int as
+    the encoder does; anything else, such as ``1.0`` or ``True``, goes to
+    the encoder."""
+    if set(map(type, chain.from_iterable(attachments))) <= {int}:
+        return "[" + ",".join(map(_ATTACHMENT_JSON.__mod__, attachments)) + "]"
+    return _encode([{"at": a.at, "path_len": a.path_len, "leaves": a.leaf_count} for a in attachments])
 
 
 def transcript_to_json(transcript: Transcript) -> str:
@@ -454,7 +485,9 @@ def transcript_to_json(transcript: Transcript) -> str:
 
     The text equals ``json.dumps(doc, separators=(",", ":")) + "\n"`` of
     the document with keys params, rounds, checkpoints and outcome. It is
-    assembled from pieces that the C encoder makes and joined once. Each
+    assembled from pieces that the C encoder makes, or for attachments
+    with plain-int fields a %-format (see ``_attachments_text``), and
+    joined once. Each
     value is encoded once per object, not per use: a round whose moves are
     the very tuple of the round before reuses that round's encoded moves,
     and a checkpoint whose gadgets are the very tuple of a round's
@@ -470,7 +503,7 @@ def transcript_to_json(transcript: Transcript) -> str:
         if r.moves is not last_moves:
             last_moves, moves_text = r.moves, _encode(r.moves)
         if r.attachments:
-            text = attachments_text[id(r.attachments)] = _encode(_attachments_doc(r.attachments))
+            text = attachments_text[id(r.attachments)] = _attachments_text(r.attachments)
         else:
             text = "[]"
         parts += (
@@ -491,7 +524,7 @@ def transcript_to_json(transcript: Transcript) -> str:
     for c in transcript.checkpoints:
         text = attachments_text.get(id(c.gadgets))
         if text is None:
-            text = _encode(_attachments_doc(c.gadgets))
+            text = _attachments_text(c.gadgets)
         parts += (
             sep,
             '{"i":',
@@ -676,7 +709,7 @@ def _read_attachments(listed, where: str) -> tuple[Attachment, ...]:
     fields = list(map(_attachment_fields, listed)) if type(listed) is list else None
     if fields is None or not set(map(type, chain.from_iterable(fields))) <= {int}:
         raise IntegrityError(f"{where} must be a list of objects with integer 'at', 'path_len' and 'leaves'")
-    return tuple(starmap(Attachment, fields))
+    return attachments_from_rows(fields)
 
 
 def _read_rounds(docs: list, attachments_of: dict) -> list[RoundRecord]:

@@ -32,8 +32,7 @@ EXIT_VIOLATION = 3
 
 
 class _Parser(argparse.ArgumentParser):
-    def error(self, message):  # argparse defaults to exit code 2
-        self.print_usage(sys.stderr)
+    def error(self, message):  # argparse prints the usage too and exits 2
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 

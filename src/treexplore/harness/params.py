@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass, field
 
-from ..adversary import below_budget, least_budget, max_team_size
+from ..adversary import below_budget, least_budget, max_team_size, printable_or_none
 from ..errors import InfeasibleParamsError
 
 # Largest initial vertex budget we consider simulable on a desk machine;
@@ -35,8 +35,9 @@ class TheoremParams:
 
 
 def _max_k_or_none(n: int, L: int, m: int) -> int | None:
+    """The team bound, or None when it is undefined or too long to print."""
     try:
-        return max_team_size(n, L, m)
+        return printable_or_none(max_team_size(n, L, m))
     except InfeasibleParamsError:
         return None
 
@@ -60,9 +61,9 @@ def _feasibility(n: int, L: int, m: int, k: int) -> tuple[bool, str | None, int 
     if below_budget(n, L, m):
         return False, f"n >= L*16^m fails: {n} < {least_budget(L, m) or f'{L}*16^{m}'}", None
     kmax = max_team_size(n, L, m)
-    if k > kmax:
+    if k > kmax:  # then kmax is shorter than k, which printed
         return False, f"k <= max team size fails: {k} > {kmax}", kmax
-    return True, None, kmax
+    return True, None, printable_or_none(kmax)
 
 
 def pick_params_thm1(
@@ -78,7 +79,10 @@ def pick_params_thm1(
         raise InfeasibleParamsError(f"k >= 1 and c >= 0 required (got k={k}, c={c})")
     ln = math.log(n)
     if m is None:
-        m = math.ceil(ln / ((8 + c) * math.log(ln)))
+        # once 8 + c is past 2 ln / ln ln the quotient is under 1/2, so m is 1;
+        # such a c may be too large for a float
+        lnln = math.log(ln)
+        m = 1 if 8 + c > 2 * ln / lnln else math.ceil(ln / ((8 + c) * lnln))
     if L is None:
         L = -(-n // (m * k))  # exact ceiling division
     feasible, violated, kmax = _feasibility(n, L, m, k)

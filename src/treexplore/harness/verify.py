@@ -28,10 +28,12 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import asdict, dataclass
+from functools import partial
 from itertools import chain, compress
+from operator import attrgetter
 
 from ..adversary import AdversaryParams, CheckpointRevealer, params_from_transcript
-from ..errors import IntegrityError, ResourceLimitError
+from ..errors import IntegrityError
 from ..game import CheckpointRecord, GameState, RoundRecord, Transcript, replay
 
 
@@ -155,20 +157,16 @@ class _Replay:
 
 
 def _selected_a(rec: CheckpointRecord) -> list[int]:
-    """The a-values of ``rec.S``; ``rec`` matched its recomputation, so ``K``
-    is id-ascending and holds every vertex of ``S``."""
-    return [rec.a[bisect_left(rec.K, v)] for v in rec.S]
+    """The a-values of ``rec.S``, looked up in C; ``rec`` matched its
+    recomputation, so ``K`` is id-ascending and holds every vertex of ``S``."""
+    return list(map(rec.a.__getitem__, map(partial(bisect_left, rec.K), rec.S)))
 
 
 def verify_transcript(transcript: Transcript) -> VerificationReport:
     """Replay and evaluate every claim; raises IntegrityError on tampering."""
     params = params_from_transcript(transcript)
     rp = _Replay(transcript, params)
-    try:
-        initial = params.initial_tree()
-    except ResourceLimitError as exc:  # play refuses such an instance, so it wrote no such transcript
-        raise IntegrityError(f"transcript params name an instance play refuses: {exc}") from exc
-    state = replay(transcript, initial, rp)
+    state = replay(transcript, params.initial_tree(), rp)
     extra = set(rp.recorded) - set(rp.records)
     if extra:
         raise IntegrityError(f"checkpoint records {sorted(extra)} have no matching rounds")
@@ -178,6 +176,7 @@ def verify_transcript(transcript: Transcript) -> VerificationReport:
 
     n, L, m = params.n, params.L, params.m
     levels = sorted(rp.records)
+    selected_a = {i: _selected_a(rp.records[i]) for i in levels}
 
     for i in levels:
         rec = rp.records[i]
@@ -207,7 +206,7 @@ def verify_transcript(transcript: Transcript) -> VerificationReport:
 
         if i + 1 <= m - 1:
             nxt = rp.records.get(i + 1)
-            min_a = min(_selected_a(rec), default=0)
+            min_a = min(selected_a[i], default=0)
             if nxt is None:
                 checks.append(
                     CheckResult(
@@ -270,7 +269,7 @@ def verify_transcript(transcript: Transcript) -> VerificationReport:
                 asserted=True,
                 note="early gadget-leaf visits all came from inside the branch",
                 values={
-                    "leaves": sum(att.leaf_count for att in rec.gadgets),
+                    "leaves": sum(map(attrgetter("leaf_count"), rec.gadgets)),
                     "next_checkpoint": t_next,
                     "violations": violations[:10],
                 },
@@ -334,11 +333,13 @@ def verify_transcript(transcript: Transcript) -> VerificationReport:
         )
     )
 
-    budget = _budget_audit(params, rp, state.tree.n)
+    budget = _budget_audit(params, rp, selected_a, state.tree.n)
     return VerificationReport(mode=mode, checks=checks, budget=budget).finalize()
 
 
-def _budget_audit(params: AdversaryParams, rp: _Replay, total_vertices: int) -> dict:
+def _budget_audit(
+    params: AdversaryParams, rp: _Replay, selected_a: dict[int, list[int]], total_vertices: int
+) -> dict:
     """Term-by-term audit of the vertex-count chain.
 
     The initial star contributes ceil(n/(2L))*L + 1 <= n/2 + L + 1 vertices
@@ -354,11 +355,10 @@ def _budget_audit(params: AdversaryParams, rp: _Replay, total_vertices: int) -> 
     path_term = 0
     surcharge = 0
     for i, rec in rp.records.items():
-        selected_a = _selected_a(rec)
-        agent_term += L * (i + 1) * sum(selected_a)
+        agent_term += L * (i + 1) * sum(selected_a[i])
         path_term += len(rec.S) * (L - 1)
         if params.mode == "repaired":
-            surcharge += L * (i + 1) * selected_a.count(0)
+            surcharge += L * (i + 1) * selected_a[i].count(0)
     return {
         "initial_vertices": params.branch_count * L + 1,
         "initial_bound": n / 2 + L + 1,

@@ -134,10 +134,16 @@ def brute_opt(
     moves once. Meant for tiny instances (n <= 8, k <= 2). Returns
     None when ``cap`` rounds pass without finishing; raises
     ResourceLimitError when the state space exceeds ``state_limit``.
+    With an agent per leaf the optimum is the height, with no search:
+    every agent walks to its own leaf, and the deepest vertex needs that
+    many rounds.
     """
     n = tree.n
     if cap is None:
         cap = 2 * n
+    if k >= n - sum(map(bool, tree.children)):  # the leaves
+        height = tree.height()
+        return height if height <= cap else None
     full = (1 << n) - 1
     start = (tuple([ROOT] * k), 1)
     if start[1] == full:

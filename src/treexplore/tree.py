@@ -117,6 +117,15 @@ class RootedTree:
         return TreeStats(n=self.n, height=h, root_ecc=h)
 
 
+def check_path_star(branch_count: int, path_len: int) -> None:
+    """ResourceLimitError for a path star of more than ``MAX_PATH_STAR_VERTICES`` vertices."""
+    n = branch_count * path_len + 1
+    if n > MAX_PATH_STAR_VERTICES:
+        raise ResourceLimitError(
+            f"a path star of {n} vertices is over the size limit of {MAX_PATH_STAR_VERTICES} vertices"
+        )
+
+
 def make_path_star(branch_count: int, path_len: int) -> RootedTree:
     """Build a root with ``branch_count`` disjoint paths of ``path_len`` edges.
 
@@ -130,11 +139,8 @@ def make_path_star(branch_count: int, path_len: int) -> RootedTree:
             f"branch_count and path_len must be positive (got {branch_count}, {path_len})"
         )
     B, L = branch_count, path_len
+    check_path_star(B, L)
     n = B * L + 1
-    if n > MAX_PATH_STAR_VERTICES:
-        raise ResourceLimitError(
-            f"a path star of {n} vertices is over the size limit of {MAX_PATH_STAR_VERTICES} vertices"
-        )
     # every array takes its ids from this one list, so each id is one int object
     ids = list(range(1, n))
     heads = ids[::L]  # the depth-1 vertex of each branch

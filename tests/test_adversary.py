@@ -611,6 +611,69 @@ def test_random_walks_meet_the_per_vertex_oracle(mode):
     assert len(seen) == 18 and min(seen.values()) >= 10, seen
 
 
+def _crowd_moves(state, head):
+    """Every agent one step toward the bottom of the branch under ``head``."""
+    children = state.tree.children
+    return [head if p == ROOT else (children[p][0] if children[p] else p) for p in state.positions]
+
+
+def _walk_moves(state, rng):
+    """Every agent stays, steps up or steps down at random, down half the time."""
+    tree, moves = state.tree, []
+    for p in state.positions:
+        if tree.children[p] and rng.random() < 0.5:
+            moves.append(rng.choice(tree.children[p]))
+        else:
+            moves.append(rng.choice((p,) if p == ROOT else (p, tree.parent[p])))
+    return moves
+
+
+def _direct_computes(rng, seen):
+    """One toy game driven by hand: at each checkpoint round ``compute`` on the
+    live state must equal the oracle, and so must checkpoint 1 recomputed at
+    random rounds by a fresh revealer. Before round 1, branches may be added
+    below the root, whose depth-L*i vertices the slots do not hold."""
+    L = rng.randint(1, 3)
+    params = _toy_params(rng, L, rng.choice(("repaired", "strict")))
+    tree = params.initial_tree()
+    for _ in range(rng.choice((0, 0, 0, 1, 2))):
+        attach_path_with_star(tree, ROOT, rng.randint(0, L), 1)
+        seen["vertex added after T_0"] += 1
+    state = GameState(tree, params.k)
+    revealer = CheckpointRevealer(params)
+    style = rng.choice(("root", "walk", "crowd"))
+    head = rng.choice(tree.children[ROOT])
+    level = {t: i for i, t in enumerate(params.checkpoints, 1)}
+    for t in range(1, params.round_floor + 1):
+        if style == "walk":
+            moves = _walk_moves(state, rng)
+        else:
+            moves = state.positions if style == "root" else _crowd_moves(state, head)
+        _commit_moves(state, moves)
+        if t > L and rng.random() < 0.3:
+            assert CheckpointRevealer(params).compute(state, 1) == _reference_record(state, 1, params)
+            path_ends = state.visited[L : params.branch_count * L + 1 : L]
+            seen["checkpoint 1 after path ends were visited"] += any(path_ends)
+        i = level.get(t)
+        if i is None:
+            continue
+        seen["empty leaf range at i >= 2"] += i > 1 and any(not r for r in revealer.leaf_ranges)
+        record = revealer.compute(state, i)
+        assert record == _reference_record(state, i, params)
+        seen["agents only on the root"] += set(state.positions) == {ROOT}
+        seen["several agents in one branch"] += max(record.a, default=0) > 1
+        seen[f"L={L} checkpoint {i}"] += bool(record.K)
+        _commit_attachments(state, record.gadgets)
+
+
+def test_direct_computes_meet_the_per_vertex_oracle():
+    rng = random.Random(1902)
+    seen = Counter()
+    for _ in range(300):
+        _direct_computes(rng, seen)
+    assert len(seen) == 14 and min(seen.values()) >= 5, seen
+
+
 SWEEP_INSTANCES = ((4096, 1, 3, 541, 1000), (65536, 1, 4, 5878, 100), (16384, 4, 3, 541, 100))
 
 

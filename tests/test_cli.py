@@ -354,6 +354,23 @@ def test_astronomical_budget_exits_2_with_one_line(capsys, args, message):
     assert err.count("\n") == 1 and err.startswith("infeasible parameters: ") and message in err
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["params", "--thm", "3", "--n", "1" + "0" * 4299],
+        ["params", "--thm", "4", "--D", "1", "--m", "2", "--n", "1" + "0" * 4299],
+        ["params", "--thm", "2", "--eps", "0.1", "--n", "1" + "0" * 4200, "--k", "1"],
+    ],
+)
+def test_astronomical_team_bound_prints_null(capsys, args):
+    # the team bound has more decimal digits than an int may print
+    assert main(args) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    doc = json.loads(captured.out)
+    assert doc["feasible"] is True and doc["details"]["max_team_size"] is None
+
+
 def test_run_over_the_size_limit_exits_1_with_one_line(capsys):
     args = ["run", "--explorer", "greedy_frontier", "--revealer", "lemma", "--n", "1000000000000"]
     assert main(args + ["--L", "1", "--m", "2", "--k", "1", "--cap", "1"]) == 1

@@ -28,6 +28,7 @@ from treexplore import (
     transcript_to_json,
     validate_moves,
 )
+from treexplore import game
 from treexplore.errors import AttachmentViolation, IntegrityError, InvalidParameterError, MoveViolation
 from treexplore.game import ExplorerView, _commit_attachments, _commit_moves
 from treexplore.harness.runner import run_adversary_game
@@ -645,6 +646,44 @@ class TestSharedMoves:
         assert back.checkpoints[0].gadgets is back.rounds[0].attachments
         assert back.checkpoints[1].gadgets == shared
         assert back.checkpoints[1].gadgets is not back.checkpoints[0].gadgets
+
+
+class _Count(int):
+    """An int subclass: it prints like an int but is not a plain one."""
+
+
+class TestAttachmentText:
+    """Plain-int attachments are %-formatted; any other field goes to the encoder."""
+
+    def _transcript(self, attachments):
+        return Transcript(
+            params={"explorer": "hand", "revealer": "hand", "k": 1},
+            rounds=[RoundRecord(t=1, moves=(0,), attachments=attachments, newly_visited=0)],
+            checkpoints=[CheckpointRecord(i=1, K=(1,), a=(0,), S=(1,), gadgets=attachments[::-1])],
+            outcome=Outcome(False, 1, TreeStats(n=2, height=1, root_ecc=1)),
+        )
+
+    def test_negative_and_large_ints_match_the_reference(self, monkeypatch):
+        attachments = (Attachment(-5, 10**40, 0), Attachment(0, -1, -(10**4299)), Attachment(2**63, 2**64, 7))
+        tr = self._transcript(attachments)
+        encoded = []
+        encode = game._encode
+        monkeypatch.setattr(game, "_encode", lambda value: encoded.append(value) or encode(value))
+        assert transcript_to_json(tr) == reference_to_json(tr)
+        assert not any(type(value) is list and value and type(value[0]) is dict for value in encoded)
+
+    @pytest.mark.parametrize("odd", [1.0, True, _Count(3)], ids=["float", "bool", "int-subclass"])
+    @pytest.mark.parametrize("field", range(3))
+    def test_a_field_that_is_not_a_plain_int_goes_to_the_encoder(self, monkeypatch, odd, field):
+        fields = [1, 0, 2]
+        fields[field] = odd
+        tr = self._transcript((Attachment(4, 0, 1), Attachment(*fields)))
+        encoded = []
+        encode = game._encode
+        monkeypatch.setattr(game, "_encode", lambda value: encoded.append(value) or encode(value))
+        assert transcript_to_json(tr) == reference_to_json(tr)
+        # once for the round's attachments, once for the checkpoint's gadgets
+        assert sum(type(value) is list and len(value) == 2 for value in encoded) == 2
 
 
 # (256, 1, 2, 8): one checkpoint at round 1 with 12 gadgets, then stay-put
