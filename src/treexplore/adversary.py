@@ -27,7 +27,7 @@ from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass, replace
 from itertools import accumulate, compress, islice, repeat
-from operator import add, and_, itemgetter, sub
+from operator import add, itemgetter, sub
 
 from .errors import InfeasibleParamsError, IntegrityError, InvalidParameterError, TreexploreError
 from .game import (
@@ -204,39 +204,6 @@ class AdversaryParams:
     mode: str
     max_k: int
 
-    @staticmethod
-    def derive(n: int, L: int, m: int, k: int, mode: str = "repaired", warn: bool = True) -> "AdversaryParams":
-        _check_preconditions(n, L, m)
-        if mode not in MODES:
-            raise InfeasibleParamsError(f"unknown mode {mode!r}", violated="mode in strict|repaired")
-        if type(k) is not int or k < 1:
-            raise InfeasibleParamsError(f"k must be a positive integer (got {k!r})", violated="k >= 1")
-        check_team_size(k)
-        check_path_star(-(-n // (2 * L)), L)  # T_0, before any warning
-        max_k = max_team_size(n, L, m)
-        if k > max_k and warn:
-            warnings.warn(
-                f"team size k={k} exceeds the guaranteed bound {max_k} for "
-                f"(n={n}, L={L}, m={m}); proceeding, but the round floor may not hold",
-                stacklevel=3,
-            )
-        params = AdversaryParams(
-            n=n,
-            L=L,
-            m=m,
-            k=k,
-            alpha=Alpha(n=n, L=L, m=m),
-            checkpoints=(),
-            round_floor=0,
-            mode=mode,
-            max_k=max_k,
-        )
-        return replace(
-            params,
-            checkpoints=tuple(map(params.checkpoint_round, range(1, m))),
-            round_floor=params.checkpoint_round(m - 1),
-        )
-
     def checkpoint_round(self, i: int) -> int:
         """The round t_i = L * C(i+1, 2) of checkpoint i.
 
@@ -261,7 +228,31 @@ class AdversaryParams:
 
 
 def derive_params(n: int, L: int, m: int, k: int, mode: str = "repaired", warn: bool = True) -> AdversaryParams:
-    return AdversaryParams.derive(n=n, L=L, m=m, k=k, mode=mode, warn=warn)
+    """Validated params for (n, L, m, k); warns, naming the caller's line,
+    when k exceeds the team-size bound."""
+    _check_preconditions(n, L, m)
+    if mode not in MODES:
+        raise InfeasibleParamsError(f"unknown mode {mode!r}", violated="mode in strict|repaired")
+    if type(k) is not int or k < 1:
+        raise InfeasibleParamsError(f"k must be a positive integer (got {k!r})", violated="k >= 1")
+    check_team_size(k)
+    check_path_star(-(-n // (2 * L)), L)  # T_0, before any warning
+    max_k = max_team_size(n, L, m)
+    if k > max_k and warn:
+        warnings.warn(
+            f"team size k={k} exceeds the guaranteed bound {max_k} for "
+            f"(n={n}, L={L}, m={m}); proceeding, but the round floor may not hold",
+            stacklevel=2,
+        )
+    params = AdversaryParams(
+        n=n, L=L, m=m, k=k, alpha=Alpha(n=n, L=L, m=m),
+        checkpoints=(), round_floor=0, mode=mode, max_k=max_k,
+    )
+    return replace(
+        params,
+        checkpoints=tuple(map(params.checkpoint_round, range(1, m))),
+        round_floor=params.checkpoint_round(m - 1),
+    )
 
 
 def params_from_transcript(transcript: Transcript) -> AdversaryParams:
@@ -278,9 +269,7 @@ def params_from_transcript(transcript: Transcript) -> AdversaryParams:
             f"(got view={view!r}, explorer={explorer!r})"
         )
     try:
-        return AdversaryParams.derive(
-            n=meta["n"], L=meta["L"], m=meta["m"], k=meta["k"], mode=meta["mode"], warn=False
-        )
+        return derive_params(meta["n"], meta["L"], meta["m"], meta["k"], mode=meta["mode"], warn=False)
     except (KeyError, TreexploreError) as exc:
         raise IntegrityError(f"transcript params are not valid adversary params: {exc}") from exc
 
@@ -329,16 +318,6 @@ def selection_mask(a: Sequence[int], count: int) -> bytearray:
 _UNVISITED = bytes.maketrans(b"\x00\x01", b"\x01\x00")  # visited bytes -> open flags
 
 
-def _open_at_depth(tree: RootedTree, prev: bytearray, d: int) -> tuple[int, ...]:
-    """Each branch's smallest id at depth ``d`` that ``prev`` marks unvisited,
-    id-ascending: the checkpoint rule by a scan of every depth."""
-    open_ = prev.translate(_UNVISITED)
-    found = list(compress(range(tree.n), map(and_, map(d.__eq__, tree.depth), open_)))
-    # the last write per branch wins, so walking down the ids keeps the smallest
-    first = dict(zip(map(tree.branch.__getitem__, reversed(found)), reversed(found)))
-    return tuple(sorted(first.values()))
-
-
 def gadget_spec(i: int, a: int, params: AdversaryParams) -> tuple[int, int]:
     """Shape of the gadget hung below a selected vertex at checkpoint i.
 
@@ -356,11 +335,10 @@ class CheckpointRevealer:
     The vertices at depth L*i sit in slots known without a search: T_0's
     path ends at i = 1, one per branch, and after that the star leaves of
     checkpoint i-1's gadgets, one leaf range per gadget. Ids are dense in
-    creation order, so the ranges follow from ``tree.n`` at compute time,
-    and checkpoint i >= 2 must come right after checkpoint i-1. The slots
-    hold every depth-L*i vertex only while the tree is T_0 plus the
-    revealer's own gadgets, which its size tells; any other tree falls
-    back to a scan of the depths.
+    creation order, so the ranges follow from ``tree.n`` at compute time.
+    ``compute`` takes only the tree the construction grows, T_0 plus the
+    revealer's own gadgets, and checkpoint i >= 2 must come right after
+    checkpoint i-1.
     """
 
     name = "lemma"
@@ -372,9 +350,7 @@ class CheckpointRevealer:
         self._selected: tuple[int, ...] = ()  # its S, one per gadget, in gadget order
         self._leaf_starts: list[int] = []  # each gadget's leaf range
         self._leaf_ends: list[int] = []
-        # after a checkpoint whose slots were exact, the tree size its gadgets
-        # lead to: the next checkpoint's slots are exact at that size
-        self._exact_n: int | None = None
+        self._grown_n = 0  # the tree size the last checkpoint's gadgets lead to
 
     @property
     def leaf_ranges(self) -> tuple[range, ...]:
@@ -396,11 +372,12 @@ class CheckpointRevealer:
         return record.gadgets, record
 
     def compute(self, state: GameState, i: int) -> CheckpointRecord:
-        """The checkpoint-i record for ``state``; verify recomputes records with it.
+        """The checkpoint-i record for ``state``; play and verify get it from ``reveal``.
 
         K holds, id-ascending, each branch's smallest id at depth L*i that
         was unvisited as of the previous round, so a vertex first reached
         this very round still qualifies. Checkpoint 1 may come at any time.
+        A tree of another size than the construction's raises InvalidParameterError.
         The work per vertex of K is a few passes in C; the Python work
         grows with the agents and the distinct a-values only.
         """
@@ -408,6 +385,11 @@ class CheckpointRevealer:
             raise InvalidParameterError(f"checkpoint {i} cannot follow checkpoint {self._level}")
         params = self.params
         L, tree, branch = params.L, state.tree, state.tree.branch
+        size = params.branch_count * L + 1 if i == 1 else self._grown_n
+        if tree.n != size:
+            raise InvalidParameterError(
+                f"checkpoint {i} needs the construction's tree of {size} vertices, not {tree.n}"
+            )
         prev = state.visited
         if state.newly_visited:
             prev = bytearray(prev)
@@ -416,32 +398,27 @@ class CheckpointRevealer:
         # agents per occupied branch; ROOT is 0, so filter(None, ...) drops the
         # agents parked on the root
         occupied = Counter(map(branch.__getitem__, filter(None, state.positions)))
-        exact = tree.n == (params.branch_count * L + 1 if i == 1 else self._exact_n)
-        if not exact:
-            candidates = _open_at_depth(tree, prev, L * i)
-            a = tuple(map(occupied.get, map(branch.__getitem__, candidates), repeat(0)))
-        else:
-            if i == 1:
-                # slot j is T_0's path end L*(j+1), in branch L*j+1; at L = 1 the
-                # path ends are the root's children, whose int objects K shares
-                slots = tree.children[ROOT] if L == 1 else range(L, tree.n, L)
-                open_ = prev[L::L].translate(_UNVISITED)
-            else:  # slot g is the first unvisited leaf of gadget g, or -1
-                slots = list(map(prev.find, repeat(0), self._leaf_starts, self._leaf_ends))
-                open_ = bytearray(map((-1).__ne__, slots))
-            # a tuple of ints drops out of the young GC generation after one scan
-            candidates = tuple(compress(slots, open_))
-            a = (0,) * len(candidates)
-            if occupied:
-                a_slots = [0] * len(slots)
-                slot_of = None
-                if i > 1:  # gadget g hangs in the branch of the previous checkpoint's S[g]
-                    slot_of = dict(zip(map(branch.__getitem__, self._selected), range(len(slots))))
-                for b, agents in occupied.items():
-                    j = (b - 1) // L if slot_of is None else slot_of.get(b)
-                    if j is not None:
-                        a_slots[j] = agents
-                a = tuple(compress(a_slots, open_))
+        if i == 1:
+            # slot j is T_0's path end L*(j+1), in branch L*j+1; at L = 1 the
+            # path ends are the root's children, whose int objects K shares
+            slots = tree.children[ROOT] if L == 1 else range(L, tree.n, L)
+            open_ = prev[L::L].translate(_UNVISITED)
+        else:  # slot g is the first unvisited leaf of gadget g, or -1
+            slots = list(map(prev.find, repeat(0), self._leaf_starts, self._leaf_ends))
+            open_ = bytearray(map((-1).__ne__, slots))
+        # a tuple of ints drops out of the young GC generation after one scan
+        candidates = tuple(compress(slots, open_))
+        a = (0,) * len(candidates)
+        if occupied:
+            a_slots = [0] * len(slots)
+            slot_of = None
+            if i > 1:  # gadget g hangs in the branch of the previous checkpoint's S[g]
+                slot_of = dict(zip(map(branch.__getitem__, self._selected), range(len(slots))))
+            for b, agents in occupied.items():
+                j = (b - 1) // L if slot_of is None else slot_of.get(b)
+                if j is not None:
+                    a_slots[j] = agents
+            a = tuple(compress(a_slots, open_))
         mask = selection_mask(a, params.alpha.ceil_mul(len(a)))
         selected = tuple(compress(candidates, mask))
         selected_a = list(compress(a, mask))
@@ -450,7 +427,7 @@ class CheckpointRevealer:
         gadgets = attachments_from_rows(map(add, zip(selected), specs))
         # the round creates each gadget's path, then its leaves
         ends = list(accumulate(map(sum, specs), initial=tree.n))
-        self._exact_n = ends[-1] if exact else None
+        self._grown_n = ends[-1]
         del ends[0]
         self._leaf_starts = list(map(sub, ends, map(itemgetter(1), specs)))
         self._leaf_ends = ends

@@ -14,7 +14,7 @@ import json
 import sys
 from pathlib import Path
 
-from ..adversary import AdversaryParams
+from ..adversary import derive_params
 from ..errors import InfeasibleParamsError, IntegrityError, InvalidParameterError, TreexploreError
 from ..game import VIEW_MODES, transcript_from_json, transcript_to_json
 from ..offline import bounds_report
@@ -55,7 +55,7 @@ def _cmd_run(args) -> int:
         for field in ("n", "L", "m", "k"):
             if getattr(args, field) is None:
                 raise InfeasibleParamsError(f"--{field} is required with --revealer lemma")
-        params = AdversaryParams.derive(n=args.n, L=args.L, m=args.m, k=args.k, mode=args.mode)
+        params = derive_params(args.n, args.L, args.m, args.k, mode=args.mode)
         transcript = run_adversary_game(
             params, args.explorer, cap=args.cap, view_mode=args.view, switch_round=args.switch_round
         )

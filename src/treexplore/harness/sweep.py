@@ -16,7 +16,7 @@ import json
 from fractions import Fraction
 from pathlib import Path
 
-from ..adversary import AdversaryParams
+from ..adversary import derive_params
 from ..errors import InvalidParameterError, TreexploreError
 from ..offline import euler_schedule, trivial_lb
 from ..tree import decode_tree
@@ -116,7 +116,7 @@ def _lemma_cell(grid_entry: dict, mode: str, cap, name: str, k_setting, view: st
     row.update(n=n, L=L, m=m)
     try:
         k = _resolve_k(k_setting, grid_entry)
-        params = AdversaryParams.derive(n=n, L=L, m=m, k=k, mode=mode, warn=False)
+        params = derive_params(n, L, m, k, mode=mode, warn=False)
         transcript = run_adversary_game(params, name, cap=cap, view_mode=view)
         report = verify_transcript(transcript)
         claims = {"claims_passed": report.claims_passed, "claims_failed": report.claims_failed}

@@ -133,7 +133,9 @@ def brute_opt(
     interchangeable, so the agents on one vertex take each multiset of
     moves once. Meant for tiny instances (n <= 8, k <= 2). Returns
     None when ``cap`` rounds pass without finishing; raises
-    ResourceLimitError when the state space exceeds ``state_limit``.
+    ResourceLimitError once the search has generated more than
+    ``state_limit`` joint moves, stored or not, so on a mid-size tree it
+    gives up within about a second.
     With an agent per leaf the optimum is the height, with no search:
     every agent walks to its own leaf, and the deepest vertex needs that
     many rounds.
@@ -150,6 +152,7 @@ def brute_opt(
         return 0
     seen = {start}
     frontier = [start]
+    generated = 0
     options = [[v, *[p for p in [tree.parent[v]] if p is not None], *tree.children[v]] for v in range(n)]
     for t in range(1, cap + 1):
         next_frontier = []
@@ -159,6 +162,11 @@ def brute_opt(
                 for v, same in itertools.groupby(positions)
             ]
             for joint in itertools.product(*groups):
+                generated += 1
+                if generated > state_limit:
+                    raise ResourceLimitError(
+                        f"brute-force search exceeded {state_limit} joint moves (n={n}, k={k})"
+                    )
                 moved = tuple(itertools.chain.from_iterable(joint))
                 new_mask = mask
                 for v in moved:
@@ -169,10 +177,6 @@ def brute_opt(
                 if new_mask == full:
                     return t
                 seen.add(state)
-                if len(seen) > state_limit:
-                    raise ResourceLimitError(
-                        f"brute-force search exceeded {state_limit} states (n={n}, k={k})"
-                    )
                 next_frontier.append(state)
         if not next_frontier:
             break

@@ -227,9 +227,9 @@ class TestBranchAgentCount:
 
     @staticmethod
     def _a_values(state):
-        # candidates sit at depth 2, one per branch: ids 2, 4, 6, 8, 10
+        # T_0 for n = 20, L = 2; candidates sit at depth 2, one per branch: ids 2, 4, 6, 8, 10
         params = AdversaryParams(
-            n=state.tree.n, L=2, m=2, k=state.k, alpha=Alpha(n=1, L=1, m=1),
+            n=20, L=2, m=2, k=state.k, alpha=Alpha(n=1, L=1, m=1),
             checkpoints=(), round_floor=0, mode="repaired", max_k=state.k,
         )
         record = CheckpointRevealer(params).compute(state, 1)
@@ -420,9 +420,9 @@ class TestReveal:
         assert type(record.a) is tuple and set(record.a) == {0}
 
     def test_toy_star_with_one_crowded_branch(self):
-        # five-branch toy: params patched so the selection fraction is 2/3
+        # five-branch toy, T_0 for n = 10, L = 1: alpha patched so the selection fraction is 2/3
         params = AdversaryParams(
-            n=3, L=1, m=2, k=1,
+            n=10, L=1, m=2, k=1,
             alpha=Alpha(n=3, L=1, m=1),
             checkpoints=(1,), round_floor=1,
             mode="repaired", max_k=1,
@@ -631,28 +631,24 @@ def _walk_moves(state, rng):
 def _direct_computes(rng, seen):
     """One toy game driven by hand: at each checkpoint round ``compute`` on the
     live state must equal the oracle, and so must checkpoint 1 recomputed at
-    random rounds by a fresh revealer. Before round 1, branches may be added
-    below the root, whose depth-L*i vertices the slots do not hold."""
+    random rounds by a fresh revealer on a state that plays over T_0 alone."""
     L = rng.randint(1, 3)
     params = _toy_params(rng, L, rng.choice(("repaired", "strict")))
-    tree = params.initial_tree()
-    for _ in range(rng.choice((0, 0, 0, 1, 2))):
-        attach_path_with_star(tree, ROOT, rng.randint(0, L), 1)
-        seen["vertex added after T_0"] += 1
-    state = GameState(tree, params.k)
+    state, bare = GameState(params.initial_tree(), params.k), GameState(params.initial_tree(), params.k)
     revealer = CheckpointRevealer(params)
     style = rng.choice(("root", "walk", "crowd"))
-    head = rng.choice(tree.children[ROOT])
+    head = rng.choice(state.tree.children[ROOT])
     level = {t: i for i, t in enumerate(params.checkpoints, 1)}
     for t in range(1, params.round_floor + 1):
-        if style == "walk":
-            moves = _walk_moves(state, rng)
-        else:
-            moves = state.positions if style == "root" else _crowd_moves(state, head)
-        _commit_moves(state, moves)
+        for s in (state, bare):
+            if style == "walk":
+                moves = _walk_moves(s, rng)
+            else:
+                moves = s.positions if style == "root" else _crowd_moves(s, head)
+            _commit_moves(s, moves)
         if t > L and rng.random() < 0.3:
-            assert CheckpointRevealer(params).compute(state, 1) == _reference_record(state, 1, params)
-            path_ends = state.visited[L : params.branch_count * L + 1 : L]
+            assert CheckpointRevealer(params).compute(bare, 1) == _reference_record(bare, 1, params)
+            path_ends = bare.visited[L : params.branch_count * L + 1 : L]
             seen["checkpoint 1 after path ends were visited"] += any(path_ends)
         i = level.get(t)
         if i is None:
@@ -671,7 +667,52 @@ def test_direct_computes_meet_the_per_vertex_oracle():
     seen = Counter()
     for _ in range(300):
         _direct_computes(rng, seen)
-    assert len(seen) == 14 and min(seen.values()) >= 5, seen
+    assert len(seen) == 13 and min(seen.values()) >= 5, seen
+
+
+class TestTreeSizeGuard:
+    """compute takes only T_0 plus the revealer's own gadgets: a tree of any
+    other size raises one line and leaves the revealer as it was."""
+
+    params = derive_params(4096, 1, 3, 541)
+
+    def _t0_state(self):
+        state = GameState(self.params.initial_tree(), 3)
+        _commit_moves(state, [1, 2, 0])
+        _commit_moves(state, [1, 0, 0])
+        return state
+
+    def _raises(self, revealer, state, i):
+        with pytest.raises(InvalidParameterError, match=f"checkpoint {i} needs the construction's tree") as exc:
+            revealer.compute(state, i)
+        assert "\n" not in str(exc.value)
+
+    def _matches(self, revealer, state, i):
+        assert revealer.compute(state, i) == _reference_record(state, i, self.params)
+
+    def test_branch_hung_below_the_root(self):
+        tree = self.params.initial_tree()
+        attach_path_with_star(tree, ROOT, 1, 2)
+        revealer = CheckpointRevealer(self.params)
+        self._raises(revealer, GameState(tree, 3), 1)
+        self._matches(revealer, self._t0_state(), 1)
+
+    def test_checkpoint_two_before_the_gadgets_are_attached(self):
+        revealer = CheckpointRevealer(self.params)
+        state = self._t0_state()
+        gadgets = revealer.compute(state, 1).gadgets
+        assert gadgets
+        _commit_moves(state, [0, 3, 0])
+        self._raises(revealer, state, 2)
+        _commit_attachments(state, gadgets)
+        self._matches(revealer, state, 2)
+
+    def test_fresh_revealer_on_a_grown_tree(self):
+        state = self._t0_state()
+        _commit_attachments(state, CheckpointRevealer(self.params).compute(state, 1).gadgets)
+        revealer = CheckpointRevealer(self.params)
+        self._raises(revealer, state, 1)
+        self._matches(revealer, self._t0_state(), 1)
 
 
 SWEEP_INSTANCES = ((4096, 1, 3, 541, 1000), (65536, 1, 4, 5878, 100), (16384, 4, 3, 541, 100))

@@ -4,6 +4,7 @@ import csv
 import io
 import itertools
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -226,6 +227,15 @@ class TestBruteOpt:
     def test_state_limit(self):
         with pytest.raises(ResourceLimitError):
             brute_opt(make_path_star(4, 2), 3, state_limit=50)
+
+    def test_generated_joint_moves_count_against_the_limit(self):
+        # 8 agents on a 40-vertex tree with 18 leaves: counting stored states
+        # alone let the search run about a minute before it gave up
+        tree = random_tree(40, random.Random(3))
+        start = time.perf_counter()
+        with pytest.raises(ResourceLimitError, match="exceeded 500000 joint moves"):
+            brute_opt(tree, 8)
+        assert time.perf_counter() - start < 10
 
     def test_tree_with_leaves(self):
         # bulk-built leaves hold the empty tuple as their children entry
