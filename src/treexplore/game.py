@@ -36,6 +36,9 @@ from .tree import ROOT, RootedTree, TreeStats, attach_path_with_star
 # the positions of a team are one tuple of k entries; this many agents play
 # a full team on the largest initial tree
 MAX_TEAM_SIZE = 1 << 23
+# play keeps a RoundRecord of about 144 B per round even when no agent moves,
+# so this many rounds stay within the 2 GiB that MAX_PATH_STAR_VERTICES budgets
+MAX_ROUNDS = 1 << 23
 
 
 def check_team_size(k: int) -> None:
@@ -345,13 +348,16 @@ def play(
     round_cap: int,
     view_mode: str = "game",
     params_meta: dict | None = None,
+    observer=None,
 ) -> Transcript:
     """Run one full game and return its transcript.
 
     Termination is checked at the start of each round, so ``final_round``
     counts completed move rounds. ``round_cap`` bounds the game length;
-    hitting it leaves ``finished`` false. A round in which no agent moves
-    records the previous round's moves tuple itself.
+    hitting it leaves ``finished`` false. A game that would play past
+    ``MAX_ROUNDS`` raises ResourceLimitError instead. A round in which no
+    agent moves records the previous round's moves tuple itself.
+    ``observer`` gets the hooks ``replay`` calls, in the same places.
     """
     if type(round_cap) is not int or round_cap < 0:
         raise InvalidParameterError(f"round cap must be an integer >= 0 (got {round_cap!r})")
@@ -371,11 +377,14 @@ def play(
     rounds: list[RoundRecord] = []
     checkpoints: list[CheckpointRecord] = []
     view = ExplorerView(state, mode=view_mode)
+    stop = min(round_cap, MAX_ROUNDS)
     while True:
         if is_explored(state):
             finished = True
             break
-        if state.round >= round_cap:
+        if state.round >= stop:
+            if stop < round_cap:
+                raise ResourceLimitError(f"a game of more than {MAX_ROUNDS} rounds is over the round limit")
             finished = False
             break
         t = state.round + 1
@@ -383,18 +392,16 @@ def play(
         _commit_moves(state, moves)
         view.observe_moves()
         attachments, record = revealer.reveal(state, t)
-        created = _commit_attachments(state, attachments)
+        rec = RoundRecord(t, state.positions, tuple(attachments), len(state.newly_visited))
+        if observer is not None:
+            observer.moved(state, rec)
+        created = _commit_attachments(state, rec.attachments)
         view.observe_attachments(created)
+        if observer is not None:
+            observer.attached(state, rec, created)
         if record is not None:
             checkpoints.append(record)
-        rounds.append(
-            RoundRecord(
-                t=t,
-                moves=state.positions,
-                attachments=tuple(attachments),
-                newly_visited=len(state.newly_visited),
-            )
-        )
+        rounds.append(rec)
     outcome = Outcome(finished=finished, final_round=state.round, final_stats=state.tree.stats())
     return Transcript(
         params=params, rounds=rounds, checkpoints=checkpoints, outcome=outcome, final_state=state
@@ -404,11 +411,11 @@ def play(
 def replay(transcript: Transcript, initial: RootedTree, observer=None) -> GameState:
     """Re-apply every recorded round to ``initial``, which grows in place; returns the end state.
 
-    Raises IntegrityError for anything ``play`` could not have written: a
-    round out of order, an illegal move or attachment, a wrong
-    newly-visited count, a round after the tree was fully explored, an
-    outcome that disagrees with the replayed state, or one that breaks the
-    transcript's cap. The record fields' types are the reader's to check
+    Raises IntegrityError for anything ``play`` could not have written:
+    more than ``MAX_ROUNDS`` rounds, a round out of order, an illegal move
+    or attachment, a wrong newly-visited count, a round after the tree was
+    fully explored, an outcome that disagrees with the replayed state, or
+    one that breaks the transcript's cap. The record fields' types are the reader's to check
     (see ``transcript_from_json``). ``observer.moved(state, rec)`` runs
     after a round's moves commit and before its attachments, and
     ``observer.attached(state, rec, created)`` after them.
@@ -418,6 +425,8 @@ def replay(transcript: Transcript, initial: RootedTree, observer=None) -> GameSt
         raise IntegrityError(f"transcript params need an integer k >= 1 and cap (got k={k!r}, cap={cap!r})")
     if k > MAX_TEAM_SIZE:  # play refuses such a team, so it wrote no such transcript
         raise IntegrityError(f"transcript params name a team of more than {MAX_TEAM_SIZE} agents")
+    if len(transcript.rounds) > MAX_ROUNDS:  # nor a game this long
+        raise IntegrityError(f"transcript records more than {MAX_ROUNDS} rounds")
     state = GameState(initial, k)
     for rec in transcript.rounds:
         t = state.round + 1

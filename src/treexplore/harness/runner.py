@@ -19,11 +19,13 @@ def run_adversary_game(
     cap: int | None = None,
     view_mode: str = "game",
     switch_round: int | None = None,
+    observer=None,
 ) -> Transcript:
     """One game of the named explorer against the checkpoint revealer.
 
     The explorer plays with ``params.k`` agents. ``switch_round`` only
     matters for idle_then_greedy and defaults to the first checkpoint.
+    ``observer`` goes to ``play``.
     """
     if cap is None:
         cap = default_round_cap(params.n, params.L * params.m)
@@ -42,7 +44,7 @@ def run_adversary_game(
         "k": params.k,
         "cap": cap,
     }
-    return play(explorer, revealer, params.k, cap, view_mode=view_mode, params_meta=meta)
+    return play(explorer, revealer, params.k, cap, view_mode=view_mode, params_meta=meta, observer=observer)
 
 
 def run_fixed_game(

@@ -6,6 +6,10 @@ mode, then cap, then explorer). Cells are fully independent of each
 other, which keeps the row set reproducible regardless of how they are
 scheduled; this implementation runs them sequentially. Cell failures are
 recorded in the trailing error column and never abort the sweep.
+
+A lemma cell fills ``claims_passed`` and ``claims_failed`` from the
+``verify.Evidence`` that watched its play, with no second replay; the
+``verify`` command is the one that replays and cross-checks a transcript.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from ..errors import InvalidParameterError, TreexploreError
 from ..offline import euler_schedule, trivial_lb
 from ..tree import decode_tree
 from .runner import run_adversary_game, run_fixed_game
-from .verify import verify_transcript
+from .verify import Evidence, verify_transcript
 
 CSV_COLUMNS = [
     "explorer",
@@ -117,8 +121,9 @@ def _lemma_cell(grid_entry: dict, mode: str, cap, name: str, k_setting, view: st
     try:
         k = _resolve_k(k_setting, grid_entry)
         params = derive_params(n, L, m, k, mode=mode, warn=False)
-        transcript = run_adversary_game(params, name, cap=cap, view_mode=view)
-        report = verify_transcript(transcript)
+        evidence = Evidence(params)
+        transcript = run_adversary_game(params, name, cap=cap, view_mode=view, observer=evidence)
+        report = verify_transcript(transcript, evidence=evidence)
         claims = {"claims_passed": report.claims_passed, "claims_failed": report.claims_failed}
         return {**row, "k": k, **_result_columns(transcript, k), **claims}
     except TreexploreError as exc:

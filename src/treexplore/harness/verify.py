@@ -1,13 +1,21 @@
-"""Transcript verification for adversary games.
+"""Transcript verification for adversary games, in three parts.
 
-Replays the recorded moves and attachments (never the strategies) with
-``game.replay`` and gathers its own evidence in the observer ``_Replay``:
-``moved`` cross checks every checkpoint record against a fresh
-recomputation and decides the speed limit and the root-passage floor for
-the round's new visits; ``attached`` opens a checkpoint's root-passage
-window over the gadget leaves, read from the recomputing revealer, whose
-gadgets the round's attachments matched. ``verify_transcript`` then
-evaluates the construction's claims with exact integer comparisons:
+``Evidence`` is an observer with the hooks that ``game.play`` and
+``game.replay`` both call. ``moved`` notes whether the round's new visits
+break the speed limit or the open root-passage window, and the positions
+when a checkpoint fires; ``attached`` opens that checkpoint's window over
+its gadget leaves and notes the gadget vertex count and the height.
+
+``_ReplayCheck`` is the Evidence that ``verify_transcript`` feeds through
+``replay``, the recorded moves and attachments (never the strategies). It
+also recomputes every checkpoint with a fresh ``CheckpointRevealer`` and
+compares it with the record. Given the Evidence that watched the ``play``
+which wrote a transcript, as the sweep does, ``verify_transcript`` skips
+the replay and its cross-check.
+
+``_evaluate`` turns the evidence, the checkpoint records and the params
+into the report. It is the one place that decides each claim, with exact
+integer comparisons:
 
 * claim1 (height growth): after checkpoint i the tree height is at most
   L*(i+1); exactly that in repaired mode whenever something was selected.
@@ -29,8 +37,8 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import asdict, dataclass
 from functools import partial
-from itertools import chain, compress
-from operator import attrgetter
+from itertools import accumulate, chain, compress
+from operator import add, attrgetter, sub
 
 from ..adversary import AdversaryParams, CheckpointRevealer, params_from_transcript
 from ..errors import IntegrityError
@@ -80,18 +88,17 @@ class VerificationReport:
         }
 
 
-class _Replay:
-    """The replay observer: checks each checkpoint round against its
-    recomputation and decides the speed limit and the root-passage floor
-    as the rounds go by."""
+class Evidence:
+    """The observer that gathers what the claims need, round by round.
 
-    def __init__(self, transcript: Transcript, params: AdversaryParams):
-        self.revealer = CheckpointRevealer(params)
-        self.recorded = {rec.i: rec for rec in transcript.checkpoints}
-        if len(self.recorded) != len(transcript.checkpoints):
-            raise IntegrityError("duplicate checkpoint records")
+    ``play`` feeds it live and ``replay`` feeds it a recorded game; it
+    reads the state and the round record only, never a revealer.
+    """
+
+    def __init__(self, params: AdversaryParams):
+        self.params = params
+        self._level_of = {t: i + 1 for i, t in enumerate(params.checkpoints)}
         self.level: int | None = None  # the checkpoint the current round fires, if any
-        self.records: dict[int, CheckpointRecord] = {}
         self.height_after: dict[int, int] = {}
         self.positions_at: dict[int, tuple[int, ...]] = {}
         self.gadget_vertices: dict[int, int] = {}
@@ -112,25 +119,10 @@ class _Replay:
             i, leaves, until = self.window
             if t < until and not leaves.isdisjoint(newly):
                 self._check_passage(state, i, leaves & newly)
-        gadgets, expected = self.revealer.reveal(state, t)
-        if expected is None:
-            self.level = None
-            if rec.attachments:
-                raise IntegrityError(f"round {t} has attachments outside any checkpoint", round=t)
-            return
-        i = self.level = expected.i
-        rec_cp = self.recorded.get(i)
-        if rec_cp is None:
-            raise IntegrityError(f"checkpoint {i} fired at round {t} but has no record", round=t)
-        if rec_cp != expected:
-            raise IntegrityError(
-                f"checkpoint {i} record does not match its recomputation at round {t}", round=t
-            )
-        if tuple(rec.attachments) != gadgets:
-            raise IntegrityError(f"round {t} attachments differ from checkpoint {i} gadgets", round=t)
-        self.records[i] = rec_cp
-        self.positions_at[i] = state.positions
-        self.violations[i] = []
+        i = self.level = self._level_of.get(t)
+        if i is not None:
+            self.positions_at[i] = state.positions
+            self.violations[i] = []
 
     def _check_passage(self, state: GameState, i: int, early: frozenset[int]) -> None:
         """Checkpoint i's gadget leaves reached before the next checkpoint:
@@ -150,38 +142,90 @@ class _Replay:
         i = self.level
         if i is None:
             return
-        leaves = frozenset(chain.from_iterable(self.revealer.leaf_ranges))
-        self.window = (i, leaves, self.revealer.params.checkpoint_round(i + 1))
+        # ids are dense and each gadget creates its path, then its leaves, so
+        # a gadget's leaves are the last leaf_count ids of its block
+        counts = list(map(attrgetter("leaf_count"), rec.attachments))
+        sizes = map(add, map(attrgetter("path_len"), rec.attachments), counts)
+        ends = list(accumulate(sizes, initial=state.tree.n - len(created)))
+        del ends[0]
+        leaves = frozenset(chain.from_iterable(map(range, map(sub, ends, counts), ends)))
+        self.window = (i, leaves, self.params.checkpoint_round(i + 1))
         self.gadget_vertices[i] = len(created)
         self.height_after[i] = state.tree.height()
 
 
+class _ReplayCheck(Evidence):
+    """The Evidence ``replay`` feeds, which also checks each checkpoint round
+    against a fresh recomputation."""
+
+    def __init__(self, transcript: Transcript, params: AdversaryParams):
+        super().__init__(params)
+        self.revealer = CheckpointRevealer(params)
+        self.recorded = {rec.i: rec for rec in transcript.checkpoints}
+        if len(self.recorded) != len(transcript.checkpoints):
+            raise IntegrityError("duplicate checkpoint records")
+
+    def moved(self, state: GameState, rec: RoundRecord) -> None:
+        super().moved(state, rec)
+        t = state.round
+        gadgets, expected = self.revealer.reveal(state, t)
+        if expected is None:
+            if rec.attachments:
+                raise IntegrityError(f"round {t} has attachments outside any checkpoint", round=t)
+            return
+        i = expected.i
+        rec_cp = self.recorded.get(i)
+        if rec_cp is None:
+            raise IntegrityError(f"checkpoint {i} fired at round {t} but has no record", round=t)
+        if rec_cp != expected:
+            raise IntegrityError(
+                f"checkpoint {i} record does not match its recomputation at round {t}", round=t
+            )
+        if tuple(rec.attachments) != gadgets:
+            raise IntegrityError(f"round {t} attachments differ from checkpoint {i} gadgets", round=t)
+
+
 def _selected_a(rec: CheckpointRecord) -> list[int]:
-    """The a-values of ``rec.S``, looked up in C; ``rec`` matched its
-    recomputation, so ``K`` is id-ascending and holds every vertex of ``S``."""
+    """The a-values of ``rec.S``, looked up in C; ``rec`` came from the
+    revealer or matched its recomputation, so ``K`` is id-ascending and
+    holds every vertex of ``S``."""
     return list(map(rec.a.__getitem__, map(partial(bisect_left, rec.K), rec.S)))
 
 
-def verify_transcript(transcript: Transcript) -> VerificationReport:
-    """Replay and evaluate every claim; raises IntegrityError on tampering."""
-    params = params_from_transcript(transcript)
-    rp = _Replay(transcript, params)
-    state = replay(transcript, params.initial_tree(), rp)
-    extra = set(rp.recorded) - set(rp.records)
-    if extra:
-        raise IntegrityError(f"checkpoint records {sorted(extra)} have no matching rounds")
+def verify_transcript(transcript: Transcript, evidence: Evidence | None = None) -> VerificationReport:
+    """Evaluate every claim of a lemma transcript.
+
+    Without ``evidence``, replay the transcript and cross-check its
+    records; raises IntegrityError on tampering. With the Evidence that
+    observed the ``play`` which wrote the transcript, only evaluate.
+    """
+    if evidence is None:
+        params = params_from_transcript(transcript)
+        evidence = _ReplayCheck(transcript, params)
+        replay(transcript, params.initial_tree(), evidence)
+        extra = evidence.recorded.keys() - evidence.positions_at.keys()
+        if extra:
+            raise IntegrityError(f"checkpoint records {sorted(extra)} have no matching rounds")
+    return _evaluate(evidence, transcript)
+
+
+def _evaluate(ev: Evidence, transcript: Transcript) -> VerificationReport:
+    """The report on a game from its evidence, its checkpoint records and its
+    outcome; the records are the checkpoints that fired, as ``play`` made them."""
+    params = ev.params
     mode = params.mode
     repaired = mode == "repaired"
     checks: list[CheckResult] = []
 
     n, L, m = params.n, params.L, params.m
-    levels = sorted(rp.records)
-    selected_a = {i: _selected_a(rp.records[i]) for i in levels}
+    records = {rec.i: rec for rec in transcript.checkpoints}
+    levels = sorted(records)
+    selected_a = {i: _selected_a(records[i]) for i in levels}
 
     for i in levels:
-        rec = rp.records[i]
+        rec = records[i]
         bound = L * (i + 1)
-        height = rp.height_after[i]
+        height = ev.height_after[i]
         checks.append(
             CheckResult(
                 name="claim1_height_upper",
@@ -205,7 +249,7 @@ def verify_transcript(transcript: Transcript) -> VerificationReport:
             )
 
         if i + 1 <= m - 1:
-            nxt = rp.records.get(i + 1)
+            nxt = records.get(i + 1)
             min_a = min(selected_a[i], default=0)
             if nxt is None:
                 checks.append(
@@ -260,7 +304,7 @@ def verify_transcript(transcript: Transcript) -> VerificationReport:
         )
 
         t_next = params.checkpoint_round(i + 1)
-        violations = sorted(rp.violations[i])
+        violations = sorted(ev.violations[i])
         checks.append(
             CheckResult(
                 name="root_passage_floor",
@@ -294,8 +338,9 @@ def verify_transcript(transcript: Transcript) -> VerificationReport:
     )
 
     all_fired = len(levels) == m - 1
-    all_selected = all_fired and all(rp.records[i].S for i in levels)
-    final_height = state.tree.height()
+    all_selected = all_fired and all(records[i].S for i in levels)
+    final = transcript.outcome.final_stats  # replay checked it against the replayed tree
+    final_height = final.height
     checks.append(
         CheckResult(
             name="final_height",
@@ -313,12 +358,12 @@ def verify_transcript(transcript: Transcript) -> VerificationReport:
         CheckResult(
             name="vertex_budget",
             checkpoint=None,
-            ok=state.tree.n <= limit,
+            ok=final.n <= limit,
             asserted=within_k,
             note="budget guaranteed only for teams within the bound"
             if not within_k
             else f"final size within the {mode} budget",
-            values={"vertices": state.tree.n, "limit": limit, "k": params.k, "max_k": params.max_k},
+            values={"vertices": final.n, "limit": limit, "k": params.k, "max_k": params.max_k},
         )
     )
 
@@ -326,20 +371,18 @@ def verify_transcript(transcript: Transcript) -> VerificationReport:
         CheckResult(
             name="speed_limit",
             checkpoint=None,
-            ok=rp.speed_ok,
+            ok=ev.speed_ok,
             asserted=True,
             note="no vertex visited earlier than its depth",
             values={},
         )
     )
 
-    budget = _budget_audit(params, rp, selected_a, state.tree.n)
+    budget = _budget_audit(ev, records, selected_a, final.n)
     return VerificationReport(mode=mode, checks=checks, budget=budget).finalize()
 
 
-def _budget_audit(
-    params: AdversaryParams, rp: _Replay, selected_a: dict[int, list[int]], total_vertices: int
-) -> dict:
+def _budget_audit(ev: Evidence, records: dict, selected_a: dict[int, list[int]], total_vertices: int) -> dict:
     """Term-by-term audit of the vertex-count chain.
 
     The initial star contributes ceil(n/(2L))*L + 1 <= n/2 + L + 1 vertices
@@ -349,12 +392,13 @@ def _budget_audit(
     n/6 whenever k stays within the team bound and alpha <= 1/8; the
     repaired mode adds the zero-agent surcharge on top.
     """
+    params = ev.params
     n, L, m = params.n, params.L, params.m
     alpha = float(params.alpha)
     agent_term = 0
     path_term = 0
     surcharge = 0
-    for i, rec in rp.records.items():
+    for i, rec in records.items():
         agent_term += L * (i + 1) * sum(selected_a[i])
         path_term += len(rec.S) * (L - 1)
         if params.mode == "repaired":
@@ -362,7 +406,7 @@ def _budget_audit(
     return {
         "initial_vertices": params.branch_count * L + 1,
         "initial_bound": n / 2 + L + 1,
-        "gadget_vertices_per_level": {str(i): rp.gadget_vertices[i] for i in sorted(rp.records)},
+        "gadget_vertices_per_level": {str(i): ev.gadget_vertices[i] for i in sorted(records)},
         "agent_term": agent_term,
         "agent_term_bound": L * (m + 1) ** 2 * alpha * params.k,
         "path_term": path_term,

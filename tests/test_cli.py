@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from treexplore import decode_tree, encode_tree, make_path_star, transcript_from_json
+from treexplore import decode_tree, encode_tree, game, make_path_star, transcript_from_json
 from treexplore.harness.cli import main
 from treexplore.harness.sweep import run_sweep
 
@@ -375,6 +375,22 @@ def test_run_over_the_size_limit_exits_1_with_one_line(capsys):
     args = ["run", "--explorer", "greedy_frontier", "--revealer", "lemma", "--n", "1000000000000"]
     assert main(args + ["--L", "1", "--m", "2", "--k", "1", "--cap", "1"]) == 1
     assert "path star of 500000000001 vertices is over the size limit" in _one_error_line(capsys)
+
+
+@pytest.mark.parametrize("revealer", ["fixed", "lemma"])
+def test_run_past_the_round_limit_exits_1_with_one_line(tmp_path, monkeypatch, capsys, revealer):
+    # neither game ends: idle never leaves the root, and the default cap is far above the limit
+    monkeypatch.setattr(game, "MAX_ROUNDS", 64)
+    if revealer == "fixed":
+        path = tmp_path / "path.json"
+        path.write_bytes(encode_tree(make_path_star(1, 1000)))
+        args = ["--revealer", "fixed", "--tree", str(path), "--k", "1"]
+    else:
+        args = ["--revealer", "lemma", "--n", "4096", "--L", "1", "--m", "3", "--k", "541"]
+    out = tmp_path / "tr.json"
+    assert main(["run", "--explorer", "idle", *args, "--out", str(out)]) == 1
+    assert "a game of more than 64 rounds is over the round limit" in _one_error_line(capsys)
+    assert not out.exists()
 
 
 def test_run_negative_cap_exits_1_with_one_line(capsys):

@@ -9,6 +9,9 @@ of ``json`` that each layer enters, on two instances with the same
 team, 2^12 and 2^16 branches: a frame per candidate or gadget would
 multiply the count by 16. Frames from elsewhere, such as a GC callback
 or an ABC cache refill, come and go with the rest of the process.
+
+A lemma cell of a sweep builds T_0 once, for its play, and replays
+nothing: its claims come from evidence gathered while it played.
 """
 
 import json
@@ -25,7 +28,11 @@ from treexplore import (
     transcript_from_json,
     transcript_to_json,
 )
-from treexplore.game import _commit_attachments, _commit_moves
+from treexplore.game import _commit_attachments, _commit_moves, replay
+from treexplore.harness.runner import run_adversary_game
+from treexplore.harness.sweep import run_sweep
+from treexplore.harness.verify import verify_transcript
+from treexplore.tree import make_path_star
 
 K = 64  # agents; each one parks in a branch of its own in round 1
 
@@ -50,6 +57,23 @@ def python_calls(fn, *args):
     finally:
         sys.setprofile(None)
     return result, calls
+
+
+def calls_of(functions, fn, *args):
+    """fn(*args) and how many times it entered each of ``functions``, by name."""
+    names = {f.__code__: f.__name__ for f in functions}
+    counts = dict.fromkeys(names.values(), 0)
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code in names:
+            counts[names[frame.f_code]] += 1
+
+    sys.setprofile(profile)
+    try:
+        result = fn(*args)
+    finally:
+        sys.setprofile(None)
+    return result, counts
 
 
 class _Parked:
@@ -85,3 +109,20 @@ def test_frames_do_not_grow_with_candidates_or_gadgets():
     for layer in small:
         # ceil(alpha * |K|) takes a Newton step or two more on a longer count
         assert big[layer] <= small[layer] + 6, (layer, small, big)
+
+
+def test_a_lemma_cell_builds_t0_once_and_replays_nothing():
+    spec = {
+        "revealer": "lemma",
+        "explorers": ["idle", "single_dfs", {"name": "phase_bfs", "k": "n"}, "greedy_frontier"],
+        "grid": [{"n": 4096, "L": 1, "m": 3, "k": 541}],
+        "modes": ["repaired", "strict"],
+        "caps": [1000],
+    }
+    text, counts = calls_of((make_path_star, replay), run_sweep, spec)
+    assert text.count("\n") == 1 + 8
+    assert counts == {"make_path_star": 8, "replay": 0}
+    # the counter sees what a verify without evidence does: a second T_0 and a replay
+    transcript = run_adversary_game(derive_params(4096, 1, 3, 541), "idle", cap=10)
+    _, counts = calls_of((make_path_star, replay), verify_transcript, transcript)
+    assert counts == {"make_path_star": 1, "replay": 1}

@@ -29,9 +29,15 @@ from treexplore import (
     validate_moves,
 )
 from treexplore import game
-from treexplore.errors import AttachmentViolation, IntegrityError, InvalidParameterError, MoveViolation
+from treexplore.errors import (
+    AttachmentViolation,
+    IntegrityError,
+    InvalidParameterError,
+    MoveViolation,
+    ResourceLimitError,
+)
 from treexplore.game import ExplorerView, _commit_attachments, _commit_moves
-from treexplore.harness.runner import run_adversary_game
+from treexplore.harness.runner import run_adversary_game, run_fixed_game
 from treexplore.harness.verify import verify_transcript
 
 from conftest import apply_round, assert_transcript_invariants, make_path, make_star, random_tree
@@ -357,28 +363,40 @@ def _stop_unfinished(doc):
 
 class TestReplay:
     def test_observer_sees_each_round_before_and_after_its_attachments(self):
-        tr = run_adversary_game(derive_params(256, 1, 2, 8), "greedy_frontier", cap=6)
+        params = derive_params(256, 1, 2, 8)
+        tr = run_adversary_game(params, "greedy_frontier", cap=6)
         assert any(rec.attachments for rec in tr.rounds)
-        events = []
 
         class Observer:
+            def __init__(self):
+                self.events = []
+
             def moved(self, state, rec):
-                events.append(("moved", rec.t, state.round, state.tree.n))
+                self.events.append(("moved", rec, state.round, state.tree.n))
 
             def attached(self, state, rec, created):
-                events.append(("attached", rec.t, state.round, state.tree.n, created))
+                self.events.append(("attached", rec, state.round, state.tree.n, created))
 
         initial = initial_tree_of(tr)
         n = initial.n
-        state = replay(tr, initial, Observer())
+        replayed = Observer()
+        state = replay(tr, initial, replayed)
         assert state.tree is initial  # grown in place, never copied
         expected = []
         for rec in tr.rounds:
             grown = sum(a.path_len + a.leaf_count for a in rec.attachments)
-            expected.append(("moved", rec.t, rec.t, n))
-            expected.append(("attached", rec.t, rec.t, n + grown, list(range(n, n + grown))))
+            expected.append(("moved", rec, rec.t, n))
+            expected.append(("attached", rec, rec.t, n + grown, list(range(n, n + grown))))
             n += grown
-        assert events == expected
+        assert replayed.events == expected
+        # play calls the same hooks in the same places with the records it keeps,
+        # and an observer leaves the transcript as it is
+        live = Observer()
+        observed = run_adversary_game(params, "greedy_frontier", cap=6, observer=live)
+        assert live.events == expected
+        kept = [rec for rec in observed.rounds for _hook in ("moved", "attached")]
+        assert all(event[1] is rec for event, rec in zip(live.events, kept, strict=True))
+        assert transcript_to_json(observed) == transcript_to_json(tr)
 
     @pytest.mark.parametrize(
         "edit",
@@ -852,6 +870,35 @@ class TestTeamSize:
 def test_play_rejects_a_bad_round_cap(cap):
     with pytest.raises(InvalidParameterError, match="round cap must be an integer >= 0"):
         play(make_explorer("greedy_frontier", 2), fixed_tree_revealer(make_star(3)), 2, cap)
+
+
+class TestRoundLimit:
+    """play never plays past game.MAX_ROUNDS and replay takes no longer game;
+    the limit is patched small here."""
+
+    def test_play_stops_with_a_resource_limit_error(self, monkeypatch):
+        monkeypatch.setattr(game, "MAX_ROUNDS", 20)
+        idle, path = make_explorer("idle", 1), fixed_tree_revealer(make_path(40))
+        assert play(idle, path, 1, 20).outcome == Outcome(False, 20, TreeStats(41, 40, 40))
+        with pytest.raises(ResourceLimitError, match="a game of more than 20 rounds is over the round limit"):
+            play(idle, path, 1, 21)
+
+    def test_a_game_that_ends_sooner_keeps_its_bytes(self, monkeypatch):
+        def games():
+            # a default cap far above the limit is written into the header as it is
+            yield run_fixed_game(make_path(15), "single_dfs", 1)
+            yield run_adversary_game(derive_params(4096, 1, 3, 541), "greedy_frontier")
+
+        before = list(map(transcript_to_json, games()))
+        monkeypatch.setattr(game, "MAX_ROUNDS", 15)
+        assert list(map(transcript_to_json, games())) == before
+
+    def test_replay_rejects_a_longer_transcript(self, monkeypatch):
+        tr = play(make_explorer("single_dfs", 1), fixed_tree_revealer(make_path(10)), 1, 100)
+        assert len(tr.rounds) == 10
+        monkeypatch.setattr(game, "MAX_ROUNDS", 9)
+        with pytest.raises(IntegrityError, match="transcript records more than 9 rounds"):
+            replay(tr, initial_tree_of(tr))
 
 
 class TestLocalView:

@@ -25,7 +25,7 @@ from treexplore.errors import IntegrityError
 from treexplore.game import transcript_from_json, transcript_to_json
 from treexplore.harness import verify
 from treexplore.harness.runner import run_adversary_game
-from treexplore.harness.verify import _Replay, params_from_transcript, verify_transcript
+from treexplore.harness.verify import Evidence, _ReplayCheck, params_from_transcript, verify_transcript
 
 from conftest import make_star, vertices_at_depth
 
@@ -104,18 +104,23 @@ def test_reports_are_pinned(instance):
 
 
 class TestClaimsDecidedPerRound:
-    """verify's observer decides the speed limit and the root-passage floor
-    round by round. No legal game breaks either, so these tests hand the
-    observer a round that does."""
+    """The evidence observer decides the speed limit and the root-passage
+    floor round by round, fed live by play or by verify's replay. No legal
+    game breaks either, so these tests hand the observer a round that does."""
 
-    @pytest.fixture
-    def observed(self):
-        """The observer and end state of an idle long-segment game stopped at
-        round 11: checkpoint 1 fired at round 4, checkpoint 2 would fire at 12."""
+    @pytest.fixture(params=["play", "replay"])
+    def observed(self, request):
+        """The observer, end state and checkpoint records of an idle long-segment
+        game stopped at round 11: checkpoint 1 fired at round 4, checkpoint 2
+        would fire at 12. The observer watched the play, or verify's replay."""
         params = derive_params(16384, 4, 3, 541)
+        if request.param == "play":
+            rp = Evidence(params)
+            tr = run_adversary_game(params, "idle", cap=11, observer=rp)
+            return rp, tr.final_state, tr.checkpoints
         tr = run_adversary_game(params, "idle", cap=11)
-        rp = _Replay(tr, params)
-        return rp, replay(tr, params.initial_tree(), rp)
+        rp = _ReplayCheck(tr, params)
+        return rp, replay(tr, params.initial_tree(), rp), tr.checkpoints
 
     @staticmethod
     def _arrive(rp, state, t, v, *others):
@@ -127,45 +132,51 @@ class TestClaimsDecidedPerRound:
         rp.moved(state, RoundRecord(t, state.positions, (), len(state.newly_visited)))
 
     def test_window_holds_exactly_the_checkpoint_leaves(self, observed):
-        rp, state = observed
+        rp, state, records = observed
         i, leaves, until = rp.window
         assert (i, until) == (1, 12)
         # checkpoint 1's star leaves are the only vertices at depth L*(i+1) = 8
         assert leaves == frozenset(vertices_at_depth(state.tree, 8))
-        assert len(leaves) == sum(att.leaf_count for att in rp.records[1].gadgets)
+        assert len(leaves) == sum(att.leaf_count for att in records[0].gadgets)
 
     def test_leaf_reached_from_outside_its_branch_is_a_violation(self, observed):
-        rp, state = observed
+        rp, state, _ = observed
         leaf = state.tree.n - 1  # the last star leaf of checkpoint 1's last gadget
         self._arrive(rp, state, 11, leaf)
         assert rp.violations == {1: [leaf]}
         assert rp.speed_ok
 
     def test_leaf_reached_from_inside_its_branch_is_not(self, observed):
-        rp, state = observed
+        rp, state, records = observed
         leaf = state.tree.n - 1
-        inside = rp.records[1].gadgets[-1].at
+        inside = records[0].gadgets[-1].at
         rp.positions_at[1] = (inside, *rp.positions_at[1][1:])
         self._arrive(rp, state, 11, leaf)
         assert rp.violations == {1: []}
 
     def test_vertex_deeper_than_the_round_breaks_the_speed_limit(self, observed):
-        rp, state = observed
+        rp, state, _ = observed
         leaf = state.tree.n - 1
         assert state.tree.depth[leaf] == 8
         self._arrive(rp, state, 7, leaf, 1)  # vertex 1 is at depth 1
         assert not rp.speed_ok
 
-    def test_observer_verdicts_reach_the_report(self, monkeypatch, small_idle_transcript):
-        class Failing(_Replay):
+    @pytest.mark.parametrize("feed", ["play", "replay"])
+    def test_observer_verdicts_reach_the_report(self, monkeypatch, small_idle_transcript, feed):
+        class Failing:
             def attached(self, state, rec, created):
                 super().attached(state, rec, created)
                 self.speed_ok = False
                 if self.level is not None:
                     self.violations[self.level].append(created[-1])
 
-        monkeypatch.setattr(verify, "_Replay", Failing)
-        report = verify_transcript(small_idle_transcript)
+        if feed == "play":
+            params = derive_params(4096, 1, 3, 541)
+            ev = type("FailingEvidence", (Failing, Evidence), {})(params)
+            report = verify_transcript(run_adversary_game(params, "idle", cap=50, observer=ev), evidence=ev)
+        else:
+            monkeypatch.setattr(verify, "_ReplayCheck", type("FailingReplayCheck", (Failing, _ReplayCheck), {}))
+            report = verify_transcript(small_idle_transcript)
         failed = [(c.name, c.checkpoint) for c in report.checks if not c.ok]
         assert failed == [("root_passage_floor", 1), ("root_passage_floor", 2), ("speed_limit", None)]
         assert report.claims_failed == 3
