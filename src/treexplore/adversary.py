@@ -352,11 +352,6 @@ class CheckpointRevealer:
         self._leaf_ends: list[int] = []
         self._grown_n = 0  # the tree size the last checkpoint's gadgets lead to
 
-    @property
-    def leaf_ranges(self) -> tuple[range, ...]:
-        """The star leaves of the last checkpoint's gadgets, one range per gadget."""
-        return tuple(map(range, self._leaf_starts, self._leaf_ends))
-
     def initial_tree(self) -> RootedTree:
         return self.params.initial_tree()
 

@@ -239,7 +239,7 @@ class ExplorerView:
     incremental. Everything else is read from the live arrays.
     """
 
-    __slots__ = ("mode", "_state", "_log", "_revealed")
+    __slots__ = ("mode", "_state", "_log", "_revealed", "children")
 
     def __init__(self, state: GameState, mode: str = "game"):
         if mode not in VIEW_MODES:
@@ -248,11 +248,16 @@ class ExplorerView:
         self._state = state
         self._log: list[int] | None = None
         self._revealed: bytearray | None = None
+        # children(v), empty for a leaf and a hidden vertex: in game mode the tree's
+        # list answers in C, as it only grows; neither form refers back to the view
+        children, visited = state.tree.children, state.visited
+        self.children = children.__getitem__
         if mode == "local":
+            self.children = lambda v: children[v] if visited[v] else []
             self._log = []
             self._revealed = bytearray(state.tree.n)
             self._reveal(ROOT)
-            for c in state.tree.children[ROOT]:
+            for c in children[ROOT]:
                 self._reveal(c)
 
     # -- engine-side maintenance -------------------------------------------
@@ -312,12 +317,6 @@ class ExplorerView:
     @property
     def visited(self) -> bytearray:
         return self._state.visited
-
-    def children(self, v: int) -> Sequence[int]:
-        """Child ids of ``v``; empty for a leaf and for a vertex the view hides."""
-        if self.mode == "local" and not self._state.visited[v]:
-            return []
-        return self._state.tree.children[v]
 
 
 class Explorer(Protocol):
@@ -645,16 +644,17 @@ class _TranscriptDecoder:
         self.moves = None
         self.attachments = []  # (text, list) of each non-empty attachments array
         self.claimed = 0  # how many of those a checkpoint's gadgets have taken
+
+    def document(self, s: str):
+        # these hold bound methods: kept on self, they would make it cyclic garbage
         round_fields = {"moves": self.moves_value, "attachments": self.attachments_value}
         round_ = partial(_decode_object, fields=round_fields)
         checkpoint = partial(_decode_object, fields={"gadgets": self.gadgets_value})
-        self.fields = {
+        fields = {
             "rounds": partial(_decode_array, item=round_),
             "checkpoints": partial(_decode_array, item=checkpoint),
         }
-
-    def document(self, s: str):
-        doc, i = _decode_object(s, _skip_ws(s, 0).end(), self.fields)
+        doc, i = _decode_object(s, _skip_ws(s, 0).end(), fields)
         i = _skip_ws(s, i).end()
         if i != len(s):
             raise json.JSONDecodeError("Extra data", s, i)

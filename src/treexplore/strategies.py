@@ -10,6 +10,7 @@ changed plus the number of moving agents.
 from __future__ import annotations
 
 from collections.abc import Sequence
+from itertools import filterfalse
 
 from .errors import InvalidParameterError, StrategyInfeasibleError
 from .game import ExplorerView
@@ -38,6 +39,8 @@ class SingleDfsExplorer:
     below an already-passed child, which makes the walk re-descend.
     Only agent 0 leaves the root, so the one vertex a round can newly
     visit is agent 0's position; the walk counts it off when first seen.
+    It reads that vertex's children from the view: a visited vertex shows
+    all of them, in id order, which is their reveal order.
     """
 
     name = "single_dfs"
@@ -46,43 +49,39 @@ class SingleDfsExplorer:
         self.k = k
         self._log_pos = 0
         self._seen = bytearray()  # vertices already counted off as visited
-        self._kids: list[list[int]] = []
+        self._nkids: list[int] = []
         self._childpos: list[int] = []
         self._cursor: list[int] = []
         self._pending: list[int] = []
 
-    def _grow(self, size: int) -> None:
-        add = size - len(self._kids)
-        if add > 0:
-            self._kids.extend([] for _ in range(add))
-            self._childpos.extend([0] * add)
-            self._cursor.extend([0] * add)
-            self._pending.extend([0] * add)
-            self._seen.extend(bytes(add))
-
     def _sync(self, view: ExplorerView) -> None:
         log = view.reveal_log
         parent = view.parents
-        self._grow(len(parent))
+        nkids, childpos, cursor, pending = self._nkids, self._childpos, self._cursor, self._pending
+        add = len(parent) - len(self._seen)
+        if add > 0:
+            for column in nkids, childpos, cursor, pending:
+                column.extend([0] * add)
+            self._seen.extend(bytes(add))
         for v in log[self._log_pos :]:
             if v != ROOT:
                 p = parent[v]
-                self._kids[p].append(v)
-                self._childpos[v] = len(self._kids[p]) - 1
+                childpos[v] = nkids[p]
+                nkids[p] += 1
             # count v as pending along its revealed ancestry, rewinding cursors
-            self._pending[v] += 1
+            pending[v] += 1
             while v != ROOT:
                 p = parent[v]
-                if self._cursor[p] > self._childpos[v]:
-                    self._cursor[p] = self._childpos[v]
-                self._pending[p] += 1
+                if cursor[p] > childpos[v]:
+                    cursor[p] = childpos[v]
+                pending[p] += 1
                 v = p
         self._log_pos = len(log)
         v = view.positions[0]
         if not self._seen[v]:
             self._seen[v] = 1
             while True:
-                self._pending[v] -= 1
+                pending[v] -= 1
                 if v == ROOT:
                     break
                 v = parent[v]
@@ -93,7 +92,7 @@ class SingleDfsExplorer:
         if self._pending[ROOT] == 0:
             return moves
         pos = moves[0]
-        kids = self._kids[pos]
+        kids = view.children(pos)
         cur = self._cursor[pos]
         while cur < len(kids) and self._pending[kids[cur]] == 0:
             cur += 1
@@ -113,6 +112,11 @@ class PhaseBfsExplorer:
     path one edge per round. A new phase begins once all walkers of the
     previous one have arrived. Needs a fresh agent per target over the
     whole game, so it is meant to run with k equal to the vertex budget.
+
+    A phase start reads only the reveal log since the previous one: an
+    older vertex had children, was visited or became a target, which its
+    phase visits. Targets take consecutive agents in id order, and each
+    round of the walk is one precomputed row of their vertices.
     """
 
     name = "phase_bfs"
@@ -121,12 +125,16 @@ class PhaseBfsExplorer:
         self.k = k
         self._phase = 0
         self._next_fresh = 0
-        self._walks: list[tuple[int, list[int], int]] = []  # (agent, path, position index)
+        self._log_pos = 0  # the reveal log's length at the previous phase start
+        self._first = 0  # the phase's first agent
+        self._rows: list[list[int]] = []  # the rounds left to walk, the last one first
 
     def _start_phase(self, view: ExplorerView) -> None:
         self._phase += 1
-        visited = view.visited
-        targets = sorted(v for v in view.reveal_log if not visited[v] and not view.children(v))
+        log = view.reveal_log
+        unvisited = filterfalse(view.visited.__getitem__, log[self._log_pos :])
+        self._log_pos = len(log)
+        targets = sorted(filterfalse(view.children, unvisited))
         if not targets:
             return
         if self._next_fresh + len(targets) > self.k:
@@ -134,28 +142,24 @@ class PhaseBfsExplorer:
                 f"phase {self._phase} needs {len(targets)} fresh agents, "
                 f"only {self.k - self._next_fresh} of {self.k} remain"
             )
-        parent = view.parents
-        for v in targets:
-            agent = self._next_fresh
-            self._next_fresh += 1
-            path = []
-            u = v
-            while u != ROOT:
-                path.append(u)
-                u = parent[u]
-            path.reverse()
-            self._walks.append((agent, path, 0))
+        self._first = self._next_fresh
+        self._next_fresh += len(targets)
+        parent, depth = view.parents, view.depths
+        row = targets
+        self._rows = [row]
+        for d in range(max(map(depth.__getitem__, targets)), 1, -1):
+            # round d - 1: a walker at depth d steps back to its parent, a
+            # shallower one stays on its target
+            row = [parent[u] if depth[u] == d else u for u in row]
+            self._rows.append(row)
 
     def next_moves(self, view: ExplorerView) -> list[int]:
-        if not self._walks:
+        if not self._rows:
             self._start_phase(view)
         moves = list(view.positions)
-        still_walking = []
-        for agent, path, idx in self._walks:
-            moves[agent] = path[idx]
-            if idx + 1 < len(path):
-                still_walking.append((agent, path, idx + 1))
-        self._walks = still_walking
+        if self._rows:
+            row = self._rows.pop()
+            moves[self._first : self._first + len(row)] = row
         return moves
 
 

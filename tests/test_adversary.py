@@ -261,6 +261,17 @@ class TestBranchAgentCount:
         assert sum(self._a_values(state).values()) == 2
 
 
+def leaf_slots(gadgets, created):
+    """Each gadget's star leaves, from its record and the ids its round created:
+    ids are dense and a gadget creates its path, then its leaves, so they
+    are the last ``leaf_count`` ids of its block."""
+    slots, end = [], 0
+    for g in gadgets:
+        end += g.path_len + g.leaf_count
+        slots.append(created[end - g.leaf_count : end])
+    return tuple(slots)
+
+
 class TestCheckpointCandidates:
     def test_fresh_star_counts_every_branch(self):
         # eligibility is judged against the previous round's visited set,
@@ -290,7 +301,7 @@ class TestCheckpointCandidates:
         attachments, record = revealer.reveal(state, 1)
         assert record.S == tuple(range(1, 163))
         leaves = _commit_attachments(state, attachments)
-        assert revealer.leaf_ranges == tuple(range(v, v + 2) for v in leaves[::2])
+        assert leaf_slots(record.gadgets, leaves) == tuple([v, v + 1] for v in leaves[::2])
         for v in (1, leaves[0], leaves[0]):  # the last round stays, so leaves[0] is old news
             _commit_moves(state, [v])
         K = revealer.compute(state, 2).K
@@ -639,6 +650,7 @@ def _direct_computes(rng, seen):
     style = rng.choice(("root", "walk", "crowd"))
     head = rng.choice(state.tree.children[ROOT])
     level = {t: i for i, t in enumerate(params.checkpoints, 1)}
+    slots = ()  # the star leaves of the last checkpoint's gadgets
     for t in range(1, params.round_floor + 1):
         for s in (state, bare):
             if style == "walk":
@@ -653,13 +665,13 @@ def _direct_computes(rng, seen):
         i = level.get(t)
         if i is None:
             continue
-        seen["empty leaf range at i >= 2"] += i > 1 and any(not r for r in revealer.leaf_ranges)
+        seen["empty leaf range at i >= 2"] += i > 1 and any(not r for r in slots)
         record = revealer.compute(state, i)
         assert record == _reference_record(state, i, params)
         seen["agents only on the root"] += set(state.positions) == {ROOT}
         seen["several agents in one branch"] += max(record.a, default=0) > 1
         seen[f"L={L} checkpoint {i}"] += bool(record.K)
-        _commit_attachments(state, record.gadgets)
+        slots = leaf_slots(record.gadgets, _commit_attachments(state, record.gadgets))
 
 
 def test_direct_computes_meet_the_per_vertex_oracle():

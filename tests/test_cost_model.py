@@ -10,6 +10,11 @@ team, 2^12 and 2^16 branches: a frame per candidate or gadget would
 multiply the count by 16. Frames from elsewhere, such as a GC callback
 or an ABC cache refill, come and go with the rest of the process.
 
+The two walking explorers decide in C what grows with the tree: a
+``phase_bfs`` phase start picks its targets with C filters over the
+reveal log, and a ``single_dfs`` first sync keeps flat int columns, so
+neither enters a frame per revealed vertex in a game view.
+
 A lemma cell of a sweep builds T_0 once, for its play, and replays
 nothing: its claims come from evidence gathered while it played.
 """
@@ -22,6 +27,7 @@ import treexplore
 
 from treexplore import (
     CheckpointRevealer,
+    ExplorerView,
     GameState,
     derive_params,
     play,
@@ -32,6 +38,7 @@ from treexplore.game import _commit_attachments, _commit_moves, replay
 from treexplore.harness.runner import run_adversary_game
 from treexplore.harness.sweep import run_sweep
 from treexplore.harness.verify import verify_transcript
+from treexplore.strategies import PhaseBfsExplorer, SingleDfsExplorer
 from treexplore.tree import make_path_star
 
 K = 64  # agents; each one parks in a branch of its own in round 1
@@ -109,6 +116,22 @@ def test_frames_do_not_grow_with_candidates_or_gadgets():
     for layer in small:
         # ceil(alpha * |K|) takes a Newton step or two more on a longer count
         assert big[layer] <= small[layer] + 6, (layer, small, big)
+
+
+def _first_decisions(branches):
+    """Frames of round 1's decision on a T_0 of ``branches`` paths, per explorer."""
+    tree = derive_params(2 * branches, 1, 3, K).initial_tree()
+    counts = {}
+    for explorer, k in ((PhaseBfsExplorer, tree.n), (SingleDfsExplorer, 1)):
+        view = ExplorerView(GameState(tree, k))
+        moves, counts[explorer.name] = python_calls(explorer(k).next_moves, view)
+        assert moves != list(view.positions)
+    return counts
+
+
+def test_explorer_frames_do_not_grow_with_revealed_vertices():
+    small, big = _first_decisions(1 << 12), _first_decisions(1 << 16)
+    assert small == big, (small, big)
 
 
 def test_a_lemma_cell_builds_t0_once_and_replays_nothing():

@@ -1,5 +1,6 @@
 """Engine rules: moves, attachments, termination, transcripts, views."""
 
+import gc
 import json
 import random
 from collections import Counter
@@ -857,6 +858,20 @@ class TestReaderMatchesJsonLoads:
         new = _read(transcript_from_json, data)
         assert new == _read(reference_from_json, data)
         assert (new == "rejected") == (encoding == "str-bom")
+
+
+def test_reading_a_transcript_leaves_no_cyclic_garbage():
+    """The reader's decoder dies by reference counting: with the collector off,
+    a collection right after a read finds nothing to free."""
+    text = transcript_to_json(GAMES["lemma-greedy_frontier-game"]())
+    gc.collect()
+    gc.disable()
+    try:
+        back = transcript_from_json(text)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+    assert transcript_to_json(back) == text
 
 
 class TestTeamSize:

@@ -1,9 +1,13 @@
-"""Package structure: module imports stay at module level, plain ints are tested by type."""
+"""Package structure: module imports stay at module level, plain ints are tested
+by type, and the README's limits table gives the limits the code enforces."""
 
 import ast
+import inspect
+import re
 from pathlib import Path
 
 import treexplore
+from treexplore import adversary, game, offline, tree
 
 PACKAGE = Path(treexplore.__file__).parent
 
@@ -51,3 +55,26 @@ def test_no_isinstance_int_under_src():
         for line in _isinstance_int_calls(path.read_text(encoding="utf-8"))
     }
     assert not found
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+LIMITS = {
+    "`game.MAX_TEAM_SIZE`": game.MAX_TEAM_SIZE,
+    "`tree.MAX_PATH_STAR_VERTICES`": tree.MAX_PATH_STAR_VERTICES,
+    "`game.MAX_ROUNDS`": game.MAX_ROUNDS,
+    "`offline.brute_opt` `state_limit`": inspect.signature(offline.brute_opt).parameters["state_limit"].default,
+    "`adversary._BUILDABLE_BITS`": adversary._BUILDABLE_BITS,
+}
+
+
+def test_readme_limits_table_gives_the_enforced_values():
+    section = README.read_text(encoding="utf-8").split("\n## Limits\n", 1)[1].split("\n## ", 1)[0]
+    rows = [line.strip("|").split(" | ") for line in section.splitlines() if line.startswith("| `")]
+    assert {row[0].strip() for row in rows} == LIMITS.keys()
+    for row in rows:
+        value = row[1]
+        # every number in the value column: powers of two, and decimals with thousands commas
+        numbers = [2 ** int(e) for e in re.findall(r"2\^(\d+)", value)]
+        numbers += [int(d.replace(",", "")) for d in re.findall(r"\b\d{1,3}(?:,\d{3})+\b", value)]
+        assert numbers and set(numbers) == {LIMITS[row[0].strip()]}, row

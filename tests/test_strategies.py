@@ -9,6 +9,7 @@ from collections import Counter
 import pytest
 
 from treexplore import (
+    CheckpointRevealer,
     brute_opt,
     derive_params,
     fixed_tree_revealer,
@@ -19,7 +20,7 @@ from treexplore import (
 from treexplore.errors import StrategyInfeasibleError
 from treexplore.game import ExplorerView, GameState
 from treexplore.harness.runner import run_adversary_game
-from treexplore.strategies import GreedyFrontierExplorer
+from treexplore.strategies import GreedyFrontierExplorer, PhaseBfsExplorer
 from treexplore.tree import ROOT
 
 from conftest import apply_round, assert_transcript_invariants, make_path, make_star, random_tree
@@ -261,14 +262,55 @@ class ReferenceGreedyFrontier(GreedyFrontierExplorer):
         return moves
 
 
-class _LockStep:
-    """Plays greedy_frontier and asserts, every round, that the reference agrees."""
+class ReferencePhaseBfs:
+    """phase_bfs before the row walk, as an oracle: each phase start scans the
+    whole reveal log, and each walker follows its own root-to-target path.
+    ``mixed`` counts the phases whose targets lie at more than one depth.
+    """
 
-    name = "greedy_frontier"
+    name = "phase_bfs"
 
     def __init__(self, k):
-        self.explorer = GreedyFrontierExplorer(k)
-        self.reference = ReferenceGreedyFrontier(k)
+        self.k = k
+        self._next_fresh = 0
+        self._walks = []  # (agent, path, position index)
+        self.mixed = 0
+
+    def _start_phase(self, view):
+        visited = view.visited
+        targets = sorted(v for v in view.reveal_log if not visited[v] and not view.children(v))
+        self.mixed += len({view.depths[v] for v in targets}) > 1
+        parent = view.parents
+        for v in targets:
+            path = []
+            u = v
+            while u != ROOT:
+                path.append(u)
+                u = parent[u]
+            path.reverse()
+            self._walks.append((self._next_fresh, path, 0))
+            self._next_fresh += 1
+
+    def next_moves(self, view):
+        if not self._walks:
+            self._start_phase(view)
+        moves = list(view.positions)
+        still_walking = []
+        for agent, path, idx in self._walks:
+            moves[agent] = path[idx]
+            if idx + 1 < len(path):
+                still_walking.append((agent, path, idx + 1))
+        self._walks = still_walking
+        return moves
+
+
+class _LockStep:
+    """Plays ``explorer`` and asserts, every round, that ``reference`` agrees."""
+
+    def __init__(self, explorer, reference):
+        self.name = explorer.name
+        self.explorer = explorer
+        self.reference = reference
         self.rounds = 0
 
     def next_moves(self, view):
@@ -288,7 +330,7 @@ def test_greedy_frontier_matches_the_per_target_reference_round_by_round():
         k = rng.randrange(1, 13)
         cap = 2 * tree.n * (tree.height() + 2)
         view = ("game", "local")[i % 2]
-        lockstep = _LockStep(k)
+        lockstep = _LockStep(GreedyFrontierExplorer(k), ReferenceGreedyFrontier(k))
         tr = play(lockstep, fixed_tree_revealer(tree), k, cap, view_mode=view)
         assert tr.outcome.finished
         kinds += lockstep.reference.kinds
@@ -296,6 +338,28 @@ def test_greedy_frontier_matches_the_per_target_reference_round_by_round():
     # both kinds of target occur often, so both matching paths are compared
     assert kinds["agent in branch"] >= 1000 and kinds["no agent in branch"] >= 1000, kinds
     assert rounds >= 2000
+
+
+def test_phase_bfs_matches_the_path_walk_reference_round_by_round():
+    rng = random.Random(2016)
+    games = []
+    for i in range(100):
+        tree = random_tree(rng.randrange(2, 120), rng)
+        view = ("game", "local")[i % 2]
+        games.append((fixed_tree_revealer(tree), tree.n, 2 * tree.n * (tree.height() + 2), view))
+    for n, L in ((4096, 1), (16384, 4)):
+        params = derive_params(n, L, 3, n, warn=False)
+        for view in ("game", "local"):
+            games.append((CheckpointRevealer(params), n, 1000, view))
+    mixed = rounds = 0
+    for revealer, k, cap, view in games:
+        lockstep = _LockStep(PhaseBfsExplorer(k), ReferencePhaseBfs(k))
+        tr = play(lockstep, revealer, k, cap, view_mode=view)
+        assert tr.outcome.finished
+        mixed += lockstep.reference.mixed
+        rounds += lockstep.rounds
+    # phases whose walkers arrive in different rounds are compared too
+    assert mixed >= 40 and rounds >= 1500, (mixed, rounds)
 
 
 def _random_fixed_moves(name):
