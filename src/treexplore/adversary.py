@@ -145,18 +145,11 @@ _DECIMAL_SLACK = decimal.Decimal("1e-12")
 
 def _check_preconditions(n: int, L: int, m: int) -> None:
     if not all(type(x) is int for x in (n, L, m)):
-        raise InfeasibleParamsError(
-            f"n, L, m must be integers (got n={n!r}, L={L!r}, m={m!r})", violated="n,L,m integers"
-        )
+        raise InfeasibleParamsError(f"n, L, m must be integers (got n={n!r}, L={L!r}, m={m!r})")
     if L < 1 or m < 1 or n < 1:
-        raise InfeasibleParamsError(
-            f"n, L, m must be positive (got n={n}, L={L}, m={m})", violated="n,L,m >= 1"
-        )
+        raise InfeasibleParamsError(f"n, L, m must be positive (got n={n}, L={L}, m={m})")
     if below_budget(n, L, m):
-        raise InfeasibleParamsError(
-            f"n >= L*16^m required: {n} < {least_budget(L, m) or f'{L}*16^{m}'}",
-            violated="n >= L*16^m",
-        )
+        raise InfeasibleParamsError(f"n >= L*16^m required: {n} < {least_budget(L, m) or f'{L}*16^{m}'}")
 
 
 # a power this long is still cheap to build, and its decimal form is far
@@ -232,9 +225,9 @@ def derive_params(n: int, L: int, m: int, k: int, mode: str = "repaired", warn: 
     when k exceeds the team-size bound."""
     _check_preconditions(n, L, m)
     if mode not in MODES:
-        raise InfeasibleParamsError(f"unknown mode {mode!r}", violated="mode in strict|repaired")
+        raise InfeasibleParamsError(f"unknown mode {mode!r}")
     if type(k) is not int or k < 1:
-        raise InfeasibleParamsError(f"k must be a positive integer (got {k!r})", violated="k >= 1")
+        raise InfeasibleParamsError(f"k must be a positive integer (got {k!r})")
     check_team_size(k)
     check_path_star(-(-n // (2 * L)), L)  # T_0, before any warning
     max_k = max_team_size(n, L, m)

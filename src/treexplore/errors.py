@@ -70,10 +70,6 @@ class AttachmentViolation(GameRuleViolation):
 class InfeasibleParamsError(TreexploreError):
     """Adversary or theorem parameters violate a required inequality."""
 
-    def __init__(self, message: str, violated: str | None = None):
-        super().__init__(message)
-        self.violated = violated or message
-
 
 class StrategyInfeasibleError(TreexploreError):
     """A strategy cannot continue (e.g. no fresh agents left for a phase)."""

@@ -18,7 +18,7 @@ import json
 import re
 from dataclasses import dataclass
 from functools import partial
-from itertools import chain, repeat
+from itertools import chain, compress, repeat
 from operator import itemgetter
 from typing import Iterable, NamedTuple, Protocol, Sequence
 
@@ -229,60 +229,57 @@ class ExplorerView:
     """What a strategy is allowed to see.
 
     In ``game`` mode the full current tree, visited set and positions are
-    exposed. In ``local`` mode only vertices adjacent to a visited vertex
-    are exposed: children of an unvisited vertex stay hidden until it is
-    first visited.
+    exposed. In ``local`` mode a vertex is exposed exactly when it is the
+    root or its parent is visited: children of an unvisited vertex stay
+    hidden until it is first visited.
 
     ``reveal_log`` lists the exposed vertices in the order they were
     exposed and only ever grows; in game mode it is ``range(n)``.
     Strategies track how much of it they have consumed and stay
-    incremental. Everything else is read from the live arrays.
+    incremental. Everything else is read from the live arrays, bound
+    once: the tree grows its lists in place and the engine extends the
+    visited set in place. Never mutate them.
     """
 
-    __slots__ = ("mode", "_state", "_log", "_revealed", "children")
+    __slots__ = ("mode", "_state", "_log", "children", "parents", "depths", "branches", "visited")
 
     def __init__(self, state: GameState, mode: str = "game"):
         if mode not in VIEW_MODES:
             raise InvalidParameterError(f"unknown view mode {mode!r}")
+        tree = state.tree
         self.mode = mode
         self._state = state
-        self._log: list[int] | None = None
-        self._revealed: bytearray | None = None
+        self.parents = tree.parent
+        self.depths = tree.depth
+        # the depth-1 ancestor of each vertex, -1 for the root
+        self.branches = tree.branch
+        self.visited = visited = state.visited
         # children(v), empty for a leaf and a hidden vertex: in game mode the tree's
         # list answers in C, as it only grows; neither form refers back to the view
-        children, visited = state.tree.children, state.visited
+        children = tree.children
         self.children = children.__getitem__
+        self._log: list[int] | None = None
         if mode == "local":
             self.children = lambda v: children[v] if visited[v] else []
-            self._log = []
-            self._revealed = bytearray(state.tree.n)
-            self._reveal(ROOT)
-            for c in children[ROOT]:
-                self._reveal(c)
+            self._log = [ROOT, *children[ROOT]]
 
     # -- engine-side maintenance -------------------------------------------
-
-    def _reveal(self, v: int) -> None:
-        if not self._revealed[v]:
-            self._revealed[v] = 1
-            self._log.append(v)
+    # No vertex is logged twice: a vertex is newly visited once, a created
+    # vertex is new, and a vertex reached in the round its gadget grows is
+    # observed before the attachment commits.
 
     def observe_moves(self) -> None:
-        if self.mode == "local":
-            children = self._state.tree.children
+        if self._log is not None:
+            # every newly visited vertex is visited, so the tree's lists serve;
             # sorted: the reveal log feeds strategy tie-breaking
-            for v in sorted(self._state.newly_visited):
-                for c in children[v]:
-                    self._reveal(c)
+            children = self._state.tree.children.__getitem__
+            self._log.extend(chain.from_iterable(map(children, sorted(self._state.newly_visited))))
 
     def observe_attachments(self, created: Sequence[int]) -> None:
-        if self.mode == "local":
-            tree = self._state.tree
-            self._revealed.extend(bytes(tree.n - len(self._revealed)))
-            for v in created:
-                # a new vertex is exposed only if its parent is visited
-                if self._state.visited[tree.parent[v]]:
-                    self._reveal(v)
+        if self._log is not None:
+            # a created vertex is exposed only if its parent is visited
+            shown = map(self.visited.__getitem__, map(self.parents.__getitem__, created))
+            self._log.extend(compress(created, shown))
 
     # -- strategy-facing queries -------------------------------------------
 
@@ -297,26 +294,6 @@ class ExplorerView:
     @property
     def positions(self) -> tuple[int, ...]:
         return self._state.positions
-
-    # the live arrays of the tree and the visited set, indexed by vertex id;
-    # never mutate them
-
-    @property
-    def parents(self) -> list:
-        return self._state.tree.parent
-
-    @property
-    def depths(self) -> list[int]:
-        return self._state.tree.depth
-
-    @property
-    def branches(self) -> list[int]:
-        """Depth-1 ancestor of each vertex, -1 for the root."""
-        return self._state.tree.branch
-
-    @property
-    def visited(self) -> bytearray:
-        return self._state.visited
 
 
 class Explorer(Protocol):

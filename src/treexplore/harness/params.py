@@ -74,7 +74,7 @@ def pick_params_thm1(
     ``m`` and ``L`` may be overridden to probe specific desk-scale points.
     """
     if n < 3:
-        raise InfeasibleParamsError(f"n >= 3 required (got {n})", violated="n >= 3")
+        raise InfeasibleParamsError(f"n >= 3 required (got {n})")
     if k < 1 or c < 0:
         raise InfeasibleParamsError(f"k >= 1 and c >= 0 required (got k={k}, c={c})")
     ln = math.log(n)
@@ -104,16 +104,13 @@ def pick_params_thm2(eps: float, n: int | None = None, k: int | None = None) -> 
     a desk machine (n <= 2^20).
     """
     if not (0 < eps < 0.2):
-        raise InfeasibleParamsError(
-            f"eps must lie in (0, 1/5) (got {eps})", violated="0 < eps < 1/5"
-        )
+        raise InfeasibleParamsError(f"eps must lie in (0, 1/5) (got {eps})")
     half_inverse = 1 / (2 * eps)  # infinite for the smallest subnormal eps
     m = _ceil_snapped(half_inverse) if half_inverse < math.inf else None
     min_n = None if m is None else least_budget(1, m)
     if min_n is None:
         raise InfeasibleParamsError(
-            f"eps = {eps} is too small: the least n, 16^ceil(1/(2 eps)), is too long to print",
-            violated="n >= 16^m",
+            f"eps = {eps} is too small: the least n, 16^ceil(1/(2 eps)), is too long to print"
         )
     L = 1
     round_bound = m / (5 * eps)
@@ -144,7 +141,7 @@ def pick_params_thm2(eps: float, n: int | None = None, k: int | None = None) -> 
 def pick_params_thm3(n: int) -> TheoremParams:
     """Regime 3: full team k = n, L = 1, m = ceil(sqrt(log n))."""
     if n < 3:
-        raise InfeasibleParamsError(f"n >= 3 required (got {n})", violated="n >= 3")
+        raise InfeasibleParamsError(f"n >= 3 required (got {n})")
     m = math.ceil(math.sqrt(math.log(n)))
     L = 1
     feasible, violated, kmax = _feasibility(n, L, m, n)
@@ -200,4 +197,4 @@ def pick_params(theorem: str, **kwargs) -> TheoremParams:
         return pick_params_thm3(kwargs["n"])
     if theorem == "thm4":
         return pick_params_thm4(kwargs["n"], kwargs["D"], kwargs["m"], k=kwargs.get("k"))
-    raise InfeasibleParamsError(f"unknown theorem {theorem!r}", violated="thm in thm1..thm4")
+    raise InfeasibleParamsError(f"unknown theorem {theorem!r}")

@@ -156,14 +156,14 @@ class Evidence:
 
 class _ReplayCheck(Evidence):
     """The Evidence ``replay`` feeds, which also checks each checkpoint round
-    against a fresh recomputation."""
+    against a fresh recomputation: the n-th checkpoint that fires against
+    the n-th record, so records out of order or twice do not match."""
 
     def __init__(self, transcript: Transcript, params: AdversaryParams):
         super().__init__(params)
         self.revealer = CheckpointRevealer(params)
-        self.recorded = {rec.i: rec for rec in transcript.checkpoints}
-        if len(self.recorded) != len(transcript.checkpoints):
-            raise IntegrityError("duplicate checkpoint records")
+        self.records = transcript.checkpoints
+        self.fired = 0
 
     def moved(self, state: GameState, rec: RoundRecord) -> None:
         super().moved(state, rec)
@@ -174,10 +174,10 @@ class _ReplayCheck(Evidence):
                 raise IntegrityError(f"round {t} has attachments outside any checkpoint", round=t)
             return
         i = expected.i
-        rec_cp = self.recorded.get(i)
-        if rec_cp is None:
+        if self.fired == len(self.records):
             raise IntegrityError(f"checkpoint {i} fired at round {t} but has no record", round=t)
-        if rec_cp != expected:
+        self.fired += 1
+        if self.records[self.fired - 1] != expected:
             raise IntegrityError(
                 f"checkpoint {i} record does not match its recomputation at round {t}", round=t
             )
@@ -203,9 +203,9 @@ def verify_transcript(transcript: Transcript, evidence: Evidence | None = None) 
         params = params_from_transcript(transcript)
         evidence = _ReplayCheck(transcript, params)
         replay(transcript, params.initial_tree(), evidence)
-        extra = evidence.recorded.keys() - evidence.positions_at.keys()
+        extra = transcript.checkpoints[evidence.fired :]
         if extra:
-            raise IntegrityError(f"checkpoint records {sorted(extra)} have no matching rounds")
+            raise IntegrityError(f"checkpoint records {[rec.i for rec in extra]} have no matching rounds")
     return _evaluate(evidence, transcript)
 
 

@@ -7,7 +7,8 @@ none. Integers run up to 4300 decimal digits, the int-to-str limit, so
 the pieces that print numbers meet values they cannot print. Generated
 trees and instances stay far below ``tree.MAX_PATH_STAR_VERTICES``, and
 round caps stay small: a game plays as many rounds as its cap allows,
-and idle never finishes.
+and idle never finishes. Caps of any size go to idle games alone, under
+a round limit patched small, so a long game ends at the limit.
 """
 
 import contextlib
@@ -18,7 +19,7 @@ import warnings
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from treexplore import derive_params, encode_tree, transcript_to_json
+from treexplore import derive_params, encode_tree, game, transcript_to_json
 from treexplore.harness.cli import main
 from treexplore.harness.runner import run_adversary_game
 from treexplore.tree import RootedTree
@@ -187,6 +188,40 @@ def test_every_command_ends_in_a_documented_exit_code(workdir, monkeypatch_modul
     if code != 0:
         assert err.getvalue().count("\n") <= 1 and not caught, (argv, err.getvalue(), caught)
         assert "Traceback" not in err.getvalue()
+
+
+ROUND_LIMIT = 16
+
+
+@st.composite
+def long_idle_games(draw):
+    """``run`` of idle in either view and with either revealer, its cap drawn from INTS."""
+    argv = ["run", "--explorer", "idle", "--view", draw(st.sampled_from(["game", "local"]))]
+    if draw(st.booleans()):
+        argv += ["--revealer", "lemma", "--n", "256", "--L", "1", "--m", "2", "--k", "8"]
+    else:
+        argv += ["--revealer", "fixed", "--tree", "tree.json", "--k", str(draw(st.integers(1, 3)))]
+    return argv + ["--cap", str(draw(INTS))]
+
+
+@settings(max_examples=60, deadline=None)
+@given(argv=long_idle_games())
+def test_idle_games_of_any_cap_end_at_the_round_limit(workdir, monkeypatch_module, argv):
+    tree = RootedTree()
+    for v in range(1, 5):
+        tree.add_child(v - 1)
+    (workdir / "tree.json").write_bytes(encode_tree(tree))
+    cap = int(argv[-1])
+    err = io.StringIO()
+    with pytest.MonkeyPatch.context() as mp, contextlib.redirect_stderr(err):
+        mp.setattr(game, "MAX_ROUNDS", ROUND_LIMIT)
+        code = main(argv)
+    if 0 <= cap <= ROUND_LIMIT:
+        assert code == 0 and not err.getvalue(), (argv, err.getvalue())
+    else:
+        message = "round limit" if cap > 0 else "round cap must be an integer >= 0"
+        assert code == 1 and err.getvalue().count("\n") == 1, (argv, err.getvalue())
+        assert message in err.getvalue()
 
 
 @pytest.fixture(scope="module")

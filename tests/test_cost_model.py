@@ -13,7 +13,9 @@ or an ABC cache refill, come and go with the rest of the process.
 The two walking explorers decide in C what grows with the tree: a
 ``phase_bfs`` phase start picks its targets with C filters over the
 reveal log, and a ``single_dfs`` first sync keeps flat int columns, so
-neither enters a frame per revealed vertex in a game view.
+neither enters a frame per revealed vertex in a game view. Nor does the
+local view: it extends its reveal log in C, at construction and per
+round.
 
 A lemma cell of a sweep builds T_0 once, for its play, and replays
 nothing: its claims come from evidence gathered while it played.
@@ -132,6 +134,22 @@ def _first_decisions(branches):
 def test_explorer_frames_do_not_grow_with_revealed_vertices():
     small, big = _first_decisions(1 << 12), _first_decisions(1 << 16)
     assert small == big, (small, big)
+
+
+def _local_view_frames(branches):
+    """Frames of building a local view on a T_0 of ``branches`` two-edge paths,
+    and of its ``observe_moves`` after K agents step into their own branches."""
+    state = GameState(make_path_star(branches, 2), K)
+    view, build = python_calls(ExplorerView, state, "local")
+    assert len(view.reveal_log) == 1 + branches
+    _commit_moves(state, range(1, 2 * K, 2))  # branch heads are the odd ids
+    _, observe = python_calls(view.observe_moves)
+    assert len(view.reveal_log) == 1 + branches + K
+    return build, observe
+
+
+def test_local_view_frames_do_not_grow_with_the_tree():
+    assert _local_view_frames(1 << 12) == _local_view_frames(1 << 16)
 
 
 def test_a_lemma_cell_builds_t0_once_and_replays_nothing():

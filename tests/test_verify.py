@@ -24,6 +24,7 @@ from treexplore import (
 from treexplore.errors import IntegrityError
 from treexplore.game import transcript_from_json, transcript_to_json
 from treexplore.harness import verify
+from treexplore.harness.cli import main
 from treexplore.harness.runner import run_adversary_game
 from treexplore.harness.verify import Evidence, _ReplayCheck, params_from_transcript, verify_transcript
 
@@ -227,6 +228,28 @@ class TestTamperDetection:
         tamper(doc["checkpoints"][0])
         with pytest.raises(IntegrityError):
             verify_transcript(transcript_from_json(json.dumps(doc)))
+
+
+@pytest.mark.parametrize(
+    "reorder, message",
+    [
+        (lambda cps: cps[::-1], "checkpoint 1 record does not match its recomputation at round 1"),
+        (lambda cps: cps[:1] + cps, "checkpoint 2 record does not match its recomputation at round 3"),
+        (lambda cps: cps + cps[-1:], "checkpoint records [2] have no matching rounds"),
+    ],
+    ids=["reversed", "first-twice", "last-twice"],
+)
+def test_records_are_checked_in_firing_order(tmp_path, capsys, small_greedy_transcript, reorder, message):
+    doc = json.loads(transcript_to_json(small_greedy_transcript))
+    assert [cp["i"] for cp in doc["checkpoints"]] == [1, 2]
+    doc["checkpoints"] = reorder(doc["checkpoints"])
+    out = tmp_path / "tr.json"
+    out.write_text(json.dumps(doc))
+    assert main(["verify", "--transcript", str(out)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and captured.err.startswith("integrity error: ")
+    assert message in captured.err
 
 
 def _plain_int(value) -> bool:
