@@ -976,6 +976,17 @@ class TestViewArrays:
             # the round it grew; 4 waits for the first visit of its parent 2
             assert view.reveal_log == [0, 1, 2, 3, 8, 4]
 
+    def test_local_log_takes_the_newly_visited_in_id_order(self):
+        tree = make_star(9)
+        below_9, below_2 = tree.add_child(9), tree.add_child(2)
+        state = GameState(tree, 2)
+        view = ExplorerView(state, "local")
+        _commit_moves(state, [9, 2])
+        # the set of first visits iterates 9 before 2; the log must not
+        assert list(state.newly_visited) == [9, 2]
+        view.observe_moves()
+        assert view.reveal_log[-2:] == [below_2, below_9]
+
     def test_unknown_mode_is_an_invalid_parameter(self):
         with pytest.raises(InvalidParameterError, match="unknown view mode"):
             ExplorerView(GameState(make_star(1), 1), "global")
