@@ -13,10 +13,11 @@ from .adversary import (
     selection_mask,
 )
 from .game import (
-    Attachment,
+    NO_GADGETS,
     CheckpointRecord,
     ExplorerView,
     GameState,
+    Gadgets,
     Outcome,
     RoundRecord,
     Transcript,

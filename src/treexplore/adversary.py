@@ -31,12 +31,12 @@ from operator import add, itemgetter, sub
 
 from .errors import InfeasibleParamsError, IntegrityError, InvalidParameterError, TreexploreError
 from .game import (
+    NO_GADGETS,
     VIEW_MODES,
-    Attachment,
     CheckpointRecord,
     GameState,
+    Gadgets,
     Transcript,
-    attachments_from_rows,
     check_team_size,
 )
 from .tree import ROOT, RootedTree, check_path_star, decode_tree, make_path_star
@@ -348,14 +348,12 @@ class CheckpointRevealer:
     def initial_tree(self) -> RootedTree:
         return self.params.initial_tree()
 
-    def reveal(
-        self, state: GameState, t: int
-    ) -> tuple[Sequence[Attachment], CheckpointRecord | None]:
+    def reveal(self, state: GameState, t: int) -> tuple[Gadgets, CheckpointRecord | None]:
         """The round's attachments and checkpoint record; at a checkpoint the
-        attachments are the record's own gadgets tuple, which the round keeps."""
+        attachments are the record's own gadgets, which the round keeps."""
         i = self._round_to_level.get(t)
         if i is None:
-            return [], None
+            return NO_GADGETS, None
         record = self.compute(state, i)
         return record.gadgets, record
 
@@ -412,12 +410,12 @@ class CheckpointRevealer:
         selected_a = list(compress(a, mask))
         spec_of = {x: gadget_spec(i, x, params) for x in set(selected_a)}
         specs = list(map(spec_of.__getitem__, selected_a))
-        gadgets = attachments_from_rows(map(add, zip(selected), specs))
+        gadgets = Gadgets(selected, tuple(map(itemgetter(0), specs)), tuple(map(itemgetter(1), specs)))
         # the round creates each gadget's path, then its leaves
-        ends = list(accumulate(map(sum, specs), initial=tree.n))
+        ends = list(accumulate(map(add, gadgets.path_len, gadgets.leaf_count), initial=tree.n))
         self._grown_n = ends[-1]
         del ends[0]
-        self._leaf_starts = list(map(sub, ends, map(itemgetter(1), specs)))
+        self._leaf_starts = list(map(sub, ends, gadgets.leaf_count))
         self._leaf_ends = ends
         self._level, self._selected = i, selected
         return CheckpointRecord(i=i, K=candidates, a=a, S=selected, gadgets=gadgets)
@@ -435,8 +433,8 @@ class FixedTreeRevealer:
         # a copy, since play grows the tree it gets and the caller keeps this one
         return self._tree.copy()
 
-    def reveal(self, state: GameState, t: int) -> tuple[list[Attachment], None]:
-        return [], None
+    def reveal(self, state: GameState, t: int) -> tuple[Gadgets, None]:
+        return NO_GADGETS, None
 
 
 def fixed_tree_revealer(tree: RootedTree) -> FixedTreeRevealer:

@@ -18,9 +18,9 @@ import json
 import re
 from dataclasses import dataclass
 from functools import partial
-from itertools import chain, compress, repeat
+from itertools import chain, compress
 from operator import itemgetter
-from typing import Iterable, NamedTuple, Protocol, Sequence
+from typing import Iterable, Protocol, Sequence
 
 from .errors import (
     AttachmentViolation,
@@ -47,28 +47,36 @@ def check_team_size(k: int) -> None:
         raise ResourceLimitError(f"a team of more than {MAX_TEAM_SIZE} agents is over the size limit")
 
 
-class Attachment(NamedTuple):
-    """One revealer move: a path plus star hung below vertex ``at``.
+@dataclass(frozen=True, slots=True)
+class Gadgets:
+    """The revealer's move in one round: gadget j is a path of ``path_len[j]``
+    edges hung below vertex ``at[j]``, with ``leaf_count[j]`` leaves at its end.
 
-    A tuple, so records holding attachments compare in C.
+    Three int columns, so a round holds no object per gadget and records
+    compare in C. ``len`` is the gadget count; every round without gadgets
+    holds ``NO_GADGETS``.
     """
 
-    at: int
-    path_len: int
-    leaf_count: int
+    at: tuple[int, ...]
+    path_len: tuple[int, ...]
+    leaf_count: tuple[int, ...]
+
+    def __len__(self) -> int:
+        return len(self.at)
+
+    def rows(self) -> Iterable[tuple[int, int, int]]:
+        """(at, path_len, leaf_count) of each gadget, in order."""
+        return zip(self.at, self.path_len, self.leaf_count)
 
 
-def attachments_from_rows(rows: Iterable[tuple[int, int, int]]) -> tuple[Attachment, ...]:
-    """Attachments from (at, path_len, leaf_count) rows, each built in C:
-    ``Attachment(*row)`` would run the named tuple's Python ``__new__``."""
-    return tuple(map(tuple.__new__, repeat(Attachment), rows))
+NO_GADGETS = Gadgets((), (), ())
 
 
 @dataclass(frozen=True)
 class RoundRecord:
     t: int
     moves: tuple[int, ...]
-    attachments: tuple[Attachment, ...]
+    attachments: Gadgets
     newly_visited: int
 
 
@@ -80,7 +88,7 @@ class CheckpointRecord:
     K: tuple[int, ...]  # one candidate per branch, id-ascending
     a: tuple[int, ...]  # a[j] is the agent count in K[j]'s branch
     S: tuple[int, ...]
-    gadgets: tuple[Attachment, ...]
+    gadgets: Gadgets
 
 
 @dataclass(frozen=True)
@@ -200,7 +208,7 @@ def _commit_moves(state: GameState, moves: Sequence[int]) -> None:
     state.round = t
 
 
-def _commit_attachments(state: GameState, attachments: Sequence[Attachment]) -> list[int]:
+def _commit_attachments(state: GameState, gadgets: Gadgets) -> list[int]:
     """Apply revealer attachments; returns the created ids in order.
 
     Targets must belong to the tree as it stood at the start of the round
@@ -208,17 +216,16 @@ def _commit_attachments(state: GameState, attachments: Sequence[Attachment]) -> 
     """
     tree = state.tree
     n_before = tree.n
+    visited, newly = state.visited, state.newly_visited
     created: list[int] = []
-    for att in attachments:
-        if not (0 <= att.at < n_before):
-            raise VertexNotFoundError(f"attachment target {att.at} not in the previous round's tree")
-        if state.visited[att.at] and att.at not in state.newly_visited:
-            raise AttachmentViolation(
-                f"attachment at visited vertex {att.at}", att.at, round=state.round
-            )
-        created.extend(attach_path_with_star(tree, att.at, att.path_len, att.leaf_count))
+    for at, path_len, leaf_count in gadgets.rows():
+        if not (0 <= at < n_before):
+            raise VertexNotFoundError(f"attachment target {at} not in the previous round's tree")
+        if visited[at] and at not in newly:
+            raise AttachmentViolation(f"attachment at visited vertex {at}", at, round=state.round)
+        created.extend(attach_path_with_star(tree, at, path_len, leaf_count))
     if created:
-        state.visited.extend(b"\x00" * (tree.n - n_before))
+        visited.extend(b"\x00" * (tree.n - n_before))
     return created
 
 
@@ -241,13 +248,12 @@ class ExplorerView:
     visited set in place. Never mutate them.
     """
 
-    __slots__ = ("mode", "_state", "_log", "children", "parents", "depths", "branches", "visited")
+    __slots__ = ("_state", "_log", "children", "parents", "depths", "branches", "visited")
 
     def __init__(self, state: GameState, mode: str = "game"):
         if mode not in VIEW_MODES:
             raise InvalidParameterError(f"unknown view mode {mode!r}")
         tree = state.tree
-        self.mode = mode
         self._state = state
         self.parents = tree.parent
         self.depths = tree.depth
@@ -314,7 +320,7 @@ class Revealer(Protocol):
 
     def initial_tree(self) -> RootedTree: ...
 
-    def reveal(self, state: GameState, t: int) -> tuple[Sequence[Attachment], CheckpointRecord | None]: ...
+    def reveal(self, state: GameState, t: int) -> tuple[Gadgets, CheckpointRecord | None]: ...
 
 
 def play(
@@ -368,7 +374,7 @@ def play(
         _commit_moves(state, moves)
         view.observe_moves()
         attachments, record = revealer.reveal(state, t)
-        rec = RoundRecord(t, state.positions, tuple(attachments), len(state.newly_visited))
+        rec = RoundRecord(t, state.positions, attachments, len(state.newly_visited))
         if observer is not None:
             observer.moved(state, rec)
         created = _commit_attachments(state, rec.attachments)
@@ -455,14 +461,14 @@ _encode = json.JSONEncoder(separators=(",", ":")).encode
 _ATTACHMENT_JSON = '{"at":%d,"path_len":%d,"leaves":%d}'
 
 
-def _attachments_text(attachments: Sequence[Attachment]) -> str:
+def _attachments_text(gadgets: Gadgets) -> str:
     """The encoded list of attachment objects. When every field is a plain
     int (tested in C), each object is one %-format, which writes an int as
     the encoder does; anything else, such as ``1.0`` or ``True``, goes to
     the encoder."""
-    if set(map(type, chain.from_iterable(attachments))) <= {int}:
-        return "[" + ",".join(map(_ATTACHMENT_JSON.__mod__, attachments)) + "]"
-    return _encode([{"at": a.at, "path_len": a.path_len, "leaves": a.leaf_count} for a in attachments])
+    if set(map(type, chain(gadgets.at, gadgets.path_len, gadgets.leaf_count))) <= {int}:
+        return "[" + ",".join(map(_ATTACHMENT_JSON.__mod__, gadgets.rows())) + "]"
+    return _encode([{"at": at, "path_len": p, "leaves": c} for at, p, c in gadgets.rows()])
 
 
 def transcript_to_json(transcript: Transcript) -> str:
@@ -475,14 +481,14 @@ def transcript_to_json(transcript: Transcript) -> str:
     joined once. Each
     value is encoded once per object, not per use: a round whose moves are
     the very tuple of the round before reuses that round's encoded moves,
-    and a checkpoint whose gadgets are the very tuple of a round's
+    and a checkpoint whose gadgets are the very object of a round's
     attachments reuses that round's encoded attachments. The test is
     identity, not equality, since ``1.0 == 1`` and ``True == 1`` encode
     differently.
     """
     parts = ['{"params":', _encode(transcript.params), ',"rounds":[']
     last_moves = moves_text = None
-    attachments_text = {}  # id of a non-empty attachments tuple -> its encoded text
+    attachments_text = {}  # id of a round's non-empty gadgets -> their encoded text
     sep = ""
     for r in transcript.rounds:
         if r.moves is not last_moves:
@@ -680,7 +686,7 @@ def is_int_list(value) -> bool:
     return type(value) is list and set(map(type, value)) <= {int}
 
 
-_attachment_fields = itemgetter("at", "path_len", "leaves")
+_attachment_fields = tuple(map(itemgetter, ("at", "path_len", "leaves")))
 
 
 def _require_ints(where: str, **fields) -> None:
@@ -689,13 +695,16 @@ def _require_ints(where: str, **fields) -> None:
             raise IntegrityError(f"{where}: '{name}' must be an integer")
 
 
-def _read_attachments(listed, where: str) -> tuple[Attachment, ...]:
-    """Attachments from a list of objects whose fields are plain ints, fetched
-    and type-tested in C: no Python step per attachment before the records."""
-    fields = list(map(_attachment_fields, listed)) if type(listed) is list else None
-    if fields is None or not set(map(type, chain.from_iterable(fields))) <= {int}:
-        raise IntegrityError(f"{where} must be a list of objects with integer 'at', 'path_len' and 'leaves'")
-    return attachments_from_rows(fields)
+def _read_attachments(listed, where: str) -> Gadgets:
+    """Gadgets from a list of objects whose fields are plain ints, each column
+    fetched and type-tested in C: no Python step per attachment."""
+    if type(listed) is list:
+        if not listed:
+            return NO_GADGETS
+        columns = [tuple(map(field, listed)) for field in _attachment_fields]
+        if set(map(type, chain.from_iterable(columns))) <= {int}:
+            return Gadgets(*columns)
+    raise IntegrityError(f"{where} must be a list of objects with integer 'at', 'path_len' and 'leaves'")
 
 
 def _read_rounds(docs: list, attachments_of: dict) -> list[RoundRecord]:
@@ -703,8 +712,8 @@ def _read_rounds(docs: list, attachments_of: dict) -> list[RoundRecord]:
 
     Each distinct moves list must hold plain ints. A list equal to the one
     before needs no check: its round replays as a stay-put round, which
-    ``_commit_moves`` judges by equality. The tuple built from each
-    non-empty attachments list is entered in ``attachments_of`` under the
+    ``_commit_moves`` judges by equality. The gadgets built from each
+    non-empty attachments list are entered in ``attachments_of`` under the
     id of that list.
     """
     rounds = []
@@ -727,7 +736,7 @@ def _read_rounds(docs: list, attachments_of: dict) -> list[RoundRecord]:
 def _read_checkpoints(docs: list, attachments_of: dict) -> list[CheckpointRecord]:
     """Checkpoint records from their decoded JSON; ``a`` must be as long as ``K``.
 
-    A ``gadgets`` list whose id is in ``attachments_of`` takes the tuple
+    A ``gadgets`` list whose id is in ``attachments_of`` takes the gadgets
     stored there.
     """
     checkpoints = []
@@ -752,7 +761,7 @@ def transcript_from_json(text: str | bytes) -> Transcript:
     field a plain int or a list of them (see ``_read_rounds`` for moves).
     Rounds with equal consecutive moves share one tuple, and a checkpoint
     whose gadgets text repeats its round's attachments shares that
-    round's tuple.
+    round's gadgets.
     """
     try:
         doc = _load_transcript_json(text)

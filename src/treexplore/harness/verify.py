@@ -38,7 +38,7 @@ from bisect import bisect_left
 from dataclasses import asdict, dataclass
 from functools import partial
 from itertools import accumulate, chain, compress
-from operator import add, attrgetter, sub
+from operator import add, sub
 
 from ..adversary import AdversaryParams, CheckpointRevealer, params_from_transcript
 from ..errors import IntegrityError
@@ -144,8 +144,8 @@ class Evidence:
             return
         # ids are dense and each gadget creates its path, then its leaves, so
         # a gadget's leaves are the last leaf_count ids of its block
-        counts = list(map(attrgetter("leaf_count"), rec.attachments))
-        sizes = map(add, map(attrgetter("path_len"), rec.attachments), counts)
+        counts = rec.attachments.leaf_count
+        sizes = map(add, rec.attachments.path_len, counts)
         ends = list(accumulate(sizes, initial=state.tree.n - len(created)))
         del ends[0]
         leaves = frozenset(chain.from_iterable(map(range, map(sub, ends, counts), ends)))
@@ -181,7 +181,7 @@ class _ReplayCheck(Evidence):
             raise IntegrityError(
                 f"checkpoint {i} record does not match its recomputation at round {t}", round=t
             )
-        if tuple(rec.attachments) != gadgets:
+        if rec.attachments != gadgets:
             raise IntegrityError(f"round {t} attachments differ from checkpoint {i} gadgets", round=t)
 
 
@@ -313,7 +313,7 @@ def _evaluate(ev: Evidence, transcript: Transcript) -> VerificationReport:
                 asserted=True,
                 note="early gadget-leaf visits all came from inside the branch",
                 values={
-                    "leaves": sum(map(attrgetter("leaf_count"), rec.gadgets)),
+                    "leaves": sum(rec.gadgets.leaf_count),
                     "next_checkpoint": t_next,
                     "violations": violations[:10],
                 },

@@ -11,7 +11,9 @@ Almost every vertex of the adversary's trees is a leaf, so a leaf holds
 the shared empty tuple ``()`` as its children entry and gets a list only
 when its first child is added. ``make_path_star`` builds the initial
 tree's arrays with list operations (slices and repeats) instead of one
-``add_child`` call per vertex.
+``add_child`` call per vertex, and ``attach_path_with_star`` appends a
+star's leaves in one batch, giving a childless tip the ``range`` of their
+ids: a range is no object the cyclic garbage collector tracks.
 """
 
 from __future__ import annotations
@@ -49,15 +51,17 @@ class RootedTree:
     (its branch). The height is a running maximum of the depths.
 
     ``children[v]`` is the shared empty tuple ``()`` while ``v`` is a leaf
-    and its own list of child ids from the first child on: readers may
-    index, iterate and take ``len``, but not concatenate it with a list.
+    and its own list of child ids from the first child on, except that a
+    star tip which had no child holds the ``range`` of its leaves until
+    another child is added: readers may index, iterate and take ``len``,
+    but not concatenate it with a list or compare it with one.
     """
 
     __slots__ = ("parent", "children", "depth", "branch", "_height")
 
     def __init__(self) -> None:
         self.parent: list[int | None] = [None]
-        self.children: list[list[int] | tuple[()]] = [()]
+        self.children: list[list[int] | range | tuple[()]] = [()]
         self.depth: list[int] = [0]
         # branch[v] is the depth-1 ancestor of v, or -1 for the root
         self.branch: list[int] = [-1]
@@ -80,10 +84,12 @@ class RootedTree:
         self.children.append(())
         self.depth.append(d)
         kids = self.children[parent]
-        if kids:
-            kids.append(v)
-        else:
+        if not kids:
             self.children[parent] = [v]
+        elif type(kids) is list:
+            kids.append(v)
+        else:  # a star tip's range
+            self.children[parent] = [*kids, v]
         self.branch.append(v if d == 1 else self.branch[parent])
         if d > self._height:
             self._height = d
@@ -148,7 +154,7 @@ def make_path_star(branch_count: int, path_len: int) -> RootedTree:
     parent += ids[:-1]
     parent[1::L] = [ROOT] * B
     branch = [-1] * n
-    children: list[list[int] | tuple[()]] = [()] * n
+    children: list[list[int] | range | tuple[()]] = [()] * n
     children[ROOT] = heads
     for d in range(L):
         branch[1 + d :: L] = heads
@@ -168,17 +174,32 @@ def attach_path_with_star(tree: RootedTree, at: int, path_len: int, leaf_count: 
 
     The leaves hang from the path's end (from ``at`` itself when path_len
     is 0). Returns the new ids in creation order; both arguments may be 0,
-    in which case nothing is attached.
+    in which case nothing is attached. The path grows one ``add_child`` at
+    a time; the leaves go into every array in one batch, and a tip with no
+    child before takes the ``range`` of their ids as its children entry.
     """
     tree._require(at)
-    new_ids = []
-    tip = at
+    parent = tree.parent
+    first, tip = len(parent), at
     for _ in range(path_len):
         tip = tree.add_child(tip)
-        new_ids.append(tip)
-    for _ in range(leaf_count):
-        new_ids.append(tree.add_child(tip))
-    return new_ids
+    if leaf_count > 0:
+        d = tree.depth[tip] + 1
+        leaves = range(len(parent), len(parent) + leaf_count)
+        # list repeats: for the two or so leaves of most stars they beat itertools.repeat
+        parent.extend([tip] * leaf_count)
+        tree.children.extend([()] * leaf_count)
+        tree.depth.extend([d] * leaf_count)
+        # a leaf at depth 1 is its own branch
+        tree.branch.extend(leaves if d == 1 else [tree.branch[tip]] * leaf_count)
+        kids = tree.children[tip]
+        if type(kids) is list:
+            kids.extend(leaves)
+        else:
+            tree.children[tip] = [*kids, *leaves] if kids else leaves
+        if d > tree._height:
+            tree._height = d
+    return list(range(first, len(parent)))
 
 
 def encode_tree(tree: RootedTree) -> bytes:

@@ -7,7 +7,7 @@ import random
 import pytest
 from hypothesis import settings
 
-from treexplore import ROOT, RootedTree, initial_tree_of, replay
+from treexplore import NO_GADGETS, ROOT, Gadgets, RootedTree, initial_tree_of, replay
 from treexplore.game import _commit_attachments, _commit_moves
 
 # every process draws the same examples: a fixed derivation and no example database
@@ -54,10 +54,15 @@ def vertices_at_depth(tree: RootedTree, d: int) -> list[int]:
     return [v for v, depth in enumerate(tree.depth) if depth == d]
 
 
-def apply_round(state, moves, attachments):
+def gadgets_of(*rows) -> Gadgets:
+    """Gadgets from (at, path_len, leaf_count) rows."""
+    return Gadgets(*map(tuple, zip(*rows))) if rows else NO_GADGETS
+
+
+def apply_round(state, moves, gadgets=NO_GADGETS):
     """One full round in place, moves then attachments, as play and replay commit it."""
     _commit_moves(state, moves)
-    _commit_attachments(state, attachments)
+    _commit_attachments(state, gadgets)
     return state
 
 

@@ -31,11 +31,11 @@ from treexplore import (
 from treexplore import adversary
 from treexplore.adversary import CheckpointRecord
 from treexplore.errors import InfeasibleParamsError, InvalidParameterError
-from treexplore.game import Attachment, _commit_attachments, _commit_moves
+from treexplore.game import NO_GADGETS, _commit_attachments, _commit_moves
 from treexplore.harness.runner import run_adversary_game
 from treexplore.tree import ROOT, attach_path_with_star, decode_tree, encode_tree
 
-from conftest import make_path, tree_arrays, vertices_at_depth
+from conftest import gadgets_of, make_path, tree_arrays, vertices_at_depth
 
 
 def _mp_ceil_snapped(x, guard_bits=190):
@@ -266,9 +266,9 @@ def leaf_slots(gadgets, created):
     ids are dense and a gadget creates its path, then its leaves, so they
     are the last ``leaf_count`` ids of its block."""
     slots, end = [], 0
-    for g in gadgets:
-        end += g.path_len + g.leaf_count
-        slots.append(created[end - g.leaf_count : end])
+    for _, path_len, leaf_count in gadgets.rows():
+        end += path_len + leaf_count
+        slots.append(created[end - leaf_count : end])
     return tuple(slots)
 
 
@@ -415,7 +415,7 @@ class TestReveal:
         state = GameState(params.initial_tree(), 541)
         _commit_moves(state, [0] * 541)
         _commit_moves(state, [0] * 541)
-        assert revealer.reveal(state, 2) == ([], None)
+        assert revealer.reveal(state, 2) == (NO_GADGETS, None)
 
     def test_idle_first_checkpoint(self):
         params = derive_params(4096, 1, 3, 541)
@@ -424,7 +424,7 @@ class TestReveal:
         _commit_moves(state, [0] * 541)
         attachments, record = revealer.reveal(state, 1)
         assert len(attachments) == 162
-        assert all((a.path_len, a.leaf_count) == (0, 2) for a in attachments)
+        assert set(attachments.path_len) == {0} and set(attachments.leaf_count) == {2}
         assert record.i == 1
         assert len(record.K) == 2048
         assert record.S == tuple(range(1, 163))
@@ -445,7 +445,7 @@ class TestReveal:
         assert record.K == (1, 2, 3, 4, 5)
         assert record.a == (0, 0, 1, 0, 0)
         assert record.S == (1, 2, 4, 5)
-        assert [(a.at, a.path_len, a.leaf_count) for a in attachments] == [
+        assert list(attachments.rows()) == [
             (1, 0, 2), (2, 0, 2), (4, 0, 2), (5, 0, 2)
         ]
 
@@ -507,7 +507,7 @@ def test_reveal_returns_the_computed_record():
     _commit_moves(state, [1] * 300 + [0] * 241)
     attachments, record = revealer.reveal(state, 1)
     assert record == revealer.compute(state, 1)
-    assert attachments is record.gadgets  # the round keeps the record's own tuple
+    assert attachments is record.gadgets  # the round keeps the record's own gadgets
 
 
 def _reference_record(state, i, params):
@@ -525,7 +525,7 @@ def _reference_record(state, i, params):
     a_of = dict(zip(K, a))
     count = min(len(K), params.alpha.ceil_mul(len(K))) if K else 0
     S = sorted(sorted(K, key=lambda v: (a_of[v], v))[:count])
-    gadgets = tuple(Attachment(v, *gadget_spec(i, a_of[v], params)) for v in S)
+    gadgets = gadgets_of(*((v, *gadget_spec(i, a_of[v], params)) for v in S))
     return CheckpointRecord(i=i, K=tuple(K), a=a, S=tuple(S), gadgets=gadgets)
 
 

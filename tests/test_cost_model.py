@@ -19,8 +19,15 @@ round.
 
 A lemma cell of a sweep builds T_0 once, for its play, and replays
 nothing: its claims come from evidence gathered while it played.
+
+No layer keeps a Python object per gadget that the cyclic garbage
+collector tracks: a round's gadgets are three int columns and a star's
+leaves are a ``range`` below its tip. ``gc.get_count()`` counts the
+tracked objects a stage leaves alive, on two instances whose gadget
+counts differ 15-fold; one object per gadget would add thousands.
 """
 
+import gc
 import json
 import os
 import sys
@@ -39,7 +46,7 @@ from treexplore import (
 from treexplore.game import _commit_attachments, _commit_moves, replay
 from treexplore.harness.runner import run_adversary_game
 from treexplore.harness.sweep import run_sweep
-from treexplore.harness.verify import verify_transcript
+from treexplore.harness.verify import _ReplayCheck, params_from_transcript, verify_transcript
 from treexplore.strategies import PhaseBfsExplorer, SingleDfsExplorer
 from treexplore.tree import make_path_star
 
@@ -167,3 +174,39 @@ def test_a_lemma_cell_builds_t0_once_and_replays_nothing():
     transcript = run_adversary_game(derive_params(4096, 1, 3, 541), "idle", cap=10)
     _, counts = calls_of((make_path_star, replay), verify_transcript, transcript)
     assert counts == {"make_path_star": 1, "replay": 1}
+
+
+def tracked_growth(fn, *args):
+    """fn(*args) and how many more objects the cyclic collector tracks after it
+    than before, counted with the collector off."""
+    gc.collect()
+    gc.disable()
+    try:
+        before = gc.get_count()[0]
+        result = fn(*args)
+        return result, gc.get_count()[0] - before
+    finally:
+        gc.enable()
+
+
+def _tracked_per_stage(instance):
+    params = derive_params(*instance)
+    transcript, play_ = tracked_growth(run_adversary_game, params, "greedy_frontier", 100)
+    gadgets = sum(len(c.gadgets) for c in transcript.checkpoints)
+    text = transcript_to_json(transcript)
+    del transcript
+    back, read = tracked_growth(transcript_from_json, text)
+    # verify_transcript frees all it builds; its replay, with the grown tree held, shows what it keeps
+    params = params_from_transcript(back)
+    _, verify = tracked_growth(replay, back, params.initial_tree(), _ReplayCheck(back, params))
+    return gadgets, {"play": play_, "read": read, "verify": verify}
+
+
+def test_no_tracked_object_per_gadget():
+    (small_gadgets, small), (big_gadgets, big) = (
+        _tracked_per_stage((4096, 1, 3, 541)),
+        _tracked_per_stage((65536, 1, 4, 5878)),
+    )
+    assert (small_gadgets, big_gadgets) == (175, 2632)
+    for stage in small:
+        assert big[stage] < small[stage] + 100, (stage, small, big)

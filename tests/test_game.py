@@ -10,9 +10,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from treexplore import (
+    NO_GADGETS,
     ROOT,
-    Attachment,
     CheckpointRecord,
+    Gadgets,
     GameState,
     Outcome,
     RoundRecord,
@@ -41,7 +42,7 @@ from treexplore.game import ExplorerView, _commit_attachments, _commit_moves
 from treexplore.harness.runner import run_adversary_game, run_fixed_game
 from treexplore.harness.verify import verify_transcript
 
-from conftest import apply_round, assert_transcript_invariants, make_path, make_star, random_tree
+from conftest import apply_round, assert_transcript_invariants, gadgets_of, make_path, make_star, random_tree
 
 
 class TestValidateMoves:
@@ -76,42 +77,42 @@ class TestValidateMoves:
 class TestApplyRound:
     def test_stay_round_only_increments_round(self):
         state = GameState(make_star(3), 2)
-        apply_round(state, [0, 0], [])
+        apply_round(state, [0, 0])
         assert state.round == 1
         assert state.visited_count == 1
         assert state.positions == (0, 0)
 
     def test_single_edge_explored(self):
         state = GameState(make_path(1), 1)
-        apply_round(state, [1], [])
+        apply_round(state, [1])
         assert sorted(v for v in range(2) if state.visited[v]) == [0, 1]
         assert is_explored(state)
 
     def test_attach_at_visited_vertex_rejected(self):
         state = GameState(make_path(2), 1)
         with pytest.raises(AttachmentViolation) as exc:
-            apply_round(state, [1], [Attachment(at=0, path_len=0, leaf_count=2)])
+            apply_round(state, [1], gadgets_of((0, 0, 2)))
         assert exc.value.vertex == 0
 
     def test_attach_at_vertex_visited_this_round_is_allowed(self):
         # eligibility is judged against the previous round's visited set
         state = GameState(make_path(2), 1)
-        apply_round(state, [1], [Attachment(at=1, path_len=0, leaf_count=2)])
+        apply_round(state, [1], gadgets_of((1, 0, 2)))
         assert state.tree.n == 5
         assert state.tree.children[1] == [2, 3, 4]
 
     def test_move_violation_carries_round(self):
         state = GameState(make_path(3), 1)
         with pytest.raises(MoveViolation) as exc:
-            apply_round(state, [2], [])
+            apply_round(state, [2])
         assert exc.value.round == 1
 
     @pytest.mark.parametrize("moves", [[], [1], [1, 0, 0]])
     def test_wrong_length_move_is_a_violation_of_its_round(self, moves):
         state = GameState(make_path(3), 2)
-        apply_round(state, [1, 0], [])
+        apply_round(state, [1, 0])
         with pytest.raises(MoveViolation, match=f"^joint move has {len(moves)} entries for 2 agents$") as exc:
-            apply_round(state, moves, [])
+            apply_round(state, moves)
         assert exc.value.round == 2
 
     def test_play_reports_a_wrong_length_move_with_its_round(self):
@@ -282,12 +283,12 @@ class TestIsExplored:
 
     def test_after_visiting_child(self):
         state = GameState(make_path(1), 1)
-        apply_round(state, [1], [])
+        apply_round(state, [1])
         assert is_explored(state)
 
     def test_growth_at_unvisited_leaf_unexplores_nothing_visited(self):
         state = GameState(make_path(2), 1)
-        apply_round(state, [1], [Attachment(at=2, path_len=0, leaf_count=1)])
+        apply_round(state, [1], gadgets_of((2, 0, 1)))
         assert not is_explored(state)
 
 
@@ -385,7 +386,7 @@ class TestReplay:
         assert state.tree is initial  # grown in place, never copied
         expected = []
         for rec in tr.rounds:
-            grown = sum(a.path_len + a.leaf_count for a in rec.attachments)
+            grown = sum(rec.attachments.path_len) + sum(rec.attachments.leaf_count)
             expected.append(("moved", rec, rec.t, n))
             expected.append(("attached", rec, rec.t, n + grown, list(range(n, n + grown))))
             n += grown
@@ -430,8 +431,8 @@ class TestReplay:
             replay(transcript_from_json(json.dumps(doc)), initial_tree_of(tr))
 
 
-def _attachments_doc(attachments) -> list:
-    return [{"at": a.at, "path_len": a.path_len, "leaves": a.leaf_count} for a in attachments]
+def _attachments_doc(gadgets) -> list:
+    return [{"at": at, "path_len": p, "leaves": c} for at, p, c in gadgets.rows()]
 
 
 def reference_to_json(transcript) -> str:
@@ -469,17 +470,17 @@ def _int_list(values) -> bool:
     return type(values) is list and all(map(_plain_int, values))
 
 
-def _reference_attachments(listed) -> tuple:
-    """Attachments from a list of objects whose three fields are plain ints."""
+def _reference_attachments(listed) -> Gadgets:
+    """Gadgets from a list of objects whose three fields are plain ints."""
     if type(listed) is not list:
         raise IntegrityError("attachments are not a list")
-    attachments = []
+    rows = []
     for obj in listed:
         fields = (obj["at"], obj["path_len"], obj["leaves"])
         if not all(map(_plain_int, fields)):
             raise IntegrityError("an attachment field is not an integer")
-        attachments.append(Attachment(*fields))
-    return tuple(attachments)
+        rows.append(fields)
+    return gadgets_of(*rows)
 
 
 def reference_from_json(text) -> Transcript:
@@ -605,11 +606,11 @@ class TestSharedMoves:
     def test_explorer_list_is_not_kept(self):
         state = GameState(make_star(3), 2)
         moves = [1, 0]
-        apply_round(state, moves, [])
+        apply_round(state, moves)
         moves[0] = 2
         assert state.positions == (1, 0)
         before = state.positions
-        apply_round(state, [1, 0], [])
+        apply_round(state, [1, 0])
         assert state.positions is before
 
     def test_hand_built_mix_of_shared_and_equal_tuples(self):
@@ -629,7 +630,7 @@ class TestSharedMoves:
         tr = Transcript(
             params={"explorer": "hand", "revealer": "fixed", "k": 2, "ratio": 0.5},
             rounds=[
-                RoundRecord(t=t, moves=moves, attachments=(), newly_visited=nv)
+                RoundRecord(t=t, moves=moves, attachments=NO_GADGETS, newly_visited=nv)
                 for t, (moves, nv) in enumerate(rounds, start=1)
             ],
             checkpoints=[],
@@ -641,8 +642,8 @@ class TestSharedMoves:
 
 
     def test_equal_but_distinct_gadgets_are_encoded_on_their_own(self):
-        shared = (Attachment(1, 0, 2),)
-        equal = (Attachment(1.0, 0, 2),)  # equal to `shared`, encodes differently
+        shared = gadgets_of((1, 0, 2))
+        equal = gadgets_of((1.0, 0, 2))  # equal to `shared`, encodes differently
 
         def checkpoint(i, gadgets):
             return CheckpointRecord(i=i, K=(1, 2), a=(0, 0), S=(1,), gadgets=gadgets)
@@ -651,9 +652,9 @@ class TestSharedMoves:
             params={"explorer": "hand", "revealer": "hand", "k": 1},
             rounds=[
                 RoundRecord(t=1, moves=(0,), attachments=shared, newly_visited=0),
-                RoundRecord(t=2, moves=(0,), attachments=(Attachment(2, 0, 2),), newly_visited=0),
+                RoundRecord(t=2, moves=(0,), attachments=gadgets_of((2, 0, 2)), newly_visited=0),
             ],
-            checkpoints=[checkpoint(1, shared), checkpoint(2, equal), checkpoint(3, ())],
+            checkpoints=[checkpoint(1, shared), checkpoint(2, equal), checkpoint(3, NO_GADGETS)],
             outcome=Outcome(False, 2, TreeStats(n=7, height=2, root_ecc=2)),
         )
         text = transcript_to_json(tr)
@@ -674,17 +675,16 @@ class _Count(int):
 class TestAttachmentText:
     """Plain-int attachments are %-formatted; any other field goes to the encoder."""
 
-    def _transcript(self, attachments):
+    def _transcript(self, *rows):
         return Transcript(
             params={"explorer": "hand", "revealer": "hand", "k": 1},
-            rounds=[RoundRecord(t=1, moves=(0,), attachments=attachments, newly_visited=0)],
-            checkpoints=[CheckpointRecord(i=1, K=(1,), a=(0,), S=(1,), gadgets=attachments[::-1])],
+            rounds=[RoundRecord(t=1, moves=(0,), attachments=gadgets_of(*rows), newly_visited=0)],
+            checkpoints=[CheckpointRecord(i=1, K=(1,), a=(0,), S=(1,), gadgets=gadgets_of(*rows[::-1]))],
             outcome=Outcome(False, 1, TreeStats(n=2, height=1, root_ecc=1)),
         )
 
     def test_negative_and_large_ints_match_the_reference(self, monkeypatch):
-        attachments = (Attachment(-5, 10**40, 0), Attachment(0, -1, -(10**4299)), Attachment(2**63, 2**64, 7))
-        tr = self._transcript(attachments)
+        tr = self._transcript((-5, 10**40, 0), (0, -1, -(10**4299)), (2**63, 2**64, 7))
         encoded = []
         encode = game._encode
         monkeypatch.setattr(game, "_encode", lambda value: encoded.append(value) or encode(value))
@@ -696,7 +696,7 @@ class TestAttachmentText:
     def test_a_field_that_is_not_a_plain_int_goes_to_the_encoder(self, monkeypatch, odd, field):
         fields = [1, 0, 2]
         fields[field] = odd
-        tr = self._transcript((Attachment(4, 0, 1), Attachment(*fields)))
+        tr = self._transcript((4, 0, 1), tuple(fields))
         encoded = []
         encode = game._encode
         monkeypatch.setattr(game, "_encode", lambda value: encoded.append(value) or encode(value))
@@ -963,7 +963,7 @@ class TestViewArrays:
             # one round as play commits and observes it
             _commit_moves(state, moves)
             view.observe_moves()
-            view.observe_attachments(_commit_attachments(state, [Attachment(at=at, path_len=2, leaf_count=2)]))
+            view.observe_attachments(_commit_attachments(state, gadgets_of((at, 2, 2))))
             tree = state.tree
             assert len(parents) == len(depths) == len(branches) == len(visited) == tree.n
             assert (parents, depths, branches, visited) == (tree.parent, tree.depth, tree.branch, state.visited)

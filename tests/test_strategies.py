@@ -75,7 +75,7 @@ class TestIdle:
         for _ in range(2):
             moves = explorer.next_moves(view)
             assert moves is start
-            apply_round(state, moves, [])
+            apply_round(state, moves)
             assert state.positions is start
 
 

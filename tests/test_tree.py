@@ -251,13 +251,16 @@ def _reference_attach(t, at, path_len, leaf_count):
 
 
 def _assert_leaf_layout(t):
-    """A leaf holds the empty tuple; every other vertex holds its own list."""
+    """A leaf holds the empty tuple; a star tip may hold the range of its
+    leaves; every other vertex holds its own list."""
     for v, kids in enumerate(t.children):
-        if kids:
+        if type(kids) is range:
+            assert kids, v
+        elif kids:
             assert type(kids) is list, v
         else:
             assert type(kids) is tuple, v
-    lists = [id(kids) for kids in t.children if kids]
+    lists = [id(kids) for kids in t.children if type(kids) is list]
     assert len(set(lists)) == len(lists)
 
 
@@ -277,6 +280,7 @@ class TestBulkBuilders:
             ((4, 1), [(1, 0, 0)]),  # nothing at all
             ((3, 3), [(1, 0, 4)]),  # below a vertex that already has a child
             ((3, 3), [(3, 1, 2), (3, 0, 2)]),  # twice below the same vertex
+            ((4, 1), [(2, 0, 2), (2, 0, 1)]),  # a star below a star tip's range
             ((4, 1), [(ROOT, 0, 5)]),  # leaves at depth 1 are their own branches
             ((4, 1), [(ROOT, 2, 3)]),  # path from the root, then a star below it
             ((3, 3), [(4, 2, 1), (12, 1, 6), (6, 0, 2), (ROOT, 0, 1)]),
@@ -309,7 +313,7 @@ class TestBulkBuilders:
         t = make_path_star(2, 1)
         new = attach_path_with_star(t, 1, 0, 3)
         new.append(99)
-        assert t.children[1] == [3, 4, 5]
+        assert list(t.children[1]) == [3, 4, 5]
 
 
 class TestLeafLayout:
@@ -324,6 +328,37 @@ class TestLeafLayout:
         t.add_child(v)
         assert t.children[v] == [w, w + 1]
         assert [v for v in range(t.n) if not t.children[v]] == [w, w + 1]
+
+    def test_star_leaves_of_a_childless_tip_are_a_range(self):
+        t = make_path_star(2, 1)
+        attach_path_with_star(t, 1, 1, 3)
+        assert t.children[3] == range(4, 7)
+        attach_path_with_star(t, 2, 0, 2)
+        assert t.children[2] == range(7, 9)
+
+    def test_add_child_below_a_range_makes_a_list(self):
+        t = make_path_star(2, 1)
+        attach_path_with_star(t, 1, 0, 3)
+        assert t.children[1] == range(3, 6)
+        v = t.add_child(1)
+        assert t.children[1] == [3, 4, 5, v] and type(t.children[1]) is list
+        attach_path_with_star(t, 1, 0, 2)  # a star below a list extends it in place
+        assert t.children[1] == [3, 4, 5, v, v + 1, v + 2]
+        _assert_leaf_layout(t)
+
+    def test_copy_of_range_children_holds_lists(self):
+        t = make_path_star(2, 1)
+        attach_path_with_star(t, 1, 0, 3)
+        attach_path_with_star(t, 2, 1, 2)
+        c = t.copy()
+        assert tree_arrays(c) == tree_arrays(t)
+        assert [type(kids) for kids in c.children if kids] == [list] * 4
+        _assert_leaf_layout(c)
+        assert not {id(x) for x in t.children if x} & {id(x) for x in c.children if x}
+        before = tree_arrays(t)
+        c.add_child(1)
+        attach_path_with_star(c, 6, 0, 2)
+        assert tree_arrays(t) == before
 
     def test_copy_shares_no_list(self):
         t = make_path_star(3, 2)

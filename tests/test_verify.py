@@ -7,7 +7,7 @@ import warnings
 import pytest
 
 from treexplore import (
-    Attachment,
+    NO_GADGETS,
     CheckpointRecord,
     CheckpointRevealer,
     Outcome,
@@ -28,7 +28,7 @@ from treexplore.harness.cli import main
 from treexplore.harness.runner import run_adversary_game
 from treexplore.harness.verify import Evidence, _ReplayCheck, params_from_transcript, verify_transcript
 
-from conftest import make_star, vertices_at_depth
+from conftest import gadgets_of, make_star, vertices_at_depth
 
 
 @pytest.fixture(scope="module")
@@ -130,7 +130,7 @@ class TestClaimsDecidedPerRound:
         state.round = t
         state.positions = (v, *others, *state.positions[1 + len(others) :])
         state.newly_visited = frozenset({v, *others})
-        rp.moved(state, RoundRecord(t, state.positions, (), len(state.newly_visited)))
+        rp.moved(state, RoundRecord(t, state.positions, NO_GADGETS, len(state.newly_visited)))
 
     def test_window_holds_exactly_the_checkpoint_leaves(self, observed):
         rp, state, records = observed
@@ -138,7 +138,7 @@ class TestClaimsDecidedPerRound:
         assert (i, until) == (1, 12)
         # checkpoint 1's star leaves are the only vertices at depth L*(i+1) = 8
         assert leaves == frozenset(vertices_at_depth(state.tree, 8))
-        assert len(leaves) == sum(att.leaf_count for att in records[0].gadgets)
+        assert len(leaves) == sum(records[0].gadgets.leaf_count)
 
     def test_leaf_reached_from_outside_its_branch_is_a_violation(self, observed):
         rp, state, _ = observed
@@ -150,7 +150,7 @@ class TestClaimsDecidedPerRound:
     def test_leaf_reached_from_inside_its_branch_is_not(self, observed):
         rp, state, records = observed
         leaf = state.tree.n - 1
-        inside = records[0].gadgets[-1].at
+        inside = records[0].gadgets.at[-1]
         rp.positions_at[1] = (inside, *rp.positions_at[1][1:])
         self._arrive(rp, state, 11, leaf)
         assert rp.violations == {1: []}
@@ -252,17 +252,52 @@ def test_records_are_checked_in_firing_order(tmp_path, capsys, small_greedy_tran
     assert message in captured.err
 
 
+def _gadget_edits():
+    """Edits of one gadget list: each field of its last gadget by +-1, one gadget
+    dropped, one gadget twice."""
+    for field in ("at", "path_len", "leaves"):
+        for delta in (1, -1):
+            edit = lambda listed, f=field, d=delta: listed[-1].__setitem__(f, listed[-1][f] + d)  # noqa: E731
+            yield pytest.param(edit, id=f"{field}{delta:+d}")
+    yield pytest.param(lambda listed: listed.pop(), id="drop")
+    yield pytest.param(lambda listed: listed.insert(1, dict(listed[0])), id="duplicate")
+
+
+@pytest.mark.parametrize("edit", _gadget_edits())
+@pytest.mark.parametrize("place", ["both", "gadgets", "attachments"])
+@pytest.mark.parametrize("index", [0, 1])
+def test_edited_gadget_columns_exit_3(tmp_path, capsys, small_greedy_transcript, index, place, edit):
+    doc = json.loads(transcript_to_json(small_greedy_transcript))
+    checkpoint = doc["checkpoints"][index]
+    i = checkpoint["i"]
+    t = i * (i + 1) // 2  # L = 1
+    if place != "attachments":
+        edit(checkpoint["gadgets"])
+    if place != "gadgets":
+        edit(doc["rounds"][t - 1]["attachments"])
+    out = tmp_path / "tr.json"
+    out.write_text(json.dumps(doc))
+    assert main(["verify", "--transcript", str(out)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and captured.err.startswith("integrity error: ")
+    if place == "attachments":
+        assert f"round {t} attachments differ from checkpoint {i} gadgets" in captured.err
+    else:
+        assert f"checkpoint {i} record does not match its recomputation at round {t}" in captured.err
+
+
 def _plain_int(value) -> bool:
     return type(value) is int
 
 
-def _unshared_attachments(listed) -> tuple:
+def _unshared_attachments(listed):
     if type(listed) is not list:
         raise IntegrityError("attachments are not a list")
     fields = [(obj["at"], obj["path_len"], obj["leaves"]) for obj in listed]
     if not all(_plain_int(v) for triple in fields for v in triple):
         raise IntegrityError("an attachment field is not an integer")
-    return tuple(Attachment(*triple) for triple in fields)
+    return gadgets_of(*fields)
 
 
 def unshared_reader(text: str) -> Transcript:
