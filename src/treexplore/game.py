@@ -461,13 +461,18 @@ _encode = json.JSONEncoder(separators=(",", ":")).encode
 _ATTACHMENT_JSON = '{"at":%d,"path_len":%d,"leaves":%d}'
 
 
+def _int_attachments_text(gadgets: Gadgets) -> str:
+    """The list of attachment objects as the encoder writes plain-int fields."""
+    return "[" + ",".join(map(_ATTACHMENT_JSON.__mod__, gadgets.rows())) + "]"
+
+
 def _attachments_text(gadgets: Gadgets) -> str:
     """The encoded list of attachment objects. When every field is a plain
     int (tested in C), each object is one %-format, which writes an int as
     the encoder does; anything else, such as ``1.0`` or ``True``, goes to
     the encoder."""
     if set(map(type, chain(gadgets.at, gadgets.path_len, gadgets.leaf_count))) <= {int}:
-        return "[" + ",".join(map(_ATTACHMENT_JSON.__mod__, gadgets.rows())) + "]"
+        return _int_attachments_text(gadgets)
     return _encode([{"at": at, "path_len": p, "leaves": c} for at, p, c in gadgets.rows()])
 
 
@@ -603,19 +608,58 @@ def _decode_object(s: str, i: int, fields: dict) -> tuple[object, int]:
         i = _skip_ws(s, i + 1).end()
 
 
+# every JSON value but an int holds one of these: a string ", a float . e or E,
+# true, false, null and Infinity an e or n, NaN an N, an array [ and an object {
+_NOT_INT = '.eE"nN[{'
+
+
+def _decode_ints(s: str, i: int) -> tuple[object, int]:
+    """The value at ``s[i]``; an array whose text inside the brackets has none
+    of ``_NOT_INT``, so every element is a plain int, is a tuple."""
+    value, end = _decode_value(s, i)
+    if type(value) is list and all(s.find(c, i + 1, end - 1) < 0 for c in _NOT_INT):
+        return tuple(value), end
+    return value, end
+
+
+def _decode_attachments(s: str, i: int) -> tuple[object, int]:
+    """The value at ``s[i]``; the writer's text of plain-int attachments is ``Gadgets``.
+
+    Up to its first ``]``, that text without keys and braces is a flat int
+    array, sliced into the columns; they are kept if the writer's format
+    gives the exact text back. ``1.0``, ``-0``, a space or another key order
+    goes to the C scanner whole.
+    """
+    if s.startswith('[{"at":', i):
+        end = s.find("]", i) + 1
+        text = s[i:end]
+        flat = text.replace('{"at":', "").replace(',"path_len":', ",").replace(',"leaves":', ",").replace("}", "")
+        try:
+            values = _decode_ints(flat, 0)[0]
+        except ValueError:  # no array, or an int over json's digit limit
+            values = None
+        if type(values) is tuple:
+            gadgets = Gadgets(values[0::3], values[1::3], values[2::3])
+            if _int_attachments_text(gadgets) == text:
+                return gadgets, end
+    return _decode_value(s, i)
+
+
 class _TranscriptDecoder:
     """``json.loads`` of a transcript that decodes each repeated array once.
 
     The top-level object, its ``rounds`` array and its ``checkpoints``
-    array are walked here; every other value goes to the C scanner. The
-    same text always decodes to the same value, so two rules may skip text
-    without changing what is read:
+    array are walked here; every other value goes to the C scanner, which
+    types ``moves``, ``K``, ``a`` and ``S`` (``_decode_ints``) and the
+    attachments (``_decode_attachments``) from their text. The same text
+    always decodes to the same value, so two rules may skip text without
+    changing what is read:
 
     - a round's ``moves`` whose text starts with the exact text of the
       previous moves array is that array's list;
     - a checkpoint's ``gadgets`` whose text starts with the exact text of
       the next unclaimed non-empty round ``attachments`` is that round's
-      list.
+      value.
 
     An array text ends at its own closing bracket, so a prefix match is a
     whole value. Whitespace, key order, duplicate keys (the last one wins)
@@ -623,16 +667,17 @@ class _TranscriptDecoder:
     """
 
     def __init__(self):
-        self.moves_text = None  # text of the last moves array, and its list
+        self.moves_text = None  # text of the last moves array, and its value
         self.moves = None
-        self.attachments = []  # (text, list) of each non-empty attachments array
+        self.attachments = []  # (text, value) of each non-empty attachments array
         self.claimed = 0  # how many of those a checkpoint's gadgets have taken
 
     def document(self, s: str):
         # these hold bound methods: kept on self, they would make it cyclic garbage
         round_fields = {"moves": self.moves_value, "attachments": self.attachments_value}
         round_ = partial(_decode_object, fields=round_fields)
-        checkpoint = partial(_decode_object, fields={"gadgets": self.gadgets_value})
+        checkpoint_fields = {"K": _decode_ints, "a": _decode_ints, "S": _decode_ints, "gadgets": self.gadgets_value}
+        checkpoint = partial(_decode_object, fields=checkpoint_fields)
         fields = {
             "rounds": partial(_decode_array, item=round_),
             "checkpoints": partial(_decode_array, item=checkpoint),
@@ -647,13 +692,13 @@ class _TranscriptDecoder:
         text = self.moves_text
         if text is not None and s.startswith(text, i):
             return self.moves, i + len(text)
-        value, end = _decode_value(s, i)
+        value, end = _decode_ints(s, i)
         if s.startswith("[", i):
             self.moves_text, self.moves = s[i:end], value
         return value, end
 
     def attachments_value(self, s: str, i: int):
-        value, end = _decode_value(s, i)
+        value, end = _decode_attachments(s, i)
         if value and s.startswith("[", i):
             self.attachments.append((s[i:end], value))
         return value, end
@@ -664,7 +709,7 @@ class _TranscriptDecoder:
             if s.startswith(text, i):
                 self.claimed += 1
                 return value, i + len(text)
-        return _decode_value(s, i)
+        return _decode_attachments(s, i)
 
 
 def _load_transcript_json(text: str | bytes):
@@ -681,11 +726,6 @@ def _load_transcript_json(text: str | bytes):
     return _TranscriptDecoder().document(text)
 
 
-def is_int_list(value) -> bool:
-    """A list of plain ints: no bool, float or string, which may equal an int."""
-    return type(value) is list and set(map(type, value)) <= {int}
-
-
 _attachment_fields = tuple(map(itemgetter, ("at", "path_len", "leaves")))
 
 
@@ -696,8 +736,10 @@ def _require_ints(where: str, **fields) -> None:
 
 
 def _read_attachments(listed, where: str) -> Gadgets:
-    """Gadgets from a list of objects whose fields are plain ints, each column
-    fetched and type-tested in C: no Python step per attachment."""
+    """Gadgets as decoded, or from a list of objects whose fields are plain
+    ints, each column fetched and type-tested in C: no Python step per attachment."""
+    if type(listed) is Gadgets:
+        return listed
     if type(listed) is list:
         if not listed:
             return NO_GADGETS
@@ -707,49 +749,43 @@ def _read_attachments(listed, where: str) -> Gadgets:
     raise IntegrityError(f"{where} must be a list of objects with integer 'at', 'path_len' and 'leaves'")
 
 
-def _read_rounds(docs: list, attachments_of: dict) -> list[RoundRecord]:
+def _read_rounds(docs: list) -> list[RoundRecord]:
     """Round records from their decoded JSON; equal consecutive moves share one tuple.
 
-    Each distinct moves list must hold plain ints. A list equal to the one
-    before needs no check: its round replays as a stay-put round, which
-    ``_commit_moves`` judges by equality. The gadgets built from each
-    non-empty attachments list are entered in ``attachments_of`` under the
-    id of that list.
+    Moves must be an int array, which the decoder makes a tuple, or equal
+    the moves before: such a round replays as a stay-put round, which
+    ``_commit_moves`` judges by equality.
     """
     rounds = []
-    last_list = last_moves = None
+    moves = None
     for index, r in enumerate(docs):
         mv = r["moves"]
-        if last_moves is None or (mv is not last_list and mv != last_list):
-            if not is_int_list(mv):
-                raise IntegrityError(f"round record {index} has moves that are not a list of integers")
-            last_list, last_moves = mv, tuple(mv)
-        t, newly_visited, listed = r["t"], r["newly_visited"], r["attachments"]
+        if type(mv) is tuple:
+            if mv is not moves and mv != moves:
+                moves = mv
+        elif moves is None or mv != list(moves):
+            raise IntegrityError(f"round record {index} has moves that are not a list of integers")
+        t, newly_visited = r["t"], r["newly_visited"]
         _require_ints(f"round record {index}", t=t, newly_visited=newly_visited)
-        attachments = _read_attachments(listed, f"round record {index}: 'attachments'")
-        if attachments:
-            attachments_of[id(listed)] = attachments
-        rounds.append(RoundRecord(t, last_moves, attachments, newly_visited))
+        attachments = _read_attachments(r["attachments"], f"round record {index}: 'attachments'")
+        rounds.append(RoundRecord(t, moves, attachments, newly_visited))
     return rounds
 
 
-def _read_checkpoints(docs: list, attachments_of: dict) -> list[CheckpointRecord]:
-    """Checkpoint records from their decoded JSON; ``a`` must be as long as ``K``.
-
-    A ``gadgets`` list whose id is in ``attachments_of`` takes the gadgets
-    stored there.
-    """
+def _read_checkpoints(docs: list) -> list[CheckpointRecord]:
+    """Checkpoint records from their decoded JSON; ``K``, ``a`` and ``S``
+    are int arrays, tuples from the decoder, and ``a`` is as long as ``K``."""
     checkpoints = []
     for index, c in enumerate(docs):
-        i, K, a, S, listed = c["i"], c["K"], c["a"], c["S"], c["gadgets"]
+        i, K, a, S = c["i"], c["K"], c["a"], c["S"]
         _require_ints(f"checkpoint record {index}", i=i)
         for name, values in (("K", K), ("a", a), ("S", S)):
-            if not is_int_list(values):
+            if type(values) is not tuple:
                 raise IntegrityError(f"checkpoint {i}: '{name}' must be a list of integers")
         if len(a) != len(K):
             raise IntegrityError(f"checkpoint {i}: 'a' must be a list of {len(K)} counts aligned with 'K'")
-        gadgets = attachments_of.get(id(listed)) or _read_attachments(listed, f"checkpoint {i}: 'gadgets'")
-        checkpoints.append(CheckpointRecord(i, tuple(K), tuple(a), tuple(S), gadgets))
+        gadgets = _read_attachments(c["gadgets"], f"checkpoint {i}: 'gadgets'")
+        checkpoints.append(CheckpointRecord(i, K, a, S, gadgets))
     return checkpoints
 
 
@@ -760,8 +796,8 @@ def transcript_from_json(text: str | bytes) -> Transcript:
     checks the type of a record field: ``finished`` is a bool, every other
     field a plain int or a list of them (see ``_read_rounds`` for moves).
     Rounds with equal consecutive moves share one tuple, and a checkpoint
-    whose gadgets text repeats its round's attachments shares that
-    round's gadgets.
+    whose gadgets repeat its round's attachments in the writer's text
+    shares that round's gadgets.
     """
     try:
         doc = _load_transcript_json(text)
@@ -770,10 +806,8 @@ def transcript_from_json(text: str | bytes) -> Transcript:
     except RecursionError:
         raise IntegrityError("transcript is not valid JSON: nested too deeply") from None
     try:
-        # ids stay unique while doc holds the lists
-        attachments_of: dict = {}
-        rounds = _read_rounds(doc["rounds"], attachments_of)
-        checkpoints = _read_checkpoints(doc.get("checkpoints", []), attachments_of)
+        rounds = _read_rounds(doc["rounds"])
+        checkpoints = _read_checkpoints(doc.get("checkpoints", []))
         out = doc["outcome"]
         finished, final_round, n, height = out["finished"], out["final_round"], out["n"], out["height"]
         if type(finished) is not bool:

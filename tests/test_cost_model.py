@@ -24,7 +24,9 @@ No layer keeps a Python object per gadget that the cyclic garbage
 collector tracks: a round's gadgets are three int columns and a star's
 leaves are a ``range`` below its tip. ``gc.get_count()`` counts the
 tracked objects a stage leaves alive, on two instances whose gadget
-counts differ 15-fold; one object per gadget would add thousands.
+counts differ 15-fold; one object per gadget would add thousands. Nor
+does a read build and drop one: ``gc.callbacks`` counts the collections
+it sets off, which would then grow with the gadgets.
 """
 
 import gc
@@ -210,3 +212,30 @@ def test_no_tracked_object_per_gadget():
     assert (small_gadgets, big_gadgets) == (175, 2632)
     for stage in small:
         assert big[stage] < small[stage] + 100, (stage, small, big)
+
+
+def collections_during(fn, *args):
+    """How many collections, of any generation, the cyclic collector runs
+    during fn(*args), with the collector on and nothing pending before."""
+    started = []
+
+    def count(phase, info):
+        started.append(phase == "start")
+
+    gc.collect()
+    gc.callbacks.append(count)
+    try:
+        fn(*args)
+    finally:
+        gc.callbacks.remove(count)
+    return sum(started)
+
+
+def test_a_read_runs_no_more_collections_on_more_gadgets():
+    """The reader builds no tracked object per gadget or per array entry, so a
+    read with 15 times the gadgets sets off no more collections."""
+    small, big = (
+        transcript_to_json(run_adversary_game(derive_params(*instance), "greedy_frontier", 100))
+        for instance in ((4096, 1, 3, 541), (65536, 1, 4, 5878))
+    )
+    assert collections_during(transcript_from_json, big) <= collections_during(transcript_from_json, small)

@@ -4,6 +4,7 @@ import gc
 import json
 import random
 from collections import Counter
+from itertools import permutations
 from math import comb
 
 import pytest
@@ -726,6 +727,50 @@ def _value_spans(text: str, key: str) -> list[tuple[int, int]]:
     return spans
 
 
+# JSON text that is not a plain int, and -0, which is one the writer never writes
+INT_TOKENS = ("1.0", "1e0", "1E0", "-0", "NaN", "Infinity", "-Infinity", "true", "null", '"1"', "[1]", "{}")
+INT_ARRAYS = ("moves", "K", "a", "S")
+
+
+def _with_entry(text: str, span: tuple[int, int], j: int, token: str) -> str:
+    """``text`` with entry ``j`` of the compact int array at ``span`` replaced by
+    ``token``; an empty array gets it as its only entry."""
+    start, end = span
+    entries = text[start + 1 : end - 1].split(",")
+    entries[j % len(entries)] = token
+    return text[: start + 1] + ",".join(entries) + text[end - 1 :]
+
+
+def _object_spans(text: str, span: tuple[int, int]) -> list[tuple[int, int]]:
+    """(start, end) of each object in the compact attachments array at ``span``."""
+    spans, i = [], span[0] + 1
+    while i < span[1] - 1:
+        end = text.index("}", i) + 1
+        spans.append((i, end))
+        i = end + 1
+    return spans
+
+
+def _attachment_edits(obj: str) -> list[str]:
+    """Edits of one compact attachment object: its keys reordered, a space
+    added, the object or a key duplicated, a key dropped or added, or a field
+    that is not the writer's plain int."""
+    fields = obj[1:-1].split(",")
+    edits = ["{" + ",".join(order) + "}" for order in permutations(fields)]
+    edits += [obj[:i] + " " + obj[i:] for i in range(1, len(obj))]
+    edits += [obj + "," + obj, obj[:-1] + ',"at":0}', obj[:-1] + ',"x":0}', '{"x":0,' + obj[1:]]
+    edits += ["{" + ",".join(fields[:d] + fields[d + 1 :]) + "}" for d in range(3)]
+    for d, name in enumerate(("at", "path_len", "leaves")):
+        for value in ("2.0", "true", "-0", "1" + "0" * 4999):
+            edits.append("{" + ",".join([*fields[:d], f'"{name}":{value}', *fields[d + 1 :]]) + "}")
+    return edits
+
+
+def _gadget_spans(text: str, place: str) -> list[tuple[int, int]]:
+    """The non-empty arrays of ``place``, "attachments" or "gadgets"."""
+    return [(start, end) for start, end in _value_spans(text, place) if end - start > 2]
+
+
 def _walker_positions(text: str) -> list[int]:
     """Where the brackets, colons and commas of the top-level object, the rounds
     and checkpoints arrays and their records sit, the syntax the walker reads."""
@@ -754,7 +799,7 @@ def mutated_transcripts(draw):
     doc = json.loads(text)
     kind = draw(st.sampled_from([
         "move", "attachment", "checkpoint", "outcome", "truncate", "edit",
-        "indent", "reorder", "duplicate", "respaced_moves", "encoding",
+        "indent", "reorder", "duplicate", "respaced_moves", "int_token", "attachment_text", "encoding",
     ]))
     if kind == "move":
         moves = doc["rounds"][draw(st.integers(0, len(doc["rounds"]) - 1))]["moves"]
@@ -805,6 +850,13 @@ def mutated_transcripts(draw):
         sep = draw(st.sampled_from([", ", " ,", ",\n", "\t,"]))
         new = sep.join(map(str, prev)).join(draw(st.sampled_from([("[", "]"), ("[ ", " ]"), ("\n[", "]")])))
         return text[: spans[r][0]] + new + text[spans[r][1] :]
+    if kind == "int_token":
+        span = draw(st.sampled_from(_value_spans(text, draw(st.sampled_from(INT_ARRAYS)))))
+        return _with_entry(text, span, draw(st.integers(0, 10**6)), draw(st.sampled_from(INT_TOKENS)))
+    if kind == "attachment_text":
+        span = draw(st.sampled_from(_gadget_spans(text, draw(st.sampled_from(["attachments", "gadgets"])))))
+        start, end = draw(st.sampled_from(_object_spans(text, span)))
+        return text[:start] + draw(st.sampled_from(_attachment_edits(text[start:end]))) + text[end:]
     return _encoded(text, draw(st.sampled_from(ENCODINGS)))
 
 
@@ -850,6 +902,27 @@ class TestReaderMatchesJsonLoads:
             edits += [text[:i] + c + text[i + 1 :] for c in ',:]}" ']
             edits += [text[:i] + c + text[i:] for c in ",]} \f"]
             for edited in edits:
+                assert _read(transcript_from_json, edited) == _read(reference_from_json, edited)
+
+    @pytest.mark.parametrize("name", sorted(FUZZ_BASES))
+    @pytest.mark.parametrize("key", INT_ARRAYS)
+    def test_every_non_int_token_in_an_int_array(self, name, key):
+        text = FUZZ_BASES[name]
+        spans = _value_spans(text, key)
+        for span in {spans[0], spans[1 % len(spans)], spans[-1]}:
+            for j in (0, -1):
+                for token in INT_TOKENS:
+                    edited = _with_entry(text, span, j, token)
+                    assert _read(transcript_from_json, edited) == _read(reference_from_json, edited)
+
+    @pytest.mark.parametrize("name", sorted(FUZZ_BASES))
+    @pytest.mark.parametrize("place", ["attachments", "gadgets"])
+    def test_every_edit_of_an_attachment_object(self, name, place):
+        text = FUZZ_BASES[name]
+        objects = _object_spans(text, _gadget_spans(text, place)[0])
+        for start, end in (objects[0], objects[-1]):
+            for edit in _attachment_edits(text[start:end]):
+                edited = text[:start] + edit + text[end:]
                 assert _read(transcript_from_json, edited) == _read(reference_from_json, edited)
 
     @pytest.mark.parametrize("encoding", ENCODINGS)
