@@ -400,7 +400,9 @@ def replay(transcript: Transcript, initial: RootedTree, observer=None) -> GameSt
     one that breaks the transcript's cap. The record fields' types are the reader's to check
     (see ``transcript_from_json``). ``observer.moved(state, rec)`` runs
     after a round's moves commit and before its attachments, and
-    ``observer.attached(state, rec, created)`` after them.
+    ``observer.attached(state, rec, created)`` after them. A round whose
+    ``moves`` is the previous round's object commits ``state.positions``,
+    which equals it, so the stay-put test is one identity check.
     """
     k, cap = transcript.params.get("k"), transcript.params.get("cap")
     if type(k) is not int or k < 1 or type(cap) is not int:
@@ -410,6 +412,7 @@ def replay(transcript: Transcript, initial: RootedTree, observer=None) -> GameSt
     if len(transcript.rounds) > MAX_ROUNDS:  # nor a game this long
         raise IntegrityError(f"transcript records more than {MAX_ROUNDS} rounds")
     state = GameState(initial, k)
+    moves = None
     for rec in transcript.rounds:
         t = state.round + 1
         if is_explored(state):
@@ -417,9 +420,11 @@ def replay(transcript: Transcript, initial: RootedTree, observer=None) -> GameSt
         if rec.t != t:
             raise IntegrityError(f"round records out of order at t={rec.t!r}", round=t)
         try:
-            _commit_moves(state, rec.moves)
+            # the previous round's object: it equals the positions it committed
+            _commit_moves(state, state.positions if rec.moves is moves else rec.moves)
         except TreexploreError as exc:
             raise IntegrityError(f"replay failed at round {t}: {exc}", round=t) from exc
+        moves = rec.moves
         if rec.newly_visited != len(state.newly_visited):
             raise IntegrityError(
                 f"round {t}: recorded {rec.newly_visited!r} new visits, replay saw "
@@ -611,11 +616,22 @@ def _decode_object(s: str, i: int, fields: dict) -> tuple[object, int]:
 # every JSON value but an int holds one of these: a string ", a float . e or E,
 # true, false, null and Infinity an e or n, NaN an N, an array [ and an object {
 _NOT_INT = '.eE"nN[{'
+_DIGIT_VALUES = bytes.maketrans(b"0123456789", bytes(range(10)))
 
 
 def _decode_ints(s: str, i: int) -> tuple[object, int]:
     """The value at ``s[i]``; an array whose text inside the brackets has none
-    of ``_NOT_INT``, so every element is a plain int, is a tuple."""
+    of ``_NOT_INT``, so every element is a plain int, is a tuple.
+
+    The text ``[d,d,...,d]``, each ``d`` one ASCII digit, is read by one byte
+    translation; any other text (spaces, ``-0``, ``01``, ``10``, nested
+    values, no ``]``) goes to the C scanner.
+    """
+    end = s.find("]", i + 1) if s.startswith("[", i) else -1
+    if end > i and (end - i) % 2 == 0 and s.count(",", i, end) == (end - i) // 2 - 1:
+        digits = s[i + 1 : end : 2]
+        if digits.isascii() and digits.isdigit():
+            return tuple(digits.encode().translate(_DIGIT_VALUES)), end + 1
     value, end = _decode_value(s, i)
     if type(value) is list and all(s.find(c, i + 1, end - 1) < 0 for c in _NOT_INT):
         return tuple(value), end

@@ -9,7 +9,9 @@ changed plus the number of moving agents.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from bisect import bisect_left
+from collections.abc import Callable, Sequence
+from heapq import heapify, heappop, heappush
 from itertools import filterfalse
 
 from .errors import InvalidParameterError, StrategyInfeasibleError
@@ -49,34 +51,24 @@ class SingleDfsExplorer:
         self.k = k
         self._log_pos = 0
         self._seen = bytearray()  # vertices already counted off as visited
-        self._nkids: list[int] = []
-        self._childpos: list[int] = []
         self._cursor: list[int] = []
         self._pending: list[int] = []
 
     def _sync(self, view: ExplorerView) -> None:
         log = view.reveal_log
         parent = view.parents
-        nkids, childpos, cursor, pending = self._nkids, self._childpos, self._cursor, self._pending
+        cursor, pending = self._cursor, self._pending
         add = len(parent) - len(self._seen)
         if add > 0:
-            for column in nkids, childpos, cursor, pending:
+            for column in cursor, pending:
                 column.extend([0] * add)
             self._seen.extend(bytes(add))
-        for v in log[self._log_pos :]:
-            if v != ROOT:
-                p = parent[v]
-                childpos[v] = nkids[p]
-                nkids[p] += 1
-            # count v as pending along its revealed ancestry, rewinding cursors
-            pending[v] += 1
-            while v != ROOT:
-                p = parent[v]
-                if cursor[p] > childpos[v]:
-                    cursor[p] = childpos[v]
-                pending[p] += 1
-                v = p
+        if self._log_pos == 0:
+            pending[ROOT] += 1  # ROOT is log[0], the one vertex without a parent
+        tail = log[max(self._log_pos, 1) :]
         self._log_pos = len(log)
+        if tail:
+            self._count_pending(tail, parent, view.children)
         v = view.positions[0]
         if not self._seen[v]:
             self._seen[v] = 1
@@ -85,6 +77,41 @@ class SingleDfsExplorer:
                 if v == ROOT:
                     break
                 v = parent[v]
+
+    def _count_pending(
+        self, tail: Sequence[int], parent: Sequence[int], children: Callable[[int], Sequence[int]]
+    ) -> None:
+        """Count each vertex of ``tail``, newly revealed, as pending along its ancestry."""
+        cursor, pending = self._cursor, self._pending
+        # parents precede children in the log, so in reverse a new vertex's
+        # count is whole when it is reached; new children sit past their
+        # parent's cursor
+        olds = set(map(parent.__getitem__, tail)).difference(tail)
+        before = {p: pending[p] for p in olds}
+        for v in reversed(tail):
+            c = pending[v] + 1
+            pending[v] = c
+            pending[parent[v]] += c
+        # then each old vertex above them once, children first (a parent's id
+        # is smaller than its child's), rewinding each cursor to the first
+        # child that gained (children are listed in id order)
+        gained = {p: pending[p] - before[p] for p in olds}
+        heap = [-p for p in olds]
+        heapify(heap)
+        while heap:
+            v = -heappop(heap)
+            if v == ROOT:
+                continue
+            p = parent[v]
+            c = gained[v]
+            pending[p] += c
+            if cursor[p]:
+                cursor[p] = min(cursor[p], bisect_left(children(p), v))
+            if p in gained:
+                gained[p] += c
+            else:
+                gained[p] = c
+                heappush(heap, -p)
 
     def next_moves(self, view: ExplorerView) -> list[int]:
         self._sync(view)

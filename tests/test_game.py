@@ -729,6 +729,16 @@ def _value_spans(text: str, key: str) -> list[tuple[int, int]]:
 
 # JSON text that is not a plain int, and -0, which is one the writer never writes
 INT_TOKENS = ("1.0", "1e0", "1E0", "-0", "NaN", "Infinity", "-Infinity", "true", "null", '"1"', "[1]", "{}")
+# whole arrays next to the writer's single-digit text, read by byte translation
+DIGIT_ARRAYS = (
+    "[7]", "[0,1,0]", "[]", "[0, 1]", "[0 ,1]", "[0,,1]", "[0,1,]", "[01]", "[-0]", "[0,10]", "[10,0]", "[\u0663]",
+    "[0,[1]]", '[0,"1"]', "[0 1]", "[1.5]",
+)
+FIELD_ERRORS = {
+    "moves": "round record 0 has moves that are not a list of integers",
+    "a": "checkpoint 1: 'a' must be a list of integers",
+    "gadgets": "checkpoint 1: 'gadgets' must be a list of objects with integer 'at', 'path_len' and 'leaves'",
+}
 INT_ARRAYS = ("moves", "K", "a", "S")
 
 
@@ -872,6 +882,33 @@ def _read(reader, data):
         return "rejected"
 
 
+def _message(reader, data):
+    """The records read, or the one-line message of the IntegrityError."""
+    try:
+        return reader(data)
+    except IntegrityError as exc:
+        return str(exc)
+
+
+def _with_value(text: str, key: str, value: str) -> str:
+    """``text`` with the value of the first ``"key":`` replaced by ``value``."""
+    start, end = _value_spans(text, key)[0]
+    return text[:start] + value + text[end:]
+
+
+def _digit_value(place: str, array: str) -> str:
+    """``array`` as the value at ``place``; for gadgets, the writer's attachment
+    text whose keys and braces, taken out, leave ``array``."""
+    if place != "gadgets" or array == "[]":
+        return array
+    entries = array[1:-1].split(",")
+    objects = [
+        "{" + ",".join(f'"{key}":{e}' for key, e in zip(("at", "path_len", "leaves"), entries[j : j + 3])) + "}"
+        for j in range(0, len(entries), 3)
+    ]
+    return "[" + ",".join(objects) + "]"
+
+
 def _verdict(transcript) -> str:
     """verify's verdict; a malformed transcript may raise IntegrityError and nothing else."""
     if transcript == "rejected":
@@ -914,6 +951,30 @@ class TestReaderMatchesJsonLoads:
                 for token in INT_TOKENS:
                     edited = _with_entry(text, span, j, token)
                     assert _read(transcript_from_json, edited) == _read(reference_from_json, edited)
+
+    @pytest.mark.parametrize("name", sorted(FUZZ_BASES))
+    @pytest.mark.parametrize("place", ["moves", "a", "gadgets"])
+    @pytest.mark.parametrize("array", DIGIT_ARRAYS)
+    def test_every_digit_array_text(self, name, place, array):
+        text = FUZZ_BASES[name]
+        if place == "a":  # K as long as a, so that a's own type decides
+            count = array.count(",") + (array != "[]")
+            text = _with_value(text, "K", "[" + ",".join(map(str, range(count))) + "]")
+        text = _with_value(text, place, _digit_value(place, array))
+        new, old = _message(transcript_from_json, text), _message(reference_from_json, text)
+        if isinstance(old, str) and not old.startswith("transcript "):
+            assert new == FIELD_ERRORS[place]  # the two readers word a type error apart
+        else:  # json errors and missing keys read the same
+            assert new == old
+
+    @pytest.mark.parametrize("name", sorted(FUZZ_BASES))
+    def test_a_document_cut_inside_a_digit_array(self, name):
+        text = FUZZ_BASES[name]
+        start, end = _value_spans(text, "a")[0]
+        for cut in range(start, end):
+            assert _message(transcript_from_json, text[:cut]) == _message(reference_from_json, text[:cut])
+        with pytest.raises(json.JSONDecodeError):
+            game._decode_ints("X[0,5", 1)
 
     @pytest.mark.parametrize("name", sorted(FUZZ_BASES))
     @pytest.mark.parametrize("place", ["attachments", "gadgets"])

@@ -8,6 +8,7 @@ import pytest
 
 from treexplore import (
     NO_GADGETS,
+    ROOT,
     CheckpointRecord,
     CheckpointRevealer,
     Outcome,
@@ -361,6 +362,29 @@ class TestSharedMovesVerdicts:
         doc["rounds"][0]["moves"] = moves
         with pytest.raises(IntegrityError, match="round record 0 has moves"):
             transcript_from_json(json.dumps(doc))
+
+    @pytest.mark.parametrize("script", ["AAAAAA", "ABAABA"], ids=["shared-after-a-move", "a-b-a"])
+    def test_moves_objects_shared_in_memory(self, script):
+        # A sends agent 0 to a depth-1 leaf, B sends agent 1 there too; play
+        # records each scripted tuple itself, so every A round holds one object
+        params = derive_params(4096, 1, 3, 541)
+        rest = (ROOT,) * (params.k - 2)
+        objects = {"A": (1, ROOT, *rest), "B": (1, 1, *rest)}
+
+        class Scripted:
+            name = "scripted"
+
+            def next_moves(self, view):
+                return objects[script[view.round]]
+
+        meta = {"revealer": "lemma", "mode": params.mode, "n": params.n, "L": params.L, "m": params.m}
+        tr = play(Scripted(), CheckpointRevealer(params), params.k, len(script), params_meta=meta)
+        assert [id(r.moves) for r in tr.rounds] == [id(objects[c]) for c in script]
+        text = transcript_to_json(tr)
+        reloaded, unshared = transcript_from_json(text), unshared_reader(text)
+        report = verify_transcript(tr).to_json_obj()
+        assert verify_transcript(reloaded).to_json_obj() == report == verify_transcript(unshared).to_json_obj()
+        assert report["ok"]
 
 
 @pytest.mark.parametrize("to", [float, bool])
