@@ -24,11 +24,11 @@ from typing import Iterable, Protocol, Sequence
 
 from .errors import (
     AttachmentViolation,
+    GameRuleViolation,
     IntegrityError,
     InvalidParameterError,
     MoveViolation,
     ResourceLimitError,
-    TreexploreError,
     VertexNotFoundError,
 )
 from .tree import ROOT, RootedTree, TreeStats, attach_path_with_star
@@ -149,8 +149,10 @@ def is_explored(state: GameState) -> bool:
 
 def _scan_moves(state: GameState, proposed: Sequence[int]) -> MoveViolation | frozenset[int]:
     """One pass over a joint move: its first violation, or the set of vertices
-    it visits first. A proposed position must equal the agent's current
-    vertex or be its parent or one of its children; ``state`` is not changed.
+    it visits first. A proposed position must be an int, and equal the
+    agent's current vertex or be its parent or one of its children;
+    ``state`` is not changed. Positions are ints, so an entry that is its
+    agent's position object passes without a type test.
     """
     if len(proposed) != state.k:
         return MoveViolation.wrong_length(len(proposed), state.k)
@@ -159,6 +161,12 @@ def _scan_moves(state: GameState, proposed: Sequence[int]) -> MoveViolation | fr
     visited = state.visited
     newly = []
     for origin, target in zip(state.positions, proposed):
+        if target is origin:
+            continue
+        if type(target) is not int:  # before the stay test: True == 1 and 1.0 == 1
+            agent = next(i for i, v in enumerate(proposed) if type(v) is not int)
+            message = f"agent {agent} proposed {target!r}, not an integer vertex id"
+            return MoveViolation(agent, -1, -1, message=message)
         if target == origin:
             continue
         if not (0 <= target < n) or (parent[target] != origin and parent[origin] != target):
@@ -339,7 +347,9 @@ def play(
     hitting it leaves ``finished`` false. A game that would play past
     ``MAX_ROUNDS`` raises ResourceLimitError instead. A round in which no
     agent moves records the previous round's moves tuple itself.
-    ``observer`` gets the hooks ``replay`` calls, in the same places.
+    ``observer.moved(state, rec)`` runs after a round's moves commit and
+    before its attachments, ``observer.attached(state, rec, created)``
+    after them. ``replay`` is this loop on a transcript's recorded moves.
     """
     if type(round_cap) is not int or round_cap < 0:
         raise InvalidParameterError(f"round cap must be an integer >= 0 (got {round_cap!r})")
@@ -353,9 +363,9 @@ def play(
     params.setdefault("k", k)
     params.setdefault("cap", round_cap)
     params.setdefault("view", view_mode)
-    if params["revealer"] != "lemma":
+    if params["revealer"] != "lemma" and "tree" not in params:
         # adversary trees are derivable from (n, L, m); embed anything else
-        params.setdefault("tree", {"n": state.tree.n, "parent": list(state.tree.parent)})
+        params["tree"] = {"n": state.tree.n, "parent": list(state.tree.parent)}
     rounds: list[RoundRecord] = []
     checkpoints: list[CheckpointRecord] = []
     view = ExplorerView(state, mode=view_mode)
@@ -390,19 +400,60 @@ def play(
     )
 
 
-def replay(transcript: Transcript, initial: RootedTree, observer=None) -> GameState:
-    """Re-apply every recorded round to ``initial``, which grows in place; returns the end state.
+class _Recorded:
+    """Play's explorer and revealer in ``replay``: the recorded moves, and the
+    recorded attachments and checkpoint records once they match the
+    revealer's, the n-th record against the n-th checkpoint that fires."""
 
-    Raises IntegrityError for anything ``play`` could not have written:
-    more than ``MAX_ROUNDS`` rounds, a round out of order, an illegal move
-    or attachment, a wrong newly-visited count, a round after the tree was
-    fully explored, an outcome that disagrees with the replayed state, or
-    one that breaks the transcript's cap. The record fields' types are the reader's to check
-    (see ``transcript_from_json``). ``observer.moved(state, rec)`` runs
-    after a round's moves commit and before its attachments, and
-    ``observer.attached(state, rec, created)`` after them. A round whose
-    ``moves`` is the previous round's object commits ``state.positions``,
-    which equals it, so the stay-put test is one identity check.
+    def __init__(self, transcript: Transcript, revealer: Revealer):
+        self.rounds, self.records, self.revealer = transcript.rounds, transcript.checkpoints, revealer
+        self.fired = 0
+
+    def initial_tree(self) -> RootedTree:
+        return self.revealer.initial_tree()
+
+    def next_moves(self, view: ExplorerView) -> Sequence[int]:
+        t = view.round + 1
+        rec = self.rounds[t - 1]
+        if rec.t != t:
+            raise IntegrityError(f"round records out of order at t={rec.t!r}", round=t)
+        # the previous round's moves object equals the positions it committed,
+        # which makes the stay-put test one identity check
+        return view.positions if t > 1 and rec.moves is self.rounds[t - 2].moves else rec.moves
+
+    def reveal(self, state: GameState, t: int) -> tuple[Gadgets, CheckpointRecord | None]:
+        rec, seen = self.rounds[t - 1], len(state.newly_visited)
+        if rec.newly_visited != seen:
+            raise IntegrityError(f"round {t}: recorded {rec.newly_visited!r} new visits, replay saw {seen}", round=t)
+        gadgets, expected = self.revealer.reveal(state, t)
+        if expected is None:
+            if rec.attachments != gadgets:
+                raise IntegrityError(f"round {t} has attachments outside any checkpoint", round=t)
+            return rec.attachments, None
+        i = expected.i
+        if self.fired == len(self.records):
+            raise IntegrityError(f"checkpoint {i} fired at round {t} but has no record", round=t)
+        record = self.records[self.fired]
+        self.fired += 1
+        if record != expected:
+            raise IntegrityError(f"checkpoint {i} record does not match its recomputation at round {t}", round=t)
+        if rec.attachments != gadgets:
+            raise IntegrityError(f"round {t} attachments differ from checkpoint {i} gadgets", round=t)
+        # the recorded objects, so that the recomputed ones are freed
+        return rec.attachments, record
+
+
+def replay(transcript: Transcript, revealer: Revealer, observer=None) -> GameState:
+    """``play`` with the recorded moves against ``revealer``; returns the end state.
+
+    Raises IntegrityError for anything ``play`` could not have written with
+    that revealer: more than ``MAX_ROUNDS`` rounds, a round out of order,
+    an illegal move, a wrong newly-visited count, attachments or checkpoint
+    records other than the revealer's (missing, out of order or left over),
+    a round after the tree was fully explored, an outcome that disagrees
+    with the replayed state, or one that breaks the transcript's cap. The
+    record fields' types are the reader's to check (see
+    ``transcript_from_json``). ``observer`` gets play's hooks.
     """
     k, cap = transcript.params.get("k"), transcript.params.get("cap")
     if type(k) is not int or k < 1 or type(cap) is not int:
@@ -411,37 +462,17 @@ def replay(transcript: Transcript, initial: RootedTree, observer=None) -> GameSt
         raise IntegrityError(f"transcript params name a team of more than {MAX_TEAM_SIZE} agents")
     if len(transcript.rounds) > MAX_ROUNDS:  # nor a game this long
         raise IntegrityError(f"transcript records more than {MAX_ROUNDS} rounds")
-    state = GameState(initial, k)
-    moves = None
-    for rec in transcript.rounds:
+    player = _Recorded(transcript, revealer)
+    try:
+        played = play(player, player, k, len(transcript.rounds), params_meta=transcript.params, observer=observer)
+    except GameRuleViolation as exc:
+        raise IntegrityError(f"replay failed at round {exc.round}: {exc}", round=exc.round) from exc
+    state, out = played.final_state, transcript.outcome
+    if state.round < len(transcript.rounds):  # play stops once the tree is explored
         t = state.round + 1
-        if is_explored(state):
-            raise IntegrityError(f"round {t} is recorded after the tree was fully explored", round=t)
-        if rec.t != t:
-            raise IntegrityError(f"round records out of order at t={rec.t!r}", round=t)
-        try:
-            # the previous round's object: it equals the positions it committed
-            _commit_moves(state, state.positions if rec.moves is moves else rec.moves)
-        except TreexploreError as exc:
-            raise IntegrityError(f"replay failed at round {t}: {exc}", round=t) from exc
-        moves = rec.moves
-        if rec.newly_visited != len(state.newly_visited):
-            raise IntegrityError(
-                f"round {t}: recorded {rec.newly_visited!r} new visits, replay saw "
-                f"{len(state.newly_visited)}",
-                round=t,
-            )
-        if observer is not None:
-            observer.moved(state, rec)
-        try:
-            created = _commit_attachments(state, rec.attachments)
-        except TreexploreError as exc:
-            raise IntegrityError(f"replay failed at round {t}: {exc}", round=t) from exc
-        if observer is not None:
-            observer.attached(state, rec, created)
-    out, finished = transcript.outcome, is_explored(state)
+        raise IntegrityError(f"round {t} is recorded after the tree was fully explored", round=t)
     for name, recorded, replayed in (
-        ("finished", out.finished, finished),
+        ("finished", out.finished, played.outcome.finished),
         ("final_round", out.final_round, state.round),
         ("n", out.final_stats.n, state.tree.n),
         ("height", out.final_stats.height, state.tree.height()),
@@ -451,8 +482,11 @@ def replay(transcript: Transcript, initial: RootedTree, observer=None) -> GameSt
     # play's stopping rules: it never plays past the cap and stops short of it only when finished
     if state.round > cap:
         raise IntegrityError(f"outcome final_round {state.round} is past the cap {cap}")
-    if not finished and state.round != cap:
+    if not played.outcome.finished and state.round != cap:
         raise IntegrityError(f"game stopped unfinished at round {state.round}, before the cap {cap}")
+    extra = transcript.checkpoints[player.fired :]
+    if extra:
+        raise IntegrityError(f"checkpoint records {[rec.i for rec in extra]} have no matching rounds")
     return state
 
 

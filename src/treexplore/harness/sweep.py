@@ -8,8 +8,9 @@ scheduled; this implementation runs them sequentially. Cell failures are
 recorded in the trailing error column and never abort the sweep.
 
 A lemma cell fills ``claims_passed`` and ``claims_failed`` from the
-``verify.Evidence`` that watched its play, with no second replay; the
-``verify`` command is the one that replays and cross-checks a transcript.
+``verify.Evidence`` that watched its play, with no replay; the ``verify``
+command is the one that replays a transcript, which plays its recorded
+moves against a fresh revealer and checks the records against it.
 """
 
 from __future__ import annotations

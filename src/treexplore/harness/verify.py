@@ -1,17 +1,18 @@
 """Transcript verification for adversary games, in three parts.
 
-``Evidence`` is an observer with the hooks that ``game.play`` and
-``game.replay`` both call. ``moved`` notes whether the round's new visits
-break the speed limit or the open root-passage window, and the positions
-when a checkpoint fires; ``attached`` opens that checkpoint's window over
-its gadget leaves and notes the gadget vertex count and the height.
+``Evidence`` is an observer with the hooks that ``game.play`` calls, in
+a live game or in ``game.replay``. ``moved`` notes whether the round's
+new visits break the speed limit or the open root-passage window, and
+the positions when a checkpoint fires; ``attached`` opens that
+checkpoint's window over its gadget leaves and notes the gadget vertex
+count and the height.
 
-``_ReplayCheck`` is the Evidence that ``verify_transcript`` feeds through
-``replay``, the recorded moves and attachments (never the strategies). It
-also recomputes every checkpoint with a fresh ``CheckpointRevealer`` and
-compares it with the record. Given the Evidence that watched the ``play``
-which wrote a transcript, as the sweep does, ``verify_transcript`` skips
-the replay and its cross-check.
+``verify_transcript`` feeds an Evidence through ``replay``, which plays
+the recorded moves (never the strategies) against a fresh
+``CheckpointRevealer`` and checks each round's attachments and each
+checkpoint record against the revealer's. Given the Evidence that watched
+the ``play`` which wrote a transcript, as the sweep does,
+``verify_transcript`` skips the replay and its cross-check.
 
 ``_evaluate`` turns the evidence, the checkpoint records and the params
 into the report. It is the one place that decides each claim, with exact
@@ -41,7 +42,6 @@ from itertools import accumulate, chain, compress
 from operator import add, sub
 
 from ..adversary import AdversaryParams, CheckpointRevealer, params_from_transcript
-from ..errors import IntegrityError
 from ..game import CheckpointRecord, GameState, RoundRecord, Transcript, replay
 
 
@@ -154,37 +154,6 @@ class Evidence:
         self.height_after[i] = state.tree.height()
 
 
-class _ReplayCheck(Evidence):
-    """The Evidence ``replay`` feeds, which also checks each checkpoint round
-    against a fresh recomputation: the n-th checkpoint that fires against
-    the n-th record, so records out of order or twice do not match."""
-
-    def __init__(self, transcript: Transcript, params: AdversaryParams):
-        super().__init__(params)
-        self.revealer = CheckpointRevealer(params)
-        self.records = transcript.checkpoints
-        self.fired = 0
-
-    def moved(self, state: GameState, rec: RoundRecord) -> None:
-        super().moved(state, rec)
-        t = state.round
-        gadgets, expected = self.revealer.reveal(state, t)
-        if expected is None:
-            if rec.attachments:
-                raise IntegrityError(f"round {t} has attachments outside any checkpoint", round=t)
-            return
-        i = expected.i
-        if self.fired == len(self.records):
-            raise IntegrityError(f"checkpoint {i} fired at round {t} but has no record", round=t)
-        self.fired += 1
-        if self.records[self.fired - 1] != expected:
-            raise IntegrityError(
-                f"checkpoint {i} record does not match its recomputation at round {t}", round=t
-            )
-        if rec.attachments != gadgets:
-            raise IntegrityError(f"round {t} attachments differ from checkpoint {i} gadgets", round=t)
-
-
 def _selected_a(rec: CheckpointRecord) -> list[int]:
     """The a-values of ``rec.S``, looked up in C; ``rec`` came from the
     revealer or matched its recomputation, so ``K`` is id-ascending and
@@ -195,17 +164,15 @@ def _selected_a(rec: CheckpointRecord) -> list[int]:
 def verify_transcript(transcript: Transcript, evidence: Evidence | None = None) -> VerificationReport:
     """Evaluate every claim of a lemma transcript.
 
-    Without ``evidence``, replay the transcript and cross-check its
-    records; raises IntegrityError on tampering. With the Evidence that
-    observed the ``play`` which wrote the transcript, only evaluate.
+    Without ``evidence``, replay the transcript against a fresh
+    ``CheckpointRevealer``, which checks its records; raises IntegrityError
+    on tampering. With the Evidence that observed the ``play`` which wrote
+    the transcript, only evaluate.
     """
     if evidence is None:
         params = params_from_transcript(transcript)
-        evidence = _ReplayCheck(transcript, params)
-        replay(transcript, params.initial_tree(), evidence)
-        extra = transcript.checkpoints[evidence.fired :]
-        if extra:
-            raise IntegrityError(f"checkpoint records {[rec.i for rec in extra]} have no matching rounds")
+        evidence = Evidence(params)
+        replay(transcript, CheckpointRevealer(params), evidence)
     return _evaluate(evidence, transcript)
 
 

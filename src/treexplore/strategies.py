@@ -9,8 +9,7 @@ changed plus the number of moving agents.
 
 from __future__ import annotations
 
-from bisect import bisect_left
-from collections.abc import Callable, Sequence
+from collections.abc import Sequence
 from heapq import heapify, heappop, heappush
 from itertools import filterfalse
 
@@ -37,8 +36,7 @@ class SingleDfsExplorer:
 
     Keeps, per vertex, the count of unvisited revealed vertices in its
     subtree and a cursor over its children. The cursor skips exhausted
-    subtrees in O(1) amortized and is rewound when new vertices appear
-    below an already-passed child, which makes the walk re-descend.
+    subtrees in O(1) amortized.
     Only agent 0 leaves the root, so the one vertex a round can newly
     visit is agent 0's position; the walk counts it off when first seen.
     It reads that vertex's children from the view: a visited vertex shows
@@ -68,7 +66,7 @@ class SingleDfsExplorer:
         tail = log[max(self._log_pos, 1) :]
         self._log_pos = len(log)
         if tail:
-            self._count_pending(tail, parent, view.children)
+            self._count_pending(tail, parent)
         v = view.positions[0]
         if not self._seen[v]:
             self._seen[v] = 1
@@ -78,11 +76,9 @@ class SingleDfsExplorer:
                     break
                 v = parent[v]
 
-    def _count_pending(
-        self, tail: Sequence[int], parent: Sequence[int], children: Callable[[int], Sequence[int]]
-    ) -> None:
+    def _count_pending(self, tail: Sequence[int], parent: Sequence[int]) -> None:
         """Count each vertex of ``tail``, newly revealed, as pending along its ancestry."""
-        cursor, pending = self._cursor, self._pending
+        pending = self._pending
         # parents precede children in the log, so in reverse a new vertex's
         # count is whole when it is reached; new children sit past their
         # parent's cursor
@@ -93,8 +89,9 @@ class SingleDfsExplorer:
             pending[v] = c
             pending[parent[v]] += c
         # then each old vertex above them once, children first (a parent's id
-        # is smaller than its child's), rewinding each cursor to the first
-        # child that gained (children are listed in id order)
+        # is smaller than its child's); no cursor moves back, since a passed
+        # child's subtree is all visited and gadgets hang only below unvisited
+        # vertices
         gained = {p: pending[p] - before[p] for p in olds}
         heap = [-p for p in olds]
         heapify(heap)
@@ -105,8 +102,6 @@ class SingleDfsExplorer:
             p = parent[v]
             c = gained[v]
             pending[p] += c
-            if cursor[p]:
-                cursor[p] = min(cursor[p], bisect_left(children(p), v))
             if p in gained:
                 gained[p] += c
             else:

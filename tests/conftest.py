@@ -7,7 +7,17 @@ import random
 import pytest
 from hypothesis import settings
 
-from treexplore import NO_GADGETS, ROOT, Gadgets, RootedTree, initial_tree_of, replay
+from treexplore import (
+    NO_GADGETS,
+    ROOT,
+    CheckpointRevealer,
+    FixedTreeRevealer,
+    Gadgets,
+    RootedTree,
+    initial_tree_of,
+    replay,
+)
+from treexplore.adversary import params_from_transcript
 from treexplore.game import _commit_attachments, _commit_moves
 
 # every process draws the same examples: a fixed derivation and no example database
@@ -78,9 +88,17 @@ class SpeedLimit:
         pass
 
 
+def revealer_of(transcript):
+    """A fresh revealer like the one that wrote ``transcript``: the adversary's
+    from its header, or a fixed one on the tree it embeds."""
+    if transcript.params.get("revealer") == "lemma":
+        return CheckpointRevealer(params_from_transcript(transcript))
+    return FixedTreeRevealer(initial_tree_of(transcript))
+
+
 def assert_transcript_invariants(transcript):
     """Replay-based sanity: replay's own checks, the speed limit each round, then the height floor."""
-    state = replay(transcript, initial_tree_of(transcript), SpeedLimit())
+    state = replay(transcript, revealer_of(transcript), SpeedLimit())
     if transcript.outcome.finished:
         assert transcript.outcome.final_round >= state.tree.height()
     return state

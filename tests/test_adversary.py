@@ -570,7 +570,7 @@ class _OracleCheck:
 
 def _assert_records_match_the_oracle(transcript, params, seen):
     check = _OracleCheck(transcript, params, seen)
-    replay(transcript, params.initial_tree(), check)
+    replay(transcript, CheckpointRevealer(params), check)
     assert not check.recorded, "a checkpoint record has no matching round"
 
 

@@ -18,7 +18,9 @@ local view: it extends its reveal log in C, at construction and per
 round.
 
 A lemma cell of a sweep builds T_0 once, for its play, and replays
-nothing: its claims come from evidence gathered while it played.
+nothing: its claims come from evidence gathered while it played. A
+replay hands the commit the positions object itself for a round whose
+moves are the previous round's, so a stay-put round is one identity test.
 
 No layer keeps a Python object per gadget that the cyclic garbage
 collector tracks: a round's gadgets are three int columns and a star's
@@ -45,10 +47,11 @@ from treexplore import (
     transcript_from_json,
     transcript_to_json,
 )
+from treexplore import game
 from treexplore.game import _commit_attachments, _commit_moves, replay
 from treexplore.harness.runner import run_adversary_game
 from treexplore.harness.sweep import run_sweep
-from treexplore.harness.verify import _ReplayCheck, params_from_transcript, verify_transcript
+from treexplore.harness.verify import Evidence, params_from_transcript, verify_transcript
 from treexplore.strategies import PhaseBfsExplorer, SingleDfsExplorer
 from treexplore.tree import make_path_star
 
@@ -178,6 +181,25 @@ def test_a_lemma_cell_builds_t0_once_and_replays_nothing():
     assert counts == {"make_path_star": 1, "replay": 1}
 
 
+def test_a_stay_put_round_replays_by_identity(monkeypatch):
+    """A round whose moves are the previous round's object hands the commit
+    ``state.positions`` itself, so the stay-put test is one identity check
+    rather than a comparison of k entries; the reader shares equal
+    consecutive moves, so every round of a reloaded idle game after the
+    first does."""
+    transcript = run_adversary_game(derive_params(4096, 1, 3, 541), "idle", cap=10)
+    back = transcript_from_json(transcript_to_json(transcript))
+    commit, given = game._commit_moves, []
+
+    def spy(state, moves):
+        given.append(moves is state.positions)
+        commit(state, moves)
+
+    monkeypatch.setattr(game, "_commit_moves", spy)
+    verify_transcript(back)
+    assert given == [False] + [True] * 9
+
+
 def tracked_growth(fn, *args):
     """fn(*args) and how many more objects the cyclic collector tracks after it
     than before, counted with the collector off."""
@@ -200,7 +222,7 @@ def _tracked_per_stage(instance):
     back, read = tracked_growth(transcript_from_json, text)
     # verify_transcript frees all it builds; its replay, with the grown tree held, shows what it keeps
     params = params_from_transcript(back)
-    _, verify = tracked_growth(replay, back, params.initial_tree(), _ReplayCheck(back, params))
+    _, verify = tracked_growth(replay, back, CheckpointRevealer(params), Evidence(params))
     return gadgets, {"play": play_, "read": read, "verify": verify}
 
 

@@ -3,6 +3,7 @@
 import gc
 import json
 import random
+import re
 from collections import Counter
 from itertools import permutations
 from math import comb
@@ -43,7 +44,15 @@ from treexplore.game import ExplorerView, _commit_attachments, _commit_moves
 from treexplore.harness.runner import run_adversary_game, run_fixed_game
 from treexplore.harness.verify import verify_transcript
 
-from conftest import apply_round, assert_transcript_invariants, gadgets_of, make_path, make_star, random_tree
+from conftest import (
+    apply_round,
+    assert_transcript_invariants,
+    gadgets_of,
+    make_path,
+    make_star,
+    random_tree,
+    revealer_of,
+)
 
 
 class TestValidateMoves:
@@ -321,10 +330,26 @@ class TestPlay:
 
     def test_replay_reproduces_final_state(self):
         tr = play(make_explorer("single_dfs", 2), fixed_tree_revealer(make_star(4)), 2, 100)
-        state = replay(tr, initial_tree_of(tr))
+        state = replay(tr, revealer_of(tr))
         assert state.positions == tr.final_state.positions
         assert state.visited == tr.final_state.visited
         assert state.tree.parent == tr.final_state.tree.parent
+
+    @pytest.mark.parametrize(
+        "script, agent, t",
+        [([[1, 0, True]], 2, 1), ([[1.0, 0, 0]], 0, 1), ([[1, 0, 0], [True, 1, 0]], 0, 2)],
+        ids=["bool-mover", "float-mover", "bool-stayer"],
+    )
+    def test_non_integer_moves_are_rejected(self, script, agent, t):
+        # True == 1 and 1.0 == 1, so only their type tells them from a vertex id
+        class Scripted:
+            def next_moves(self, view):
+                return script[view.round]
+
+        message = f"agent {agent} proposed {script[-1][agent]!r}, not an integer vertex id"
+        with pytest.raises(MoveViolation, match=re.escape(message)) as exc:
+            play(Scripted(), fixed_tree_revealer(make_star(3)), 3, 10)
+        assert (exc.value.agent, exc.value.round) == (agent, t)
 
     def test_play_twice_is_byte_identical(self):
         def one():
@@ -350,7 +375,7 @@ class TestTranscriptJson:
         doc = json.loads(transcript_to_json(tr))
         doc["rounds"][1]["moves"][0] = 3  # teleport instead of the recorded step
         with pytest.raises(IntegrityError):
-            replay(transcript_from_json(json.dumps(doc)), initial_tree_of(tr))
+            replay(transcript_from_json(json.dumps(doc)), revealer_of(tr))
 
 
 def _pad_one_round(doc):
@@ -362,6 +387,10 @@ def _pad_one_round(doc):
 def _stop_unfinished(doc):
     del doc["rounds"][2:]
     doc["outcome"].update(finished=False, final_round=2)
+
+
+def _attach_nothing(doc):
+    doc["rounds"][0]["attachments"] = [{"at": 3, "path_len": 0, "leaves": 0}]
 
 
 class TestReplay:
@@ -380,11 +409,9 @@ class TestReplay:
             def attached(self, state, rec, created):
                 self.events.append(("attached", rec, state.round, state.tree.n, created))
 
-        initial = initial_tree_of(tr)
-        n = initial.n
+        n = initial_tree_of(tr).n
         replayed = Observer()
-        state = replay(tr, initial, replayed)
-        assert state.tree is initial  # grown in place, never copied
+        replay(tr, revealer_of(tr), replayed)
         expected = []
         for rec in tr.rounds:
             grown = sum(rec.attachments.path_len) + sum(rec.attachments.leaf_count)
@@ -421,15 +448,18 @@ class TestReplay:
             (lambda doc: doc["params"].update(cap=2), "outcome final_round 3 is past the cap 2"),
             (lambda doc: doc["params"].pop("cap"), "need an integer k >= 1 and cap"),
             (lambda doc: doc["outcome"].update(height=4), "outcome height 4 != replayed 3"),
+            # a gadget of no vertices leaves the tree and the outcome as they were,
+            # so only the fixed revealer, which attaches nothing, tells it apart
+            (_attach_nothing, "round 1 has attachments outside any checkpoint"),
         ],
-        ids=["round-after-explored", "unfinished-before-cap", "past-cap", "no-cap", "height"],
+        ids=["round-after-explored", "unfinished-before-cap", "past-cap", "no-cap", "height", "attachment"],
     )
     def test_fixed_transcript_breaking_play_rules_is_rejected(self, tamper, message):
         tr = play(make_explorer("single_dfs", 1), fixed_tree_revealer(make_path(3)), 1, 100)
         doc = json.loads(transcript_to_json(tr))
         tamper(doc)
         with pytest.raises(IntegrityError, match=message):
-            replay(transcript_from_json(json.dumps(doc)), initial_tree_of(tr))
+            replay(transcript_from_json(json.dumps(doc)), revealer_of(tr))
 
 
 def _attachments_doc(gadgets) -> list:
@@ -1047,7 +1077,7 @@ class TestRoundLimit:
         assert len(tr.rounds) == 10
         monkeypatch.setattr(game, "MAX_ROUNDS", 9)
         with pytest.raises(IntegrityError, match="transcript records more than 9 rounds"):
-            replay(tr, initial_tree_of(tr))
+            replay(tr, revealer_of(tr))
 
 
 class TestLocalView:
