@@ -364,7 +364,9 @@ class CheckpointRevealer:
         was unvisited as of the previous round, so a vertex first reached
         this very round still qualifies. Checkpoint 1 may come at any time.
         A tree of another size than the construction's raises InvalidParameterError.
-        The work per vertex of K is a few passes in C; the Python work
+        The work per vertex of K is a few passes in C: K and a are copied
+        whole when no slot is closed, as at every checkpoint 1 of a game,
+        and the selection's passes stop at its last pick. The Python work
         grows with the agents and the distinct a-values only.
         """
         if i != 1 and i != self._level + 1:
@@ -385,15 +387,19 @@ class CheckpointRevealer:
         # agents parked on the root
         occupied = Counter(map(branch.__getitem__, filter(None, state.positions)))
         if i == 1:
-            # slot j is T_0's path end L*(j+1), in branch L*j+1; at L = 1 the
-            # path ends are the root's children, whose int objects K shares
-            slots = tree.children[ROOT] if L == 1 else range(L, tree.n, L)
+            # slot j is T_0's path end L*(j+1), in branch L*j+1; K shares the
+            # tree's int objects: the root's children at L = 1, else each
+            # path end's entry in its parent's children list
+            slots = tree.children[ROOT] if L == 1 else list(map(itemgetter(0), tree.children[L - 1 :: L]))
             open_ = prev[L::L].translate(_UNVISITED)
         else:  # slot g is the first unvisited leaf of gadget g, or -1
             slots = list(map(prev.find, repeat(0), self._leaf_starts, self._leaf_ends))
             open_ = bytearray(map((-1).__ne__, slots))
-        # a tuple of ints drops out of the young GC generation after one scan
-        candidates = tuple(compress(slots, open_))
+        # with no slot closed, as at every checkpoint 1 of a game, K and a
+        # are the slots whole; a tuple of ints drops out of the young GC
+        # generation after one scan
+        whole = 0 not in open_
+        candidates = tuple(slots) if whole else tuple(compress(slots, open_))
         a = (0,) * len(candidates)
         if occupied:
             a_slots = [0] * len(slots)
@@ -404,8 +410,9 @@ class CheckpointRevealer:
                 j = (b - 1) // L if slot_of is None else slot_of.get(b)
                 if j is not None:
                     a_slots[j] = agents
-            a = tuple(compress(a_slots, open_))
+            a = tuple(a_slots) if whole else tuple(compress(a_slots, open_))
         mask = selection_mask(a, params.alpha.ceil_mul(len(a)))
+        del mask[mask.rfind(1) + 1 :]  # the passes below stop at the last pick
         selected = tuple(compress(candidates, mask))
         selected_a = list(compress(a, mask))
         spec_of = {x: gadget_spec(i, x, params) for x in set(selected_a)}

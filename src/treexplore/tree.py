@@ -136,9 +136,11 @@ def make_path_star(branch_count: int, path_len: int) -> RootedTree:
     """Build a root with ``branch_count`` disjoint paths of ``path_len`` edges.
 
     Ids go branch by branch, top to bottom: branch j occupies ids
-    (j-1)*path_len+1 .. j*path_len. A star of more than
-    ``MAX_PATH_STAR_VERTICES`` vertices raises ResourceLimitError before
-    any list is built.
+    (j-1)*path_len+1 .. j*path_len. Each array is built once at full
+    length, by a repeat, and strided slices fill in the rest: parent and
+    children change only at the inner path vertices, none at L = 1. A star
+    of more than ``MAX_PATH_STAR_VERTICES`` vertices raises
+    ResourceLimitError before any list is built.
     """
     if branch_count < 1 or path_len < 1:
         raise InvalidParameterError(
@@ -150,20 +152,22 @@ def make_path_star(branch_count: int, path_len: int) -> RootedTree:
     # every array takes its ids from this one list, so each id is one int object
     ids = list(range(1, n))
     heads = ids[::L]  # the depth-1 vertex of each branch
-    parent: list[int | None] = [None, ROOT]
-    parent += ids[:-1]
-    parent[1::L] = [ROOT] * B
+    parent: list[int | None] = [ROOT] * n
+    parent[ROOT] = None
     branch = [-1] * n
     children: list[list[int] | range | tuple[()]] = [()] * n
     children[ROOT] = heads
     for d in range(L):
         branch[1 + d :: L] = heads
-        if d < L - 1:
+        if d < L - 1:  # the depth-(d+2) vertices hang below the depth-(d+1) ones
             children[1 + d :: L] = [[c] for c in ids[d + 1 :: L]]
+            parent[2 + d :: L] = ids[d::L]
+    depth = list(range(1, L + 1)) * B
+    depth.insert(0, 0)
     tree = RootedTree.__new__(RootedTree)
     tree.parent = parent
     tree.children = children
-    tree.depth = [0] + list(range(1, L + 1)) * B
+    tree.depth = depth
     tree.branch = branch
     tree._height = L
     return tree
@@ -178,25 +182,28 @@ def attach_path_with_star(tree: RootedTree, at: int, path_len: int, leaf_count: 
     a time; the leaves go into every array in one batch, and a tip with no
     child before takes the ``range`` of their ids as its children entry.
     """
-    tree._require(at)
     parent = tree.parent
     first, tip = len(parent), at
-    for _ in range(path_len):
-        tip = tree.add_child(tip)
+    if not 0 <= at < first:
+        raise VertexNotFoundError(f"vertex {at} does not exist (tree has {first} vertices)")
+    if path_len:
+        for _ in range(path_len):
+            tip = tree.add_child(tip)
     if leaf_count > 0:
-        d = tree.depth[tip] + 1
+        children, depth, branch = tree.children, tree.depth, tree.branch
+        d = depth[tip] + 1
         leaves = range(len(parent), len(parent) + leaf_count)
         # list repeats: for the two or so leaves of most stars they beat itertools.repeat
         parent.extend([tip] * leaf_count)
-        tree.children.extend([()] * leaf_count)
-        tree.depth.extend([d] * leaf_count)
+        children.extend([()] * leaf_count)
+        depth.extend([d] * leaf_count)
         # a leaf at depth 1 is its own branch
-        tree.branch.extend(leaves if d == 1 else [tree.branch[tip]] * leaf_count)
-        kids = tree.children[tip]
+        branch.extend(leaves if d == 1 else [branch[tip]] * leaf_count)
+        kids = children[tip]
         if type(kids) is list:
             kids.extend(leaves)
         else:
-            tree.children[tip] = [*kids, *leaves] if kids else leaves
+            children[tip] = [*kids, *leaves] if kids else leaves
         if d > tree._height:
             tree._height = d
     return list(range(first, len(parent)))

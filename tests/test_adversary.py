@@ -3,6 +3,7 @@
 import decimal
 import hashlib
 import json
+import operator
 import random
 from collections import Counter
 from dataclasses import replace
@@ -680,6 +681,65 @@ def test_direct_computes_meet_the_per_vertex_oracle():
     for _ in range(300):
         _direct_computes(rng, seen)
     assert len(seen) == 13 and min(seen.values()) >= 5, seen
+
+
+def _star_params(branches, alpha):
+    """Checkpoint 1 of a ``branches``-wide star of single edges, selecting
+    ceil(alpha * |K|) with the given Alpha."""
+    return AdversaryParams(
+        n=2 * branches, L=1, m=2, k=branches, alpha=alpha,
+        checkpoints=(1,), round_floor=1, mode="repaired", max_k=branches,
+    )
+
+
+class TestComputeCutPoints:
+    """compute copies K and a whole when no slot is closed, compresses them
+    otherwise, and stops its selection passes at the last pick: each edge
+    of those cuts against the per-vertex oracle."""
+
+    @pytest.mark.parametrize("L", [1, 2, 3])
+    def test_every_path_end_visited_first_leaves_an_empty_record(self, L):
+        params = derive_params(16 * L, L, 1, 1, warn=False)  # 8 branches
+        state = GameState(params.initial_tree(), 1)
+        tree = state.tree
+        for head in tree.children[ROOT]:  # one agent walks each branch down and back up
+            path = tree.path_from_root(head + L - 1)
+            for v in path[1:] + path[-2::-1]:
+                _commit_moves(state, [v])
+        record = CheckpointRevealer(params).compute(state, 1)
+        assert record == _reference_record(state, 1, params)
+        assert record.K == record.a == record.S == () and not record.gadgets
+        assert _commit_attachments(state, record.gadgets) == []
+
+    def test_selection_takes_every_candidate(self):
+        params = _star_params(6, Alpha(n=2, L=1, m=1))  # alpha = 1
+        state = GameState(make_path_star(6, 1), 3)
+        _commit_moves(state, [4, 0, 0])
+        _commit_moves(state, [0, 2, 5])  # 4 is old news, 2 and 5 still qualify
+        record = CheckpointRevealer(params).compute(state, 1)
+        assert record == _reference_record(state, 1, params)
+        assert params.alpha.ceil_mul(len(record.K)) >= len(record.K)
+        assert record.S == record.K == (1, 2, 3, 5, 6) and record.a == (0, 1, 0, 1, 0)
+
+    def test_last_pick_is_the_last_candidate(self):
+        params = _star_params(5, Alpha(n=3, L=1, m=1))  # alpha = 2/3: 4 of 5
+        state = GameState(make_path_star(5, 1), 2)
+        _commit_moves(state, [1, 2])
+        record = CheckpointRevealer(params).compute(state, 1)
+        assert record == _reference_record(state, 1, params)
+        assert record.S == (1, 3, 4, 5)  # the tie between 1 and 2 goes to 1
+        assert record.S[-1] == record.K[-1] and len(record.S) < len(record.K)
+
+    @pytest.mark.parametrize("L", [1, 2, 3])
+    def test_fresh_checkpoint_one_shares_the_trees_path_end_ints(self, L):
+        params = derive_params(16384, L, 3, 1)
+        tree = params.initial_tree()
+        # each path end's own int object: a child of the root at L = 1, else
+        # the one entry of its parent's children list
+        slots = tree.children[ROOT] if L == 1 else [tree.children[v - 1][0] for v in range(L, tree.n, L)]
+        K = CheckpointRevealer(params).compute(GameState(tree, 1), 1).K
+        assert K == tuple(range(L, tree.n, L)) and K[-1] > 256
+        assert all(map(operator.is_, K, slots))
 
 
 class TestTreeSizeGuard:

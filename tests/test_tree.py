@@ -103,6 +103,18 @@ class TestAttachPathWithStar:
         with pytest.raises(VertexNotFoundError):
             attach_path_with_star(t, 99, 1, 1)
 
+    @pytest.mark.parametrize("at", [-1, 7])
+    def test_target_just_outside_the_tree_changes_nothing(self, at):
+        # -1 and tree.n are the first ids past either end; the check runs
+        # before any array grows, for a path and a star alike
+        t = make_path_star(2, 2)
+        attach_path_with_star(t, 2, 0, 2)
+        assert t.n == 7
+        before = tree_arrays(t)
+        with pytest.raises(VertexNotFoundError, match=rf"^vertex {at} does not exist \(tree has 7 vertices\)$"):
+            attach_path_with_star(t, at, 1, 3)
+        assert tree_arrays(t) == before
+
 
 class TestRootBranch:
     """``branch[v]`` is the depth-1 ancestor of v; the root has none (-1)."""
