@@ -10,7 +10,6 @@ changed plus the number of moving agents.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from heapq import heapify, heappop, heappush
 from itertools import filterfalse
 
 from .errors import InvalidParameterError, StrategyInfeasibleError
@@ -34,92 +33,28 @@ class IdleExplorer:
 class SingleDfsExplorer:
     """Agent 0 walks a depth-first traversal of the revealed tree; the rest idle.
 
-    Keeps, per vertex, the count of unvisited revealed vertices in its
-    subtree and a cursor over its children. The cursor skips exhausted
-    subtrees in O(1) amortized.
-    Only agent 0 leaves the root, so the one vertex a round can newly
-    visit is agent 0's position; the walk counts it off when first seen.
-    It reads that vertex's children from the view: a visited vertex shows
-    all of them, in id order, which is their reveal order.
+    A cursor per vertex agent 0 has stood on counts the children it has
+    entered; agent 0 enters the next one, or steps back up once all are
+    entered. No count of unvisited vertices is needed. Only agent 0 leaves
+    the root, and a vertex takes gadgets only up to the round agent 0
+    first reaches it, so its children list is final when agent 0 first
+    decides there. A child it has come back from is thus wholly visited,
+    and every child past the cursor is unvisited.
     """
 
     name = "single_dfs"
 
     def __init__(self, k: int):
         self.k = k
-        self._log_pos = 0
-        self._seen = bytearray()  # vertices already counted off as visited
-        self._cursor: list[int] = []
-        self._pending: list[int] = []
-
-    def _sync(self, view: ExplorerView) -> None:
-        log = view.reveal_log
-        parent = view.parents
-        cursor, pending = self._cursor, self._pending
-        add = len(parent) - len(self._seen)
-        if add > 0:
-            for column in cursor, pending:
-                column.extend([0] * add)
-            self._seen.extend(bytes(add))
-        if self._log_pos == 0:
-            pending[ROOT] += 1  # ROOT is log[0], the one vertex without a parent
-        tail = log[max(self._log_pos, 1) :]
-        self._log_pos = len(log)
-        if tail:
-            self._count_pending(tail, parent)
-        v = view.positions[0]
-        if not self._seen[v]:
-            self._seen[v] = 1
-            while True:
-                pending[v] -= 1
-                if v == ROOT:
-                    break
-                v = parent[v]
-
-    def _count_pending(self, tail: Sequence[int], parent: Sequence[int]) -> None:
-        """Count each vertex of ``tail``, newly revealed, as pending along its ancestry."""
-        pending = self._pending
-        # parents precede children in the log, so in reverse a new vertex's
-        # count is whole when it is reached; new children sit past their
-        # parent's cursor
-        olds = set(map(parent.__getitem__, tail)).difference(tail)
-        before = {p: pending[p] for p in olds}
-        for v in reversed(tail):
-            c = pending[v] + 1
-            pending[v] = c
-            pending[parent[v]] += c
-        # then each old vertex above them once, children first (a parent's id
-        # is smaller than its child's); no cursor moves back, since a passed
-        # child's subtree is all visited and gadgets hang only below unvisited
-        # vertices
-        gained = {p: pending[p] - before[p] for p in olds}
-        heap = [-p for p in olds]
-        heapify(heap)
-        while heap:
-            v = -heappop(heap)
-            if v == ROOT:
-                continue
-            p = parent[v]
-            c = gained[v]
-            pending[p] += c
-            if p in gained:
-                gained[p] += c
-            else:
-                gained[p] = c
-                heappush(heap, -p)
+        self._cursor: dict[int, int] = {}  # vertex -> children entered so far
 
     def next_moves(self, view: ExplorerView) -> list[int]:
-        self._sync(view)
         moves = list(view.positions)
-        if self._pending[ROOT] == 0:
-            return moves
         pos = moves[0]
         kids = view.children(pos)
-        cur = self._cursor[pos]
-        while cur < len(kids) and self._pending[kids[cur]] == 0:
-            cur += 1
-        self._cursor[pos] = cur
+        cur = self._cursor.get(pos, 0)
         if cur < len(kids):
+            self._cursor[pos] = cur + 1
             moves[0] = kids[cur]
         elif pos != ROOT:
             moves[0] = view.parents[pos]

@@ -151,7 +151,7 @@ def make_path_star(branch_count: int, path_len: int) -> RootedTree:
     n = B * L + 1
     # every array takes its ids from this one list, so each id is one int object
     ids = list(range(1, n))
-    heads = ids[::L]  # the depth-1 vertex of each branch
+    heads = ids if L == 1 else ids[::L]  # the depth-1 vertex of each branch
     parent: list[int | None] = [ROOT] * n
     parent[ROOT] = None
     branch = [-1] * n

@@ -12,10 +12,10 @@ or an ABC cache refill, come and go with the rest of the process.
 
 The two walking explorers decide in C what grows with the tree: a
 ``phase_bfs`` phase start picks its targets with C filters over the
-reveal log, and a ``single_dfs`` first sync keeps flat int columns, so
-neither enters a frame per revealed vertex in a game view. Nor does the
-local view: it extends its reveal log in C, at construction and per
-round.
+reveal log, and ``single_dfs`` reads only the children of agent 0's
+vertex, so neither enters a frame per revealed vertex in a game view.
+Nor does the local view: it extends its reveal log in C, at
+construction and per round.
 
 A lemma cell of a sweep builds T_0 once, for its play, and replays
 nothing: its claims come from evidence gathered while it played. A

@@ -1,5 +1,6 @@
-"""Package structure: module imports stay at module level, plain ints are tested
-by type, and the README's limits table gives the limits the code enforces."""
+"""Package structure: module imports stay at module level and are all read,
+plain ints are tested by type, and the README's limits table gives the limits
+the code enforces."""
 
 import ast
 import inspect
@@ -55,6 +56,36 @@ def test_no_isinstance_int_under_src():
         for line in _isinstance_int_calls(path.read_text(encoding="utf-8"))
     }
     assert not found
+
+
+def _unused_imports(source: str) -> list[str]:
+    """The names a module imports and never reads, as ``name:line``."""
+    module = ast.parse(source)
+    imported = {}
+    for node in ast.walk(module):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                imported[alias.asname or alias.name.partition(".")[0]] = node.lineno
+    read = {n.id for n in ast.walk(module) if isinstance(n, ast.Name)}
+    return [f"{name}:{line}" for name, line in imported.items() if name not in read]
+
+
+def test_no_unused_import_under_src():
+    # a package __init__ imports to re-export; every other module reads what it imports
+    found = {
+        f"{path.relative_to(PACKAGE)}:{name}"
+        for path in sorted(PACKAGE.rglob("*.py"))
+        if path.name != "__init__.py"
+        for name in _unused_imports(path.read_text(encoding="utf-8"))
+    }
+    assert not found
+
+
+def test_unused_import_scan_sees_a_plain_and_a_dotted_read():
+    source = "import heapq\nimport os.path\nfrom x import A, B\nos.path.join(A)\n"
+    assert _unused_imports(source) == ["heapq:1", "B:3"]
 
 
 README = Path(__file__).resolve().parent.parent / "README.md"

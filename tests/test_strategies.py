@@ -18,7 +18,8 @@ from treexplore import (
     transcript_to_json,
 )
 from treexplore.errors import StrategyInfeasibleError
-from treexplore.game import ExplorerView, GameState
+from treexplore.adversary import FixedTreeRevealer
+from treexplore.game import NO_GADGETS, ExplorerView, GameState, Gadgets
 from treexplore.harness.runner import run_adversary_game
 from treexplore.strategies import GreedyFrontierExplorer, PhaseBfsExplorer
 from treexplore.tree import ROOT
@@ -110,6 +111,48 @@ class TestSingleDfs:
     def test_extra_agents_stay_home(self):
         tr = play(make_explorer("single_dfs", 3), fixed_tree_revealer(make_star(3)), 3, 50)
         assert all(rec.moves[1:] == (0, 0) for rec in tr.rounds)
+
+    @pytest.mark.parametrize("view", ["game", "local"])
+    def test_matches_walk_oracle_on_trees_that_grow(self, view):
+        # the walk keeps no count of unvisited vertices: a vertex's children
+        # are final once agent 0 stands on it, so the walk on the grown tree
+        # is the oracle's walk on the final tree
+        rng = random.Random(47)
+        grew = on_arrival = 0
+        for _ in range(60):
+            revealer = _GrowingRevealer(random_tree(rng.randrange(2, 40), rng), rng)
+            tr = play(make_explorer("single_dfs", 2), revealer, 2, 10_000, view_mode=view)
+            assert tr.outcome.finished
+            assert tr.outcome.final_round == dfs_walk_rounds(tr.final_state.tree)
+            grew += revealer.gadgets > 0
+            on_arrival += revealer.on_arrival
+        assert grew >= 50 and on_arrival >= 50, (grew, on_arrival)
+
+
+class _GrowingRevealer(FixedTreeRevealer):
+    """A fixed tree that grows: in a random third of the rounds, up to 12 in
+    all, a gadget hangs at a random eligible vertex, at agent 0's vertex
+    whenever that was reached this round and a coin says so."""
+
+    def __init__(self, tree, rng):
+        super().__init__(tree)
+        self.rng = rng
+        self.gadgets = self.on_arrival = 0
+
+    def reveal(self, state, t):
+        rng = self.rng
+        if self.gadgets == 12 or rng.random() >= 1 / 3:
+            return NO_GADGETS, None
+        newly, visited = state.newly_visited, state.visited
+        eligible = [v for v in range(state.tree.n) if not visited[v] or v in newly]
+        if not eligible:
+            return NO_GADGETS, None
+        at = rng.choice(eligible)
+        if state.positions[0] in newly and rng.random() < 0.5:
+            at = state.positions[0]
+            self.on_arrival += 1
+        self.gadgets += 1
+        return Gadgets((at,), (rng.randrange(3),), (rng.randrange(4),)), None
 
 
 class TestPhaseBfs:
