@@ -16,10 +16,11 @@ from __future__ import annotations
 
 import json
 import re
+from collections import deque
 from dataclasses import dataclass
 from functools import partial
 from itertools import chain, compress
-from operator import itemgetter
+from operator import itemgetter, ne
 from typing import Iterable, Protocol, Sequence
 
 from .errors import (
@@ -147,24 +148,42 @@ def is_explored(state: GameState) -> bool:
     return state.visited_count == state.tree.n
 
 
-def _scan_moves(state: GameState, proposed: Sequence[int]) -> MoveViolation | frozenset[int]:
+def _scan_moves(state: GameState, proposed: Sequence[int] | dict[int, int]) -> MoveViolation | frozenset[int]:
     """One pass over a joint move: its first violation, or the set of vertices
-    it visits first. A proposed position must be an int, and equal the
-    agent's current vertex or be its parent or one of its children;
-    ``state`` is not changed. Positions are ints, so an entry that is its
-    agent's position object passes without a type test.
+    it visits first; ``state`` is not changed.
+
+    A joint move is the full sequence of k positions, or a ``dict`` from
+    agent index to target that names some agents; every agent it does not
+    name stays. A malformed move is reported before any entry: a sequence
+    of the wrong length, or a key that is not a plain ``int`` in
+    ``0..k-1`` (checked in C). Then the entries are scanned in order, a
+    sequence's by agent index and a dict's in the dict's own order, so
+    the first offending entry is reported. A target must be an int, and equal the agent's
+    current vertex or be its parent or one of its children. Positions are
+    ints, so an entry that is its agent's position object passes without
+    a type test.
     """
-    if len(proposed) != state.k:
-        return MoveViolation.wrong_length(len(proposed), state.k)
+    positions = state.positions
+    k = len(positions)
+    if type(proposed) is dict:
+        agents = proposed.keys()
+        if proposed and ({*map(type, agents)} != {int} or min(agents) < 0 or max(agents) >= k):
+            bad = next(a for a in agents if type(a) is not int or not 0 <= a < k)
+            return MoveViolation(-1, -1, -1, message=f"joint move names {bad!r}, not one of the agents 0..{k - 1}")
+        origins, targets = map(positions.__getitem__, agents), proposed.values()
+    else:
+        if len(proposed) != k:
+            return MoveViolation.wrong_length(len(proposed), k)
+        agents, origins, targets = range(k), positions, proposed
     n = state.tree.n
     parent = state.tree.parent
     visited = state.visited
     newly = []
-    for origin, target in zip(state.positions, proposed):
+    for origin, target in zip(origins, targets):
         if target is origin:
             continue
         if type(target) is not int:  # before the stay test: True == 1 and 1.0 == 1
-            agent = next(i for i, v in enumerate(proposed) if type(v) is not int)
+            agent = next(a for a, v in zip(agents, targets) if type(v) is not int)
             message = f"agent {agent} proposed {target!r}, not an integer vertex id"
             return MoveViolation(agent, -1, -1, message=message)
         if target == origin:
@@ -175,43 +194,57 @@ def _scan_moves(state: GameState, proposed: Sequence[int]) -> MoveViolation | fr
             newly.append(target)
     else:
         return frozenset(newly)
-    # an earlier agent with the same (origin, target) would have failed first,
-    # so the first agent with this pair is the one that broke the rule
-    agent = next(i for i, pair in enumerate(zip(state.positions, proposed)) if pair == (origin, target))
+    # an earlier entry with the same (origin, target) would have failed first,
+    # so the first entry with this pair is the one that broke the rule
+    pairs = zip(map(positions.__getitem__, agents), targets)
+    agent = next(a for a, pair in zip(agents, pairs) if pair == (origin, target))
     return MoveViolation(agent, origin, target)
 
 
-def validate_moves(state: GameState, proposed: Sequence[int]) -> MoveViolation | None:
-    """Check one joint move; returns the first violation (the scan
-    ``_commit_moves`` acts on), or None if legal."""
+def validate_moves(state: GameState, proposed: Sequence[int] | dict[int, int]) -> MoveViolation | None:
+    """Check one joint move, in either form ``_scan_moves`` takes; returns
+    the first violation (the scan ``_commit_moves`` acts on), or None if
+    legal."""
     scan = _scan_moves(state, proposed)
     return scan if isinstance(scan, MoveViolation) else None
 
 
-def _commit_moves(state: GameState, moves: Sequence[int]) -> None:
+def _commit_moves(state: GameState, moves: Sequence[int] | dict[int, int]) -> None:
     """Advance one round: move agents and add their first visits, or raise.
 
-    The moves become ``state.positions`` as one tuple; when everyone stays,
-    the previous tuple is kept, so stay-put rounds share one object.
-    Otherwise one scan decides legality and the first visits, and
-    ``state`` changes only once the whole move is legal.
+    ``moves`` is either form ``_scan_moves`` takes. The new positions
+    become ``state.positions`` as one tuple; when everyone stays, the
+    previous tuple is kept, so stay-put rounds share one object. A full
+    move in which everyone stays is one tuple comparison. Otherwise one
+    scan decides legality and the first visits, and ``state`` changes
+    only once the whole move is legal. A dict costs Python work per named
+    agent only: the new tuple is ``positions`` with its entries assigned
+    in C.
     """
     t = state.round + 1
-    moves = tuple(moves)
-    if moves is state.positions or moves == state.positions:
-        # everyone stays; positions are always visited already
-        state.newly_visited = frozenset()
-        state.round = t
-        return
+    positions = state.positions
+    if type(moves) is not dict:
+        moves = tuple(moves)
+        if moves is positions or moves == positions:
+            # everyone stays; positions are always visited already
+            state.newly_visited = frozenset()
+            state.round = t
+            return
     newly = _scan_moves(state, moves)
     if isinstance(newly, MoveViolation):
         newly.round = t
         raise newly
+    if type(moves) is not dict:
+        positions = moves
+    elif any(map(ne, map(positions.__getitem__, moves), moves.values())):  # a named agent moves
+        moved = list(positions)
+        deque(map(moved.__setitem__, moves, moves.values()), maxlen=0)  # assigns in C
+        positions = tuple(moved)
     visited = state.visited
     for v in newly:
         visited[v] = 1
     state.visited_count += len(newly)
-    state.positions = moves
+    state.positions = positions
     state.newly_visited = newly
     state.round = t
 
@@ -311,9 +344,18 @@ class ExplorerView:
 
 
 class Explorer(Protocol):
+    """The agents' side of the game.
+
+    ``next_moves`` returns the full sequence of k positions, or a dict
+    from agent index to target that names only the agents that move;
+    every agent it does not name stays. A round costs the engine Python
+    work per entry returned, so an explorer that moves few of many
+    agents names them.
+    """
+
     name: str
 
-    def next_moves(self, view: ExplorerView) -> Sequence[int]: ...
+    def next_moves(self, view: ExplorerView) -> Sequence[int] | dict[int, int]: ...
 
 
 class Revealer(Protocol):

@@ -4,7 +4,10 @@ Every strategy is a per-game instance: construct, then call
 ``next_moves(view)`` once per round. Strategies read the view's live
 arrays (parents, depths, branches, visited) and consume its append-only
 reveal log incrementally, so per-round work stays proportional to what
-changed plus the number of moving agents.
+changed plus the number of moving agents. ``single_dfs`` and
+``phase_bfs`` move few of their agents and return a dict that names the
+movers, so the engine's commit costs Python work per mover, not per
+agent; ``idle`` and ``greedy_frontier`` return the full positions.
 """
 
 from __future__ import annotations
@@ -39,7 +42,8 @@ class SingleDfsExplorer:
     the root, and a vertex takes gadgets only up to the round agent 0
     first reaches it, so its children list is final when agent 0 first
     decides there. A child it has come back from is thus wholly visited,
-    and every child past the cursor is unvisited.
+    and every child past the cursor is unvisited. A round names agent 0
+    alone, or no agent once the walk is back at the root.
     """
 
     name = "single_dfs"
@@ -48,17 +52,16 @@ class SingleDfsExplorer:
         self.k = k
         self._cursor: dict[int, int] = {}  # vertex -> children entered so far
 
-    def next_moves(self, view: ExplorerView) -> list[int]:
-        moves = list(view.positions)
-        pos = moves[0]
+    def next_moves(self, view: ExplorerView) -> dict[int, int]:
+        pos = view.positions[0]
         kids = view.children(pos)
         cur = self._cursor.get(pos, 0)
         if cur < len(kids):
             self._cursor[pos] = cur + 1
-            moves[0] = kids[cur]
-        elif pos != ROOT:
-            moves[0] = view.parents[pos]
-        return moves
+            return {0: kids[cur]}
+        if pos != ROOT:
+            return {0: view.parents[pos]}
+        return {}
 
 
 class PhaseBfsExplorer:
@@ -73,7 +76,8 @@ class PhaseBfsExplorer:
     A phase start reads only the reveal log since the previous one: an
     older vertex had children, was visited or became a target, which its
     phase visits. Targets take consecutive agents in id order, and each
-    round of the walk is one precomputed row of their vertices.
+    round of the walk is one precomputed row of their vertices, returned
+    as a dict that names the phase's agents.
     """
 
     name = "phase_bfs"
@@ -110,14 +114,13 @@ class PhaseBfsExplorer:
             row = [parent[u] if depth[u] == d else u for u in row]
             self._rows.append(row)
 
-    def next_moves(self, view: ExplorerView) -> list[int]:
+    def next_moves(self, view: ExplorerView) -> dict[int, int]:
         if not self._rows:
             self._start_phase(view)
-        moves = list(view.positions)
-        if self._rows:
-            row = self._rows.pop()
-            moves[self._first : self._first + len(row)] = row
-        return moves
+        if not self._rows:
+            return {}
+        row = self._rows.pop()
+        return dict(zip(range(self._first, self._first + len(row)), row))
 
 
 class GreedyFrontierExplorer:

@@ -17,6 +17,11 @@ vertex, so neither enters a frame per revealed vertex in a game view.
 Nor does the local view: it extends its reveal log in C, at
 construction and per round.
 
+A commit costs Python work per agent it is handed: ``single_dfs`` and
+``phase_bfs`` name their movers in a dict, so a round in which one of
+4096 agents moves runs as many lines of ``game.py`` as one in which one
+of 64 does, counted with ``sys.settrace``.
+
 A lemma cell of a sweep builds T_0 once, for its play, and replays
 nothing: its claims come from evidence gathered while it played. A
 replay hands the commit the positions object itself for a round whose
@@ -53,7 +58,7 @@ from treexplore.harness.runner import run_adversary_game
 from treexplore.harness.sweep import run_sweep
 from treexplore.harness.verify import Evidence, params_from_transcript, verify_transcript
 from treexplore.strategies import PhaseBfsExplorer, SingleDfsExplorer
-from treexplore.tree import make_path_star
+from treexplore.tree import ROOT, make_path_star
 
 K = 64  # agents; each one parks in a branch of its own in round 1
 
@@ -139,13 +144,44 @@ def _first_decisions(branches):
     for explorer, k in ((PhaseBfsExplorer, tree.n), (SingleDfsExplorer, 1)):
         view = ExplorerView(GameState(tree, k))
         moves, counts[explorer.name] = python_calls(explorer(k).next_moves, view)
-        assert moves != list(view.positions)
+        named = moves.items() if isinstance(moves, dict) else enumerate(moves)
+        assert any(target != view.positions[agent] for agent, target in named)
     return counts
 
 
 def test_explorer_frames_do_not_grow_with_revealed_vertices():
     small, big = _first_decisions(1 << 12), _first_decisions(1 << 16)
     assert small == big, (small, big)
+
+
+def game_lines(fn, *args):
+    """How many line events of ``game.py`` fn(*args) runs."""
+    lines = 0
+
+    def local(frame, event, arg):
+        nonlocal lines
+        lines += event == "line"
+        return local
+
+    def trace(frame, event, arg):
+        return local if frame.f_code.co_filename == game.__file__ else None
+
+    sys.settrace(trace)
+    try:
+        fn(*args)
+    finally:
+        sys.settrace(None)
+    return lines
+
+
+def _commit_lines(k, moves):
+    return game_lines(_commit_moves, GameState(make_path_star(4, 2), k), moves)
+
+
+def test_a_dict_commit_runs_no_line_per_agent_that_stays():
+    assert _commit_lines(64, {0: 1}) == _commit_lines(4096, {0: 1})
+    # the full form walks every agent, so the counter sees the team grow
+    assert _commit_lines(4096, [1] + [ROOT] * 4095) > _commit_lines(64, [1] + [ROOT] * 63) + 4000
 
 
 def _local_view_frames(branches):

@@ -287,6 +287,110 @@ class TestRejectedMoveLeavesStateAlone:
         assert _snapshot(state) == before
 
 
+class _Count(int):
+    """An int subclass: it prints like an int but is not a plain one."""
+
+
+class TestDictMoves:
+    """A joint move may be a dict that names only the agents that move."""
+
+    @staticmethod
+    def _state():
+        # agents 0 and 2 stand on vertex 1 of the path 0-1-2-3-4, agent 1 on the root
+        state = GameState(make_path(4), 3)
+        _commit_moves(state, [1, 0, 1])
+        return state
+
+    def _rejected(self, moves):
+        state = self._state()
+        positions, newly, before = state.positions, state.newly_visited, _snapshot(state)
+        assert validate_moves(state, moves) is not None
+        with pytest.raises(MoveViolation) as exc:
+            _commit_moves(state, moves)
+        assert _snapshot(state) == before
+        assert state.positions is positions and state.newly_visited is newly
+        assert exc.value.round == 2 and "\n" not in str(exc.value)
+        return exc.value
+
+    @pytest.mark.parametrize("key", [True, 1.0, "0", -1, 3], ids=repr)
+    def test_a_key_that_is_not_an_agent_is_rejected(self, key):
+        exc = self._rejected({0: 2, key: 0})
+        assert str(exc) == f"joint move names {key!r}, not one of the agents 0..2"
+        assert exc.agent == -1
+
+    @pytest.mark.parametrize("target", [True, 1.0, _Count(2)], ids=["bool", "float", "int-subclass"])
+    def test_a_target_that_is_not_a_plain_int_is_rejected(self, target):
+        # agent 2 stands on 1, so True and 1.0 would pass as stays by equality
+        exc = self._rejected({0: 2, 2: target})
+        assert str(exc) == f"agent 2 proposed {target!r}, not an integer vertex id"
+        assert exc.agent == 2
+
+    def test_a_non_adjacent_target_is_rejected(self):
+        exc = self._rejected({1: 2})
+        assert (exc.agent, exc.origin, exc.target) == (1, 0, 2)
+        assert str(exc) == "agent 1 may not move from vertex 0 to vertex 2"
+
+    @pytest.mark.parametrize(
+        "moves, agent",
+        [({2: 3, 0: 4}, 2), ({0: 4, 2: 3}, 0), ({1: 2.0, 0: 9}, 1), ({2: 3, 0: 3}, 2), ({0: 3, 2: 3}, 0)],
+    )
+    def test_the_first_offending_entry_in_dict_order_is_reported(self, moves, agent):
+        assert self._rejected(moves).agent == agent
+
+    def test_a_bad_key_is_reported_before_any_target(self):
+        assert self._rejected({0: 4, 7: 0}).agent == -1
+
+    @pytest.mark.parametrize("moves", [{}, {0: 1, 2: 1}, {1: 0}], ids=["empty", "stays", "root-stays"])
+    def test_a_round_in_which_nobody_moves_keeps_the_positions_tuple(self, moves):
+        state = self._state()
+        positions = state.positions
+        _commit_moves(state, moves)
+        assert state.positions is positions
+        assert _snapshot(state) == ((1, 0, 1), frozenset(), b"\x01\x01\x00\x00\x00", 2, 2)
+
+    def test_named_agents_move_and_the_rest_stay(self):
+        state = self._state()
+        _commit_moves(state, {2: 2, 1: 1})
+        assert _snapshot(state) == ((1, 1, 2), frozenset({2}), b"\x01\x01\x01\x00\x00", 3, 2)
+        assert type(state.positions) is tuple
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_a_dict_commits_what_its_full_list_commits(self, data):
+        rng = random.Random(data.draw(st.integers(0, 2**16), label="tree seed"))
+        tree = random_tree(data.draw(st.integers(1, 12), label="n"), rng)
+        n = tree.n
+        vertex = st.integers(0, n - 1)
+        start = data.draw(st.lists(vertex, min_size=1, max_size=6), label="positions")
+        k = len(start)
+        agents = data.draw(st.lists(st.integers(0, k - 1), min_size=1, unique=True), label="agents")
+        moves = {}
+        for agent in sorted(agents):
+            p = start[agent]
+            near = [p, *tree.children[p]] + ([tree.parent[p]] if p != ROOT else [])
+            moves[agent] = data.draw(st.one_of(st.sampled_from(near), st.integers(-2, n + 1)), label=f"agent {agent}")
+        full = list(start)
+        for agent, target in moves.items():
+            full[agent] = target
+        states = []
+        for _ in range(2):
+            state = GameState(tree, k)
+            state.positions = tuple(start)
+            for v in {ROOT, *start}:
+                state.visited[v] = 1
+            state.visited_count = len({ROOT, *start})
+            states.append(state)
+        by_dict, by_list = states
+        positions = by_dict.positions
+        report = validate_moves(by_dict, moves)
+        verdict = _verdict_of(_commit_moves, by_dict, moves)
+        assert verdict == _verdict_of(_commit_moves, by_list, full)
+        assert (report is None) == (verdict is None)
+        assert _snapshot(by_dict) == _snapshot(by_list)
+        if verdict is None and full == start:
+            assert by_dict.positions is positions
+
+
 class TestIsExplored:
     def test_initial_single_edge(self):
         assert not is_explored(GameState(make_path(1), 1))
@@ -697,10 +801,6 @@ class TestSharedMoves:
         assert back.checkpoints[0].gadgets is back.rounds[0].attachments
         assert back.checkpoints[1].gadgets == shared
         assert back.checkpoints[1].gadgets is not back.checkpoints[0].gadgets
-
-
-class _Count(int):
-    """An int subclass: it prints like an int but is not a plain one."""
 
 
 class TestAttachmentText:
