@@ -9,6 +9,7 @@ honestly via the ``feasible`` flag and the violated inequality.
 
 from __future__ import annotations
 
+import decimal
 import math
 from dataclasses import asdict, dataclass, field
 
@@ -53,6 +54,26 @@ def _ceil_snapped(x: float) -> int:
     if abs(x - nearest) <= 1e-9 * max(1.0, abs(x)):
         return int(nearest)
     return math.ceil(x)
+
+
+def _ceil_sqrt_ln(n: int) -> int:
+    """ceil(sqrt(ln n)) for an integer n >= 2, decided exactly.
+
+    ln n is never an integer for such n (e^j is transcendental), so
+    neither is sqrt(ln n), and the ceiling is isqrt(floor(ln n)) + 1: m is
+    the least j with j^2 >= ln n. ``decimal`` rounds ln correctly, so ln n
+    lies strictly between the rounded value's two neighbours; the
+    precision doubles until both neighbours have the same floor.
+    """
+    prec = 32
+    while True:
+        with decimal.localcontext(decimal.Context(prec=prec)):
+            ln = decimal.Decimal(n).ln()
+            neighbours = (ln.next_minus(), ln.next_plus())
+            lo, hi = (int(x.to_integral_value(decimal.ROUND_FLOOR)) for x in neighbours)
+        if lo == hi:
+            return math.isqrt(lo) + 1
+        prec *= 2
 
 
 def _feasibility(n: int, L: int, m: int, k: int) -> tuple[bool, str | None, int | None]:
@@ -142,7 +163,7 @@ def pick_params_thm3(n: int) -> TheoremParams:
     """Regime 3: full team k = n, L = 1, m = ceil(sqrt(log n))."""
     if n < 3:
         raise InfeasibleParamsError(f"n >= 3 required (got {n})")
-    m = math.ceil(math.sqrt(math.log(n)))
+    m = _ceil_sqrt_ln(n)
     L = 1
     feasible, violated, kmax = _feasibility(n, L, m, n)
     return TheoremParams(
@@ -168,7 +189,7 @@ def pick_params_thm4(n: int, D: int, m: int, k: int | None = None) -> TheoremPar
         )
     L = D
     k_eval = k if k is not None else n
-    m_limit = math.ceil(math.sqrt(math.log(n)))
+    m_limit = _ceil_sqrt_ln(n)
     feasible, violated, kmax = _feasibility(n, L, m, k_eval)
     m_ok = m <= m_limit
     if feasible and not m_ok:

@@ -13,7 +13,7 @@ agent; ``idle`` and ``greedy_frontier`` return the full positions.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from itertools import filterfalse
+from itertools import filterfalse, islice
 
 from .errors import InvalidParameterError, StrategyInfeasibleError
 from .game import ExplorerView
@@ -130,13 +130,19 @@ class GreedyFrontierExplorer:
     and greedily matched to the closest unmatched agent (ties toward the
     lower agent index); matched agents step one edge along the tree path
     toward their target, everyone else stays. Matching is recomputed from
-    scratch every round, over the view's flat arrays, in
-    O(k + targets scanned + in-branch agents scanned) plus the tree walks.
+    scratch every round, over the view's flat arrays.
 
-    A target whose branch holds no agent takes the front of the unmatched
-    agents in (depth, index) order, in O(1): every path from an agent to
-    it runs through the root, so each distance is the agent's depth plus
-    the target's, and that order is the (distance, index) order.
+    A round first gathers, in C, the targets the matching reaches (the
+    first k unvisited vertices), the agents in (depth, index) order and
+    the branches that hold an agent. A target whose branch holds no agent
+    takes the front of the unmatched agents in that order: every path
+    from an agent to it runs through the root, so each distance is the
+    agent's depth plus the target's, and that order is the (distance,
+    index) order. When every target is such a free target, target j takes
+    the j-th agent, and the round costs those C passes plus three Python
+    lines per target. Otherwise the round builds per-branch agent chains
+    and a linked list of the unmatched agents, and matches in
+    O(k + targets + in-branch agents scanned) plus the tree walks.
     """
 
     name = "greedy_frontier"
@@ -163,30 +169,49 @@ class GreedyFrontierExplorer:
         for d in dirty:
             self._buckets[d].sort()
 
+    def _targets(self, visited: bytearray) -> list[int]:
+        """The first k unvisited vertices in (depth, id) order: one per match."""
+        targets: list[int] = []
+        for d in sorted(self._buckets):
+            if len(targets) == self.k:
+                break
+            bucket = self._buckets[d]
+            found = list(islice(filterfalse(visited.__getitem__, bucket), self.k - len(targets)))
+            # visited vertices never become targets again: drop the prefix
+            del bucket[: bucket.index(found[0]) if found else len(bucket)]
+            targets += found
+        return targets
+
     def next_moves(self, view: ExplorerView) -> list[int]:
         self._sync(view)
         k = self.k
         parent = view.parents
         depth = view.depths
         branch = view.branches
-        visited = view.visited
         positions = view.positions
+        targets = self._targets(view.visited)
+        # a stable sort by depth keeps index order within a depth
+        order = sorted(range(k), key=list(map(depth.__getitem__, positions)).__getitem__)
+        moves = list(positions)
+        # the root's branch is -1, which is no target's
+        if set(map(branch.__getitem__, positions)).isdisjoint(map(branch.__getitem__, targets)):
+            # every target is free, so target j takes the j-th agent
+            for x, v in zip(order, targets):
+                p = positions[x]
+                moves[x] = branch[v] if p == ROOT else parent[p]
+            return moves
 
         # in-branch agents as intrusive chains: head[branch] -> agent,
         # chain[agent] -> next agent of the same branch, -1 ends a chain
         head: dict[int, int] = {}
         chain = [-1] * k
-        # counting sort by depth; appending in index order gives (depth, index)
-        byd = [[] for _ in range(max(map(depth.__getitem__, positions), default=0) + 1)]
         for x, p in enumerate(positions):
             if p != ROOT:
                 b = branch[p]
                 chain[x] = head.get(b, -1)
                 head[b] = x
-            byd[depth[p]].append(x)
         # agents threaded in (depth, index) order through a doubly linked
         # list with sentinel slot k, so matching removes them in O(1)
-        order = [x for bucket in byd for x in bucket]
         nxt = [0] * (k + 1)
         prv = [0] * (k + 1)
         for a, b in zip([k] + order, order + [k]):
@@ -194,60 +219,52 @@ class GreedyFrontierExplorer:
             prv[b] = a
 
         matched = bytearray(k)
-        moves = list(positions)
-        for dv in sorted(self._buckets):
-            bucket = self._buckets[dv]
-            # visited vertices never become targets again: drop the prefix
-            del bucket[: next((i for i, u in enumerate(bucket) if not visited[u]), len(bucket))]
-            for v in bucket:
-                if nxt[k] == k:  # every agent is matched
-                    return moves
-                if visited[v]:
-                    continue
-                bv = branch[v]
-                if bv not in head:  # no agent in v's branch: the front agent is nearest
-                    x = nxt[k]
-                    matched[x] = 1
-                    nxt[k] = nxt[x]
-                    prv[nxt[x]] = k
-                    p = positions[x]
-                    moves[x] = bv if p == ROOT else parent[p]
-                    continue
-                best_d = best_x = -1
-                x = head.get(bv, -1)
-                while x >= 0:  # exact distance inside the branch, via the LCA
-                    if not matched[x]:
-                        u, w = positions[x], v
-                        while u != w:
-                            if depth[u] < depth[w]:
-                                w = parent[w]
-                            else:
-                                u = parent[u]
-                        d = depth[positions[x]] + dv - 2 * depth[u]
-                        if best_x < 0 or d < best_d or (d == best_d and x < best_x):
-                            best_d, best_x = d, x
-                    x = chain[x]
-                # outside the branch every path runs through the root, so the
-                # first non-branch agent in (depth, index) order is nearest;
-                # an agent is unmatched, so one of the two scans finds one
+        for v in targets:
+            dv = depth[v]
+            bv = branch[v]
+            if bv not in head:  # no agent in v's branch: the front agent is nearest
                 x = nxt[k]
-                while x != k:
-                    p = positions[x]
-                    if branch[p] != bv:
-                        d = depth[p] + dv
-                        if best_x < 0 or d < best_d or (d == best_d and x < best_x):
-                            best_x = x
-                        break
-                    x = nxt[x]
-                matched[best_x] = 1
-                nxt[prv[best_x]] = nxt[best_x]
-                prv[nxt[best_x]] = prv[best_x]
-                # one step toward v: down if pos is v's ancestor, else up
-                pos = positions[best_x]
-                w = v
-                for _ in range(dv - depth[pos] - 1):
-                    w = parent[w]
-                moves[best_x] = w if parent[w] == pos else parent[pos]
+                matched[x] = 1
+                nxt[k] = nxt[x]
+                prv[nxt[x]] = k
+                p = positions[x]
+                moves[x] = bv if p == ROOT else parent[p]
+                continue
+            best_d = best_x = -1
+            x = head.get(bv, -1)
+            while x >= 0:  # exact distance inside the branch, via the LCA
+                if not matched[x]:
+                    u, w = positions[x], v
+                    while u != w:
+                        if depth[u] < depth[w]:
+                            w = parent[w]
+                        else:
+                            u = parent[u]
+                    d = depth[positions[x]] + dv - 2 * depth[u]
+                    if best_x < 0 or d < best_d or (d == best_d and x < best_x):
+                        best_d, best_x = d, x
+                x = chain[x]
+            # outside the branch every path runs through the root, so the
+            # first non-branch agent in (depth, index) order is nearest;
+            # an agent is unmatched, so one of the two scans finds one
+            x = nxt[k]
+            while x != k:
+                p = positions[x]
+                if branch[p] != bv:
+                    d = depth[p] + dv
+                    if best_x < 0 or d < best_d or (d == best_d and x < best_x):
+                        best_x = x
+                    break
+                x = nxt[x]
+            matched[best_x] = 1
+            nxt[prv[best_x]] = nxt[best_x]
+            prv[nxt[best_x]] = prv[best_x]
+            # one step toward v: down if pos is v's ancestor, else up
+            pos = positions[best_x]
+            w = v
+            for _ in range(dv - depth[pos] - 1):
+                w = parent[w]
+            moves[best_x] = w if parent[w] == pos else parent[pos]
         return moves
 
 

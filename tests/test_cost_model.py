@@ -20,7 +20,9 @@ construction and per round.
 A commit costs Python work per agent it is handed: ``single_dfs`` and
 ``phase_bfs`` name their movers in a dict, so a round in which one of
 4096 agents moves runs as many lines of ``game.py`` as one in which one
-of 64 does, counted with ``sys.settrace``.
+of 64 does, counted with ``sys.settrace``. A ``greedy_frontier`` round
+whose targets all lie in branches no agent stands in runs a few lines of
+``strategies.py`` per agent.
 
 A lemma cell of a sweep builds T_0 once, for its play, and replays
 nothing: its claims come from evidence gathered while it played. A
@@ -52,12 +54,12 @@ from treexplore import (
     transcript_from_json,
     transcript_to_json,
 )
-from treexplore import game
+from treexplore import game, strategies
 from treexplore.game import _commit_attachments, _commit_moves, replay
 from treexplore.harness.runner import run_adversary_game
 from treexplore.harness.sweep import run_sweep
 from treexplore.harness.verify import Evidence, params_from_transcript, verify_transcript
-from treexplore.strategies import PhaseBfsExplorer, SingleDfsExplorer
+from treexplore.strategies import GreedyFrontierExplorer, PhaseBfsExplorer, SingleDfsExplorer
 from treexplore.tree import ROOT, make_path_star
 
 K = 64  # agents; each one parks in a branch of its own in round 1
@@ -154,8 +156,8 @@ def test_explorer_frames_do_not_grow_with_revealed_vertices():
     assert small == big, (small, big)
 
 
-def game_lines(fn, *args):
-    """How many line events of ``game.py`` fn(*args) runs."""
+def lines_run(module, fn, *args):
+    """fn(*args) and how many line events of ``module``'s file it runs."""
     lines = 0
 
     def local(frame, event, arg):
@@ -164,24 +166,50 @@ def game_lines(fn, *args):
         return local
 
     def trace(frame, event, arg):
-        return local if frame.f_code.co_filename == game.__file__ else None
+        return local if frame.f_code.co_filename == module.__file__ else None
 
     sys.settrace(trace)
     try:
-        fn(*args)
+        result = fn(*args)
     finally:
         sys.settrace(None)
-    return lines
+    return result, lines
 
 
 def _commit_lines(k, moves):
-    return game_lines(_commit_moves, GameState(make_path_star(4, 2), k), moves)
+    return lines_run(game, _commit_moves, GameState(make_path_star(4, 2), k), moves)[1]
 
 
 def test_a_dict_commit_runs_no_line_per_agent_that_stays():
     assert _commit_lines(64, {0: 1}) == _commit_lines(4096, {0: 1})
     # the full form walks every agent, so the counter sees the team grow
     assert _commit_lines(4096, [1] + [ROOT] * 4095) > _commit_lines(64, [1] + [ROOT] * 63) + 4000
+
+
+def _free_round_lines(k, parked):
+    """Lines of ``strategies.py`` one greedy_frontier decision runs on a T_0 of
+    8192 two-edge paths, with the k agents on the root or, if ``parked``, one
+    on the head of each of the first k branches. Either way the first k
+    unvisited vertices are heads of branches that hold no agent."""
+    state = GameState(make_path_star(8192, 2), k)
+    if parked:
+        _commit_moves(state, range(1, 2 * k, 2))  # branch heads are the odd ids
+    view = ExplorerView(state)
+    explorer = GreedyFrontierExplorer(k)
+    explorer._sync(view)  # the reveal log as earlier rounds would have read it
+    moves, lines = lines_run(strategies, explorer.next_moves, view)
+    assert all(map(int.__ne__, moves, view.positions))  # every agent is matched
+    return lines
+
+
+def test_a_free_greedy_round_runs_a_few_lines_per_agent():
+    """A round whose targets all lie in branches no agent stands in matches
+    target j to the j-th agent in (depth, index) order: the orders, the
+    targets and the branch check are C passes, and each match is a few
+    lines. The per-target matcher would run about 20 lines per agent."""
+    for parked in (False, True):
+        small, big = _free_round_lines(64, parked), _free_round_lines(4096, parked)
+        assert big - small <= 4 * (4096 - 64), (parked, small, big)
 
 
 def _local_view_frames(branches):

@@ -154,3 +154,29 @@ def test_thm2_m_is_stable_at_256_bit_precision(eps):
     x = 1 / (2 * mpf(eps))
     hi = int(mp.nint(x)) if abs(x - mp.nint(x)) <= mpf("1e-9") * max(1, abs(x)) else int(mp.ceil(x))
     assert pick_params_thm2(eps).m == hi
+
+
+def _sqrt_log_boundaries():
+    """n = ceil(e^(j^2)) and n - 1 for j = 2..11: ln n lies just above j^2 and
+    ln(n - 1) just below it, by as little as 10^-52 at j = 11."""
+    with mp.workdps(120):
+        for j in range(2, 12):
+            n = int(mp.ceil(mp.e ** (j * j)))
+            yield n, j + 1
+            yield n - 1, j
+
+
+@pytest.mark.parametrize("n,m", list(_sqrt_log_boundaries()))
+def test_thm3_and_thm4_decide_m_exactly_at_sqrt_log_boundaries(n, m):
+    with mp.workdps(120):
+        root = mp.sqrt(mp.log(n))
+        assert abs(root - mp.nint(root)) > mpf(10) ** -100  # mpmath decides the ceiling
+        assert int(mp.ceil(root)) == m
+    assert pick_params_thm3(n).m == m
+    assert pick_params_thm4(n, 1, 2, k=1).details["m_limit"] == m
+
+
+def test_thm3_decides_m_for_a_4000_bit_n():
+    n = (1 << 4000) - 12345
+    with mp.workdps(1300):  # more digits than n has
+        assert pick_params_thm3(n).m == int(mp.ceil(mp.sqrt(mp.log(n)))) == 53

@@ -227,14 +227,23 @@ class ReferenceGreedyFrontier(GreedyFrontierExplorer):
 
     Every target runs the in-branch chain scan, the out-of-branch scan and
     the (distance, index) comparison. ``kinds`` counts the targets matched
-    with and without an agent standing in their branch.
+    with and without an agent standing in their branch, and ``rounds`` the
+    rounds in which every target reached is free of agents (including a
+    round that reaches none) and those in which one is not.
     """
 
     def __init__(self, k):
         super().__init__(k)
         self.kinds = Counter()
+        self.rounds = Counter()
 
     def next_moves(self, view):
+        in_branch = self.kinds["agent in branch"]
+        moves = self._match(view)
+        self.rounds["all free" if self.kinds["agent in branch"] == in_branch else "some in branch"] += 1
+        return moves
+
+    def _match(self, view):
         self._sync(view)
         k = self.k
         parent = view.parents
@@ -377,21 +386,29 @@ class _LockStep:
 
 def test_greedy_frontier_matches_the_per_target_reference_round_by_round():
     rng = random.Random(2017)
-    kinds = Counter()
-    rounds = 0
+    games = []
     for i in range(200):
         tree = random_tree(rng.randrange(2, 120), rng)
         k = rng.randrange(1, 13)
-        cap = 2 * tree.n * (tree.height() + 2)
         view = ("game", "local")[i % 2]
+        games.append((fixed_tree_revealer(tree), k, 2 * tree.n * (tree.height() + 2), view, True))
+    # the small and long-segment lemma instances; the latter stops at its cap
+    for n, L, cap, finishes in ((4096, 1, 1000, True), (16384, 4, 100, False)):
+        params = derive_params(n, L, 3, 541, warn=False)
+        for view in ("game", "local"):
+            games.append((CheckpointRevealer(params), 541, cap, view, finishes))
+    kinds, rounds = Counter(), Counter()
+    for revealer, k, cap, view, finishes in games:
         lockstep = _LockStep(GreedyFrontierExplorer(k), ReferenceGreedyFrontier(k))
-        tr = play(lockstep, fixed_tree_revealer(tree), k, cap, view_mode=view)
-        assert tr.outcome.finished
+        tr = play(lockstep, revealer, k, cap, view_mode=view)
+        assert tr.outcome.finished == finishes
         kinds += lockstep.reference.kinds
-        rounds += lockstep.rounds
-    # both kinds of target occur often, so both matching paths are compared
+        rounds += lockstep.reference.rounds
+    # both kinds of target and of round occur often, so the per-target
+    # matcher and the all-free round are both compared
     assert kinds["agent in branch"] >= 1000 and kinds["no agent in branch"] >= 1000, kinds
-    assert rounds >= 2000
+    assert rounds["all free"] >= 300 and rounds["some in branch"] >= 300, rounds
+    assert sum(rounds.values()) >= 2000
 
 
 def test_phase_bfs_matches_the_path_walk_reference_round_by_round():
