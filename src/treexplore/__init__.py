@@ -10,6 +10,7 @@ from .adversary import (
     gadget_spec,
     initial_tree_of,
     max_team_size,
+    revealer_of,
     selection_mask,
 )
 from .game import (

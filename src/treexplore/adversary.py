@@ -20,7 +20,6 @@ The revealer fills in ``game.CheckpointRecord``s, whose JSON format is
 from __future__ import annotations
 
 import decimal
-import json
 import math
 import warnings
 from collections import Counter
@@ -39,7 +38,7 @@ from .game import (
     Transcript,
     check_team_size,
 )
-from .tree import ROOT, RootedTree, check_path_star, decode_tree, make_path_star
+from .tree import ROOT, RootedTree, check_path_star, make_path_star, tree_from_doc
 
 
 def _iroot(q: int, m: int) -> int:
@@ -248,6 +247,11 @@ def derive_params(n: int, L: int, m: int, k: int, mode: str = "repaired", warn: 
     )
 
 
+def lemma_header(params: AdversaryParams) -> dict:
+    """A lemma game's header fields beyond play's, read back by ``params_from_transcript``."""
+    return {"mode": params.mode, "n": params.n, "L": params.L, "m": params.m}
+
+
 def params_from_transcript(transcript: Transcript) -> AdversaryParams:
     """The adversary params a lemma transcript's header names; IntegrityError otherwise."""
     meta = transcript.params
@@ -267,14 +271,21 @@ def params_from_transcript(transcript: Transcript) -> AdversaryParams:
         raise IntegrityError(f"transcript params are not valid adversary params: {exc}") from exc
 
 
-def initial_tree_of(transcript: Transcript) -> RootedTree:
-    """Reconstruct T_0 for a transcript (derived for the adversary, embedded for fixed)."""
+def revealer_of(transcript: Transcript) -> CheckpointRevealer | FixedTreeRevealer:
+    """A fresh revealer like the one that played ``transcript``: the adversary a
+    lemma header names, else a fixed one on the embedded tree (IntegrityError if
+    none; a malformed one raises ``decode_tree``'s TreeParseError)."""
     if transcript.params.get("revealer") == "lemma":
-        return params_from_transcript(transcript).initial_tree()
+        return CheckpointRevealer(params_from_transcript(transcript))
     tree_doc = transcript.params.get("tree")
     if tree_doc is None:
         raise IntegrityError("fixed-revealer transcript carries no embedded tree")
-    return decode_tree(json.dumps(tree_doc))
+    return FixedTreeRevealer(tree_from_doc(tree_doc))
+
+
+def initial_tree_of(transcript: Transcript) -> RootedTree:
+    """Reconstruct T_0 for a transcript (derived for the adversary, embedded for fixed)."""
+    return revealer_of(transcript).initial_tree()
 
 
 def selection_mask(a: Sequence[int], count: int) -> bytearray:

@@ -392,6 +392,8 @@ def play(
     ``observer.moved(state, rec)`` runs after a round's moves commit and
     before its attachments, ``observer.attached(state, rec, created)``
     after them. ``replay`` is this loop on a transcript's recorded moves.
+    The header's fields are null where play cannot know them; ``params_meta``
+    overrides them, and ``adversary.revealer_of`` reads the header back.
     """
     if type(round_cap) is not int or round_cap < 0:
         raise InvalidParameterError(f"round cap must be an integer >= 0 (got {round_cap!r})")
@@ -399,12 +401,13 @@ def play(
         raise InvalidParameterError(f"team size must be an integer >= 1 (got {k!r})")
     check_team_size(k)
     state = GameState(revealer.initial_tree(), k)
-    params = dict(params_meta) if params_meta else {}
-    params.setdefault("explorer", getattr(explorer, "name", explorer.__class__.__name__))
-    params.setdefault("revealer", getattr(revealer, "name", revealer.__class__.__name__))
-    params.setdefault("k", k)
-    params.setdefault("cap", round_cap)
-    params.setdefault("view", view_mode)
+    # the header, in this key order
+    revealer_name = getattr(revealer, "name", revealer.__class__.__name__)
+    params = dict(
+        explorer=getattr(explorer, "name", explorer.__class__.__name__), revealer=revealer_name, mode=None,
+        view=view_mode, n=None if revealer_name == "lemma" else state.tree.n, L=None, m=None, k=k, cap=round_cap,
+    )
+    params.update(params_meta or ())
     if params["revealer"] != "lemma" and "tree" not in params:
         # adversary trees are derivable from (n, L, m); embed anything else
         params["tree"] = {"n": state.tree.n, "parent": list(state.tree.parent)}

@@ -76,6 +76,35 @@ def _ceil_sqrt_ln(n: int) -> int:
         prec *= 2
 
 
+def _ceil_ln_over_lnln(n: int, d: int | float) -> int:
+    """ceil(ln n / (d ln ln n)) for an integer n >= 3 and a rational d > 0, decided exactly.
+
+    The quotient is never an integer j: ln n = d j ln ln n gives
+    n = (ln n)^(d j), so ln n = n^(1/(d j)) would be algebraic and nonzero,
+    and then e^(ln n) = n would be transcendental (Lindemann). So the
+    ceiling is the floor plus one. ``decimal`` rounds ln correctly, so ln n
+    lies strictly between the rounded value's neighbours, and ln ln n between
+    the outer neighbours of their rounded logs. The quotient's bounds from
+    these, rounded outward, are taken at a precision doubled until both have
+    one floor.
+    """
+    if d >= 11 * n.bit_length():  # ln n < bits and ln ln n > 1/11: the quotient is under 1
+        return 1
+    d = decimal.Decimal(d)
+    prec = 32
+    while True:
+        down = decimal.Context(prec=prec, rounding=decimal.ROUND_FLOOR)
+        up = decimal.Context(prec=prec, rounding=decimal.ROUND_CEILING)
+        ln = decimal.Decimal(n).ln(down)
+        ln_lo, ln_hi = ln.next_minus(down), ln.next_plus(up)
+        lnln_lo, lnln_hi = ln_lo.ln(down).next_minus(down), ln_hi.ln(up).next_plus(up)
+        bounds = (down.divide(ln_lo, up.multiply(d, lnln_hi)), up.divide(ln_hi, down.multiply(d, lnln_lo)))
+        lo, hi = (int(x.to_integral_value(decimal.ROUND_FLOOR)) for x in bounds)
+        if lo == hi:
+            return lo + 1
+        prec *= 2
+
+
 def _feasibility(n: int, L: int, m: int, k: int) -> tuple[bool, str | None, int | None]:
     if m < 2:
         return False, "m must exceed 1 for a nonzero round bound", _max_k_or_none(n, L, m)
@@ -98,12 +127,8 @@ def pick_params_thm1(
         raise InfeasibleParamsError(f"n >= 3 required (got {n})")
     if k < 1 or c < 0:
         raise InfeasibleParamsError(f"k >= 1 and c >= 0 required (got k={k}, c={c})")
-    ln = math.log(n)
     if m is None:
-        # once 8 + c is past 2 ln / ln ln the quotient is under 1/2, so m is 1;
-        # such a c may be too large for a float
-        lnln = math.log(ln)
-        m = 1 if 8 + c > 2 * ln / lnln else math.ceil(ln / ((8 + c) * lnln))
+        m = _ceil_ln_over_lnln(n, 8 + c)
     if L is None:
         L = -(-n // (m * k))  # exact ceiling division
     feasible, violated, kmax = _feasibility(n, L, m, k)

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from ..adversary import AdversaryParams, CheckpointRevealer, FixedTreeRevealer
+from ..adversary import AdversaryParams, CheckpointRevealer, FixedTreeRevealer, lemma_header
 from ..game import Transcript, play
 from ..strategies import make_explorer
 from ..tree import RootedTree
@@ -33,17 +33,7 @@ def run_adversary_game(
         switch_round = params.checkpoints[0] if params.checkpoints else 0
     explorer = make_explorer(explorer_name, params.k, switch_round=switch_round)
     revealer = CheckpointRevealer(params)
-    meta = {
-        "explorer": explorer.name,
-        "revealer": "lemma",
-        "mode": params.mode,
-        "view": view_mode,
-        "n": params.n,
-        "L": params.L,
-        "m": params.m,
-        "k": params.k,
-        "cap": cap,
-    }
+    meta = lemma_header(params)
     return play(explorer, revealer, params.k, cap, view_mode=view_mode, params_meta=meta, observer=observer)
 
 
@@ -64,16 +54,4 @@ def run_fixed_game(
     if cap is None:
         cap = default_round_cap(stats.n, stats.height)
     explorer = make_explorer(explorer_name, k, switch_round=switch_round)
-    revealer = FixedTreeRevealer(tree)
-    meta = {
-        "explorer": explorer.name,
-        "revealer": "fixed",
-        "mode": None,
-        "view": view_mode,
-        "n": stats.n,
-        "L": None,
-        "m": None,
-        "k": k,
-        "cap": cap,
-    }
-    return play(explorer, revealer, k, cap, view_mode=view_mode, params_meta=meta)
+    return play(explorer, FixedTreeRevealer(tree), k, cap, view_mode=view_mode)

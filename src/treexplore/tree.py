@@ -230,6 +230,11 @@ def decode_tree(data: bytes | str) -> RootedTree:
         raise TreeParseError(f"invalid UTF-8: {exc.reason}", position=exc.start) from None
     except RecursionError:
         raise TreeParseError("invalid JSON: nested too deeply", position=0) from None
+    return tree_from_doc(doc)
+
+
+def tree_from_doc(doc: object) -> RootedTree:
+    """``decode_tree`` after its JSON parse: the tree a parsed document describes."""
     if not isinstance(doc, dict) or "n" not in doc or "parent" not in doc:
         raise TreeParseError("expected an object with 'n' and 'parent' keys", position=0)
     n, parents = doc["n"], doc["parent"]

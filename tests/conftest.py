@@ -10,14 +10,11 @@ from hypothesis import settings
 from treexplore import (
     NO_GADGETS,
     ROOT,
-    CheckpointRevealer,
-    FixedTreeRevealer,
     Gadgets,
     RootedTree,
-    initial_tree_of,
     replay,
+    revealer_of,
 )
-from treexplore.adversary import params_from_transcript
 from treexplore.game import _commit_attachments, _commit_moves
 
 # every process draws the same examples: a fixed derivation and no example database
@@ -86,14 +83,6 @@ class SpeedLimit:
 
     def attached(self, state, rec, created):
         pass
-
-
-def revealer_of(transcript):
-    """A fresh revealer like the one that wrote ``transcript``: the adversary's
-    from its header, or a fixed one on the tree it embeds."""
-    if transcript.params.get("revealer") == "lemma":
-        return CheckpointRevealer(params_from_transcript(transcript))
-    return FixedTreeRevealer(initial_tree_of(transcript))
 
 
 def assert_transcript_invariants(transcript):

@@ -24,16 +24,19 @@ from treexplore import (
     make_explorer,
     make_path_star,
     max_team_size,
+    initial_tree_of,
     play,
     replay,
+    revealer_of,
     selection_mask,
+    transcript_from_json,
     transcript_to_json,
 )
 from treexplore import adversary
-from treexplore.adversary import CheckpointRecord
-from treexplore.errors import InfeasibleParamsError, InvalidParameterError
+from treexplore.adversary import CheckpointRecord, lemma_header
+from treexplore.errors import InfeasibleParamsError, IntegrityError, InvalidParameterError, TreeParseError
 from treexplore.game import NO_GADGETS, _commit_attachments, _commit_moves
-from treexplore.harness.runner import run_adversary_game
+from treexplore.harness.runner import run_adversary_game, run_fixed_game
 from treexplore.tree import ROOT, attach_path_with_star, decode_tree, encode_tree
 
 from conftest import gadgets_of, make_path, tree_arrays, vertices_at_depth
@@ -467,6 +470,93 @@ class TestFixedTreeRevealer:
     def test_single_root_ends_immediately(self):
         tr = play(make_explorer("idle", 1), fixed_tree_revealer(make_path(0)), 1, 5)
         assert tr.outcome.finished and tr.outcome.final_round == 0
+
+
+HEADER_KEYS = ["explorer", "revealer", "mode", "view", "n", "L", "m", "k", "cap"]
+HEADER_PARAMS = derive_params(4096, 1, 3, 541)
+HEADER_TREE = make_path_star(3, 2)
+
+# the ways a game gets its header: label -> (game, the T_0 it was played on)
+HEADER_GAMES = {
+    "runner-lemma": (lambda: run_adversary_game(HEADER_PARAMS, "greedy_frontier", cap=20), HEADER_PARAMS.initial_tree),
+    "runner-fixed": (lambda: run_fixed_game(HEADER_TREE, "single_dfs", 2), HEADER_TREE.copy),
+    "play-lemma": (lambda: play(make_explorer("idle", 4), CheckpointRevealer(HEADER_PARAMS), 4, 3), None),
+    "play-lemma-meta": (
+        lambda: play(
+            make_explorer("idle", 4), CheckpointRevealer(HEADER_PARAMS), 4, 3, params_meta=lemma_header(HEADER_PARAMS)
+        ),
+        HEADER_PARAMS.initial_tree,
+    ),
+    "play-fixed": (
+        lambda: play(make_explorer("single_dfs", 2), fixed_tree_revealer(HEADER_TREE), 2, 50),
+        HEADER_TREE.copy,
+    ),
+}
+
+
+class TestTranscriptHeader:
+    """play writes every header in one shape, and revealer_of reads it back."""
+
+    @pytest.mark.parametrize("label", sorted(HEADER_GAMES))
+    def test_one_key_order(self, label):
+        tr = HEADER_GAMES[label][0]()
+        assert list(tr.params) == HEADER_KEYS + ["tree"] * label.endswith("fixed")
+
+    @pytest.mark.parametrize("label", sorted(set(HEADER_GAMES) - {"play-lemma"}))
+    def test_revealer_of_rebuilds_the_played_tree(self, label):
+        game, t0 = HEADER_GAMES[label]
+        tr, parent = game(), list(t0().parent)
+        for transcript in (tr, transcript_from_json(transcript_to_json(tr))):
+            assert list(revealer_of(transcript).initial_tree().parent) == parent
+            assert list(initial_tree_of(transcript).parent) == parent
+        assert replay(tr, revealer_of(tr)).positions == tr.final_state.positions
+
+    def test_play_leaves_what_it_cannot_know_null(self):
+        # a lemma game's mode, n, L and m come from its params, not from T_0,
+        # so a header without them names no adversary
+        tr = HEADER_GAMES["play-lemma"][0]()
+        assert [tr.params[key] for key in ("mode", "n", "L", "m")] == [None] * 4
+        with pytest.raises(IntegrityError, match="not valid adversary params"):
+            revealer_of(tr)
+        tr = HEADER_GAMES["play-fixed"][0]()
+        assert [tr.params[key] for key in ("mode", "n", "L", "m")] == [None, HEADER_TREE.n, None, None]
+
+    def test_lemma_header_fills_the_lemma_fields(self):
+        params = derive_params(16384, 4, 3, 541, mode="strict")
+        tr = play(make_explorer("idle", 541), CheckpointRevealer(params), 541, 2, params_meta=lemma_header(params))
+        assert tr.params == {
+            "explorer": "idle", "revealer": "lemma", "mode": "strict", "view": "game",
+            "n": 16384, "L": 4, "m": 3, "k": 541, "cap": 2,
+        }
+        assert revealer_of(tr).params == params
+
+    def test_fixed_header_without_a_tree_is_an_integrity_error(self):
+        tr = HEADER_GAMES["play-fixed"][0]()
+        del tr.params["tree"]
+        with pytest.raises(IntegrityError, match="carries no embedded tree"):
+            revealer_of(tr)
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            [None, 0],
+            {"n": 3, "parent": [None, 0]},
+            {"n": 2, "parent": [0, 0]},
+            {"n": 3, "parent": [None, 0, 2]},
+            {"n": 3, "parent": [None, 0, True]},
+            {"n": 3, "parent": [None, 0, 1.0]},
+        ],
+        ids=["not-an-object", "n-not-len", "root-parent", "parent-not-below", "bool-parent", "float-parent"],
+    )
+    def test_malformed_embedded_tree_fails_as_decode_tree_does(self, doc):
+        with pytest.raises(TreeParseError) as expected:
+            decode_tree(json.dumps(doc))
+        tr = HEADER_GAMES["play-fixed"][0]()
+        tr.params["tree"] = doc
+        for transcript in (tr, transcript_from_json(transcript_to_json(tr))):
+            with pytest.raises(TreeParseError) as got:
+                revealer_of(transcript)
+            assert (str(got.value), got.value.position) == (str(expected.value), expected.value.position)
 
 
 class TestTreeOwnership:

@@ -115,6 +115,13 @@ def test_params_subcommand(capsys):
     assert doc["m"] == 5 and doc["L"] == 1
 
 
+@pytest.mark.parametrize("c,m", [("0", 3), ("1", 2)])
+def test_params_thm1_decides_m_past_a_boundary(capsys, c, m):
+    # the least n with ln n > 16 ln ln n: float logs put the quotient at 2
+    assert main(["params", "--thm", "1", "--n", "179698501514006236611711868382", "--k", "1", "--c", c]) == 0
+    assert json.loads(capsys.readouterr().out)["m"] == m
+
+
 def test_params_out_of_range_exits_2(capsys):
     assert main(["params", "--thm", "2", "--eps", "0.25"]) == 2
 

@@ -28,6 +28,7 @@ from treexplore import (
     make_explorer,
     play,
     replay,
+    revealer_of,
     transcript_from_json,
     transcript_to_json,
     validate_moves,
@@ -51,7 +52,6 @@ from conftest import (
     make_path,
     make_star,
     random_tree,
-    revealer_of,
 )
 
 

@@ -180,3 +180,36 @@ def test_thm3_decides_m_for_a_4000_bit_n():
     n = (1 << 4000) - 12345
     with mp.workdps(1300):  # more digits than n has
         assert pick_params_thm3(n).m == int(mp.ceil(mp.sqrt(mp.log(n)))) == 53
+
+
+def _ln_over_lnln_boundaries():
+    """(c, n, m) for the least integer n above ln n = (8+c) j ln ln n, where m
+    is j + 1, and for n - 1, where m is j, at c = 0..3 and j = 2..8. The
+    boundary is the larger root of x = (8+c) j ln x, x = ln n. Next to it the
+    quotient moves by about 1/n per unit of n, so mpmath needs more digits
+    than n has."""
+    for c in range(4):
+        for j in range(2, 9):
+            K = (8 + c) * j
+            with mp.workdps(30):
+                digits = int(-K * mp.lambertw(-mpf(1) / K, -1) / mp.log(10)) + 60
+            with mp.workdps(digits):
+                n = int(mp.ceil(mp.exp(-K * mp.lambertw(-mpf(1) / K, -1))))
+            yield c, n, j + 1
+            yield c, n - 1, j
+
+
+@pytest.mark.parametrize("c,n,m", list(_ln_over_lnln_boundaries()))
+def test_thm1_decides_m_exactly_at_ln_over_lnln_boundaries(c, n, m):
+    digits = len(str(n))
+    with mp.workdps(digits + 60):
+        q = mp.log(n) / ((8 + c) * mp.log(mp.log(n)))
+        assert abs(q - mp.nint(q)) > mpf(10) ** -(digits + 30)  # mpmath decides the ceiling
+        assert int(mp.ceil(q)) == m
+    assert pick_params_thm1(n, 1, c).m == m
+
+
+def test_thm1_decides_m_for_a_4000_bit_n():
+    n = (1 << 4000) - 12345
+    with mp.workdps(1300):  # more digits than n has
+        assert pick_params_thm1(n, 1, 1).m == int(mp.ceil(mp.log(n) / (9 * mp.log(mp.log(n))))) == 39

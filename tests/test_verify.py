@@ -20,7 +20,9 @@ from treexplore import (
     make_explorer,
     play,
     replay,
+    revealer_of,
 )
+from treexplore.adversary import lemma_header
 from treexplore.errors import IntegrityError
 from treexplore.game import transcript_from_json, transcript_to_json
 from treexplore.harness import verify
@@ -28,7 +30,7 @@ from treexplore.harness.cli import main
 from treexplore.harness.runner import run_adversary_game
 from treexplore.harness.verify import Evidence, params_from_transcript, verify_transcript
 
-from conftest import gadgets_of, make_star, revealer_of, vertices_at_depth
+from conftest import gadgets_of, make_star, vertices_at_depth
 
 
 @pytest.fixture(scope="module")
@@ -376,8 +378,7 @@ class TestSharedMovesVerdicts:
             def next_moves(self, view):
                 return objects[script[view.round]]
 
-        meta = {"revealer": "lemma", "mode": params.mode, "n": params.n, "L": params.L, "m": params.m}
-        tr = play(Scripted(), CheckpointRevealer(params), params.k, len(script), params_meta=meta)
+        tr = play(Scripted(), CheckpointRevealer(params), params.k, len(script), params_meta=lemma_header(params))
         assert [id(r.moves) for r in tr.rounds] == [id(objects[c]) for c in script]
         text = transcript_to_json(tr)
         reloaded, unshared = transcript_from_json(text), unshared_reader(text)
