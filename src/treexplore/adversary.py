@@ -280,7 +280,7 @@ def revealer_of(transcript: Transcript) -> CheckpointRevealer | FixedTreeReveale
     tree_doc = transcript.params.get("tree")
     if tree_doc is None:
         raise IntegrityError("fixed-revealer transcript carries no embedded tree")
-    return FixedTreeRevealer(tree_from_doc(tree_doc))
+    return _EmbeddedTreeRevealer(tree_doc)
 
 
 def initial_tree_of(transcript: Transcript) -> RootedTree:
@@ -453,6 +453,20 @@ class FixedTreeRevealer:
 
     def reveal(self, state: GameState, t: int) -> tuple[Gadgets, None]:
         return NO_GADGETS, None
+
+
+class _EmbeddedTreeRevealer(FixedTreeRevealer):
+    """A fixed revealer on a header's embedded tree, which no caller holds: the
+    first ``initial_tree()`` hands out the tree built here, uncopied, and each
+    later one builds another from the parent list."""
+
+    def __init__(self, doc):
+        super().__init__(tree_from_doc(doc))
+        self._doc = doc
+
+    def initial_tree(self) -> RootedTree:
+        tree, self._tree = self._tree, None
+        return tree_from_doc(self._doc) if tree is None else tree
 
 
 def fixed_tree_revealer(tree: RootedTree) -> FixedTreeRevealer:

@@ -13,11 +13,14 @@ agent; ``idle`` and ``greedy_frontier`` return the full positions.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from itertools import filterfalse, islice
+from itertools import compress, filterfalse, islice
 
 from .errors import InvalidParameterError, StrategyInfeasibleError
 from .game import ExplorerView
 from .tree import ROOT
+
+# translates visited flags to 1 for an unvisited vertex, 0 for a visited one
+_UNVISITED = bytes([1]) + bytes(255)
 
 
 class IdleExplorer:
@@ -132,11 +135,22 @@ class GreedyFrontierExplorer:
     toward their target, everyone else stays. Matching is recomputed from
     scratch every round, over the view's flat arrays.
 
-    A round first gathers, in C, the targets the matching reaches (the
-    first k unvisited vertices), the agents in (depth, index) order and
-    the branches that hold an agent. A target whose branch holds no agent
-    takes the front of the unmatched agents in that order: every path
-    from an agent to it runs through the root, so each distance is the
+    The unvisited vertices wait in one sorted bucket of ids per depth, and
+    a visited id leaves its bucket when a round reads past it. In a game
+    view the reveal log is every id in order, and a round's new vertices
+    join their bucket in C passes when they share a depth, as a T_0 of
+    one-edge paths does. Where a bucket is a run of consecutive ids, their
+    visited flags are one slice of the visited bytearray: one search finds
+    the end of the visited prefix. The next k ids of a bucket are the
+    targets, one list slice, when no id in their span is visited. So the
+    gather runs a few Python lines per depth, however long the visited
+    prefix; elsewhere a C filter reads the flags one vertex at a time.
+
+    A round first gathers the targets the matching reaches (the first k
+    unvisited vertices), then, in C, the agents in (depth, index) order
+    and the branches that hold an agent. A target whose branch holds no
+    agent takes the front of the unmatched agents in that order: every
+    path from an agent to it runs through the root, so each distance is the
     agent's depth plus the target's, and that order is the (distance,
     index) order. When every target is such a free target, target j takes
     the j-th agent, and the round costs those C passes plus three Python
@@ -154,32 +168,66 @@ class GreedyFrontierExplorer:
 
     def _sync(self, view: ExplorerView) -> None:
         log = view.reveal_log
+        new = log[self._log_pos :]
+        self._log_pos = len(log)
         visited = view.visited
         depth = view.depths
+        buckets = self._buckets
+        if type(new) is range:
+            # a game view logs every vertex, ids ascending and above every id
+            # a bucket holds: when the unvisited new ones share a depth, they
+            # join its bucket in C passes; otherwise the loop takes them
+            unvisited = visited[new.start : new.stop].translate(_UNVISITED)
+            keys = list(compress(depth[new.start : new.stop], unvisited))
+            if keys and keys.count(keys[0]) == len(keys):
+                buckets.setdefault(keys[0], []).extend(compress(new, unvisited))
+                return
         dirty = set()
-        for v in log[self._log_pos :]:
+        for v in new:
             if visited[v]:
                 continue
             d = depth[v]
-            bucket = self._buckets.setdefault(d, [])
+            bucket = buckets.setdefault(d, [])
             if bucket and bucket[-1] > v:
                 dirty.add(d)
             bucket.append(v)
-        self._log_pos = len(log)
         for d in dirty:
-            self._buckets[d].sort()
+            buckets[d].sort()
 
     def _targets(self, visited: bytearray) -> list[int]:
-        """The first k unvisited vertices in (depth, id) order: one per match."""
+        """The first k unvisited vertices in (depth, id) order: one per match.
+
+        A bucket is sorted and distinct, so it holds consecutive ids exactly
+        when bucket[-1] - bucket[0] == len(bucket) - 1; its visited flags are
+        then one slice of ``visited``, which ``bytearray.find`` searches in C
+        for the end of the visited prefix. The targets are one slice of the
+        bucket when no id in their span is visited. Other buckets and spans
+        are read one vertex at a time.
+        """
         targets: list[int] = []
         for d in sorted(self._buckets):
-            if len(targets) == self.k:
+            want = self.k - len(targets)
+            if not want:
                 break
             bucket = self._buckets[d]
-            found = list(islice(filterfalse(visited.__getitem__, bucket), self.k - len(targets)))
+            if not bucket:
+                continue
             # visited vertices never become targets again: drop the prefix
-            del bucket[: bucket.index(found[0]) if found else len(bucket)]
-            targets += found
+            lo, hi = bucket[0], bucket[-1]
+            if hi - lo == len(bucket) - 1:
+                first = visited.find(0, lo, hi + 1)
+                del bucket[: len(bucket) if first < 0 else first - lo]
+            else:
+                first = next(filterfalse(visited.__getitem__, bucket), None)
+                del bucket[: len(bucket) if first is None else bucket.index(first)]
+            if not bucket:
+                continue
+            # the next ``want`` ids are the targets when no id in their span is visited
+            m = min(want, len(bucket))
+            if visited.find(1, bucket[0], bucket[m - 1] + 1) < 0:
+                targets += bucket[:m]
+            else:
+                targets += islice(filterfalse(visited.__getitem__, bucket), want)
         return targets
 
     def next_moves(self, view: ExplorerView) -> list[int]:

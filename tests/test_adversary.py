@@ -37,7 +37,7 @@ from treexplore.adversary import CheckpointRecord, lemma_header
 from treexplore.errors import InfeasibleParamsError, IntegrityError, InvalidParameterError, TreeParseError
 from treexplore.game import NO_GADGETS, _commit_attachments, _commit_moves
 from treexplore.harness.runner import run_adversary_game, run_fixed_game
-from treexplore.tree import ROOT, attach_path_with_star, decode_tree, encode_tree
+from treexplore.tree import ROOT, RootedTree, attach_path_with_star, decode_tree, encode_tree
 
 from conftest import gadgets_of, make_path, tree_arrays, vertices_at_depth
 
@@ -573,6 +573,26 @@ class TestTreeOwnership:
         assert tr.final_state.tree is not tree
         attach_path_with_star(tr.final_state.tree, 6, 1, 3)
         assert tree_arrays(tree) == before
+
+    def test_an_embedded_tree_is_handed_out_once_uncopied(self, monkeypatch):
+        tr = HEADER_GAMES["play-fixed"][0]()
+        embedded = tree_arrays(HEADER_TREE)
+        for transcript in (tr, transcript_from_json(transcript_to_json(tr))):
+            first, second = initial_tree_of(transcript), initial_tree_of(transcript)
+            assert first is not second
+            assert tree_arrays(first) == tree_arrays(second) == embedded
+            # one revealer's later calls build fresh trees, whatever became of the first
+            revealer = revealer_of(transcript)
+            first = revealer.initial_tree()
+            attach_path_with_star(first, 6, 1, 3)
+            second = revealer.initial_tree()
+            assert second is not first and second is not revealer.initial_tree()
+            assert tree_arrays(second) == embedded
+        # the tree revealer_of builds is the one initial_tree_of returns, not a copy of it
+        copied = []
+        monkeypatch.setattr(RootedTree, "copy", copied.append)
+        assert tree_arrays(initial_tree_of(tr)) == embedded
+        assert copied == []
 
     def test_checkpoint_revealer_builds_a_fresh_tree_per_call(self):
         revealer = CheckpointRevealer(derive_params(4096, 1, 3, 541))

@@ -22,7 +22,8 @@ A commit costs Python work per agent it is handed: ``single_dfs`` and
 4096 agents moves runs as many lines of ``game.py`` as one in which one
 of 64 does, counted with ``sys.settrace``. A ``greedy_frontier`` round
 whose targets all lie in branches no agent stands in runs a few lines of
-``strategies.py`` per agent.
+``strategies.py`` per agent, and its game-view sync of a one-depth T_0 and
+its target gather over a run of consecutive ids run none per vertex.
 
 A lemma cell of a sweep builds T_0 once, for its play, and replays
 nothing: its claims come from evidence gathered while it played. A
@@ -210,6 +211,28 @@ def test_a_free_greedy_round_runs_a_few_lines_per_agent():
     for parked in (False, True):
         small, big = _free_round_lines(64, parked), _free_round_lines(4096, parked)
         assert big - small <= 4 * (4096 - 64), (parked, small, big)
+
+
+def _greedy_frontier_lines(branches):
+    """Lines of ``strategies.py`` that greedy_frontier runs on a T_0 of
+    ``branches`` one-edge paths in a game view: one sync of the whole tree,
+    then one target gather with the first k ids visited, k = branches / 16."""
+    k = branches // 16
+    state = GameState(derive_params(2 * branches, 1, 3, K).initial_tree(), k)
+    explorer = GreedyFrontierExplorer(k)
+    _, sync = lines_run(strategies, explorer._sync, ExplorerView(state))
+    _commit_moves(state, range(1, k + 1))
+    targets, gather = lines_run(strategies, explorer._targets, state.visited)
+    assert targets == list(range(k + 1, 2 * k + 1))
+    return sync, gather
+
+
+def test_greedy_frontier_reads_consecutive_ids_in_c():
+    """A game view's sync takes the new ids in C passes when they share a
+    depth, and a gather over a run of consecutive ids finds its visited
+    prefix with one search and its targets as one slice, so neither runs a
+    line per vertex: the tree and k grow 16-fold and the lines stay put."""
+    assert _greedy_frontier_lines(1 << 12) == _greedy_frontier_lines(1 << 16)
 
 
 def _local_view_frames(branches):

@@ -229,13 +229,31 @@ class ReferenceGreedyFrontier(GreedyFrontierExplorer):
     the (distance, index) comparison. ``kinds`` counts the targets matched
     with and without an agent standing in their branch, and ``rounds`` the
     rounds in which every target reached is free of agents (including a
-    round that reaches none) and those in which one is not.
+    round that reaches none) and those in which one is not. It fills its
+    depth buckets one revealed vertex at a time and reads its targets from
+    them itself, so it shares no frontier code with the explorer.
     """
 
     def __init__(self, k):
         super().__init__(k)
         self.kinds = Counter()
         self.rounds = Counter()
+
+    def _sync(self, view):
+        # one step per revealed vertex, so the explorer's sync is checked too
+        log = view.reveal_log
+        dirty = set()
+        for v in log[self._log_pos :]:
+            if view.visited[v]:
+                continue
+            d = view.depths[v]
+            bucket = self._buckets.setdefault(d, [])
+            if bucket and bucket[-1] > v:
+                dirty.add(d)
+            bucket.append(v)
+        self._log_pos = len(log)
+        for d in dirty:
+            self._buckets[d].sort()
 
     def next_moves(self, view):
         in_branch = self.kinds["agent in branch"]
@@ -409,6 +427,51 @@ def test_greedy_frontier_matches_the_per_target_reference_round_by_round():
     assert kinds["agent in branch"] >= 1000 and kinds["no agent in branch"] >= 1000, kinds
     assert rounds["all free"] >= 300 and rounds["some in branch"] >= 300, rounds
     assert sum(rounds.values()) >= 2000
+
+
+def _reference_targets(buckets, visited, k):
+    """The first k unvisited ids in (depth, id) order, one vertex at a time;
+    drops the visited prefix of every bucket it reads."""
+    targets = []
+    for d in sorted(buckets):
+        if len(targets) == k:
+            break
+        bucket = buckets[d]
+        found = [v for v in bucket if not visited[v]][: k - len(targets)]
+        del bucket[: bucket.index(found[0]) if found else len(bucket)]
+        targets += found
+    return targets
+
+
+def test_greedy_targets_match_a_per_vertex_scan():
+    """Buckets of runs of consecutive ids, with gaps, over visited flags in
+    runs: the gather takes the runs' searches and slices and the per-vertex
+    filter elsewhere, and must give the same targets and leave the same
+    buckets as a scan of every vertex."""
+    rng = random.Random(33)
+    shapes = Counter()
+    for _ in range(3000):
+        n = rng.randrange(1, 160)
+        visited, depth, flag, d = bytearray(), [], 0, 1
+        for _ in range(n):
+            if rng.random() < 0.1:
+                flag = rng.random() < 0.5
+            if rng.random() < 0.05:
+                d = rng.randrange(1, 4)
+            visited.append(flag)
+            depth.append(d)
+        gap = rng.choice((0, 0, 0.02, 0.3))
+        buckets = {}
+        for v in range(n):
+            if rng.random() >= gap:
+                buckets.setdefault(depth[v], []).append(v)
+        k = rng.randrange(1, 60)
+        explorer = GreedyFrontierExplorer(k)
+        explorer._buckets = {d: list(b) for d, b in buckets.items()}
+        assert explorer._targets(visited) == _reference_targets(buckets, visited, k)
+        assert explorer._buckets == buckets
+        shapes["runs only" if not gap else "gaps"] += 1
+    assert min(shapes.values()) >= 1000, shapes
 
 
 def test_phase_bfs_matches_the_path_walk_reference_round_by_round():
