@@ -119,6 +119,10 @@ class GameState:
     holds the vertices first reached by the current round's moves;
     revealers consult it because attachment eligibility is judged against
     the visited set from the end of the previous round.
+
+    Every position is visited, and so is every ancestor of a visited
+    vertex: the root starts visited, a move enters a child or the parent
+    of a position, and an attachment creates unvisited vertices.
     """
 
     __slots__ = (
@@ -161,7 +165,8 @@ def _scan_moves(state: GameState, proposed: Sequence[int] | dict[int, int]) -> M
     the first offending entry is reported. A target must be an int, and equal the agent's
     current vertex or be its parent or one of its children. Positions are
     ints, so an entry that is its agent's position object passes without
-    a type test.
+    a type test. A move down is tested first; a move up needs no visited
+    lookup, as the parent of a visited vertex is visited.
     """
     positions = state.positions
     k = len(positions)
@@ -188,10 +193,11 @@ def _scan_moves(state: GameState, proposed: Sequence[int] | dict[int, int]) -> M
             return MoveViolation(agent, -1, -1, message=message)
         if target == origin:
             continue
-        if not (0 <= target < n) or (parent[target] != origin and parent[origin] != target):
+        if 0 <= target < n and parent[target] == origin:
+            if not visited[target]:
+                newly.append(target)
+        elif parent[origin] != target:  # the root's parent is None, no int
             break
-        if not visited[target]:
-            newly.append(target)
     else:
         return frozenset(newly)
     # an earlier entry with the same (origin, target) would have failed first,

@@ -147,16 +147,22 @@ class GreedyFrontierExplorer:
     prefix; elsewhere a C filter reads the flags one vertex at a time.
 
     A round first gathers the targets the matching reaches (the first k
-    unvisited vertices), then, in C, the agents in (depth, index) order
-    and the branches that hold an agent. A target whose branch holds no
-    agent takes the front of the unmatched agents in that order: every
-    path from an agent to it runs through the root, so each distance is the
-    agent's depth plus the target's, and that order is the (distance,
-    index) order. When every target is such a free target, target j takes
-    the j-th agent, and the round costs those C passes plus three Python
-    lines per target. Otherwise the round builds per-branch agent chains
-    and a linked list of the unmatched agents, and matches in
-    O(k + targets + in-branch agents scanned) plus the tree walks.
+    unvisited vertices), then, in C, the agents' depths. Agents that share
+    one depth are in (depth, index) order as they stand; otherwise a
+    stable sort puts them in it. A target whose branch holds no agent
+    takes the front of the unmatched agents in that order: every path from
+    an agent to it runs through the root, so each distance is the agent's
+    depth plus the target's, and that order is the (distance, index)
+    order. When every target is such a free target, target j takes the
+    j-th agent. That is known without a branch test when every agent
+    stands on the root, or when the last target, and so each one, has
+    depth 1: such a target heads its own unvisited branch, and an agent
+    off the root stands in a branch whose head it has visited. Otherwise a
+    C pass tests the branches that hold an agent against the targets'. A
+    free round costs those C passes plus three Python lines per target.
+    Any other round builds per-branch agent chains and a linked list of
+    the unmatched agents, and matches in O(k + targets + in-branch agents
+    scanned) plus the tree walks.
     """
 
     name = "greedy_frontier"
@@ -238,11 +244,22 @@ class GreedyFrontierExplorer:
         branch = view.branches
         positions = view.positions
         targets = self._targets(view.visited)
-        # a stable sort by depth keeps index order within a depth
-        order = sorted(range(k), key=list(map(depth.__getitem__, positions)).__getitem__)
+        keys = list(map(depth.__getitem__, positions))
+        uniform = keys.count(keys[0]) == k
+        # a stable sort by depth keeps index order within a depth, so one
+        # depth is index order
+        order = range(k) if uniform else sorted(range(k), key=keys.__getitem__)
         moves = list(positions)
-        # the root's branch is -1, which is no target's
-        if set(map(branch.__getitem__, positions)).isdisjoint(map(branch.__getitem__, targets)):
+        # every target is free when all agents stand on the root, whose
+        # branch is -1 and no target's, or when the last target, and so each
+        # one, has depth 1: a depth-1 target heads its own unvisited branch,
+        # and an agent off the root stands in a branch whose head it has
+        # visited. Otherwise a C pass tests the branches that hold an agent
+        if (
+            (uniform and not keys[0])
+            or (targets and depth[targets[-1]] == 1)
+            or set(map(branch.__getitem__, positions)).isdisjoint(map(branch.__getitem__, targets))
+        ):
             # every target is free, so target j takes the j-th agent
             for x, v in zip(order, targets):
                 p = positions[x]
@@ -262,7 +279,7 @@ class GreedyFrontierExplorer:
         # list with sentinel slot k, so matching removes them in O(1)
         nxt = [0] * (k + 1)
         prv = [0] * (k + 1)
-        for a, b in zip([k] + order, order + [k]):
+        for a, b in zip([k, *order], [*order, k]):
             nxt[a] = b
             prv[b] = a
 

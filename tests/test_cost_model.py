@@ -23,7 +23,10 @@ A commit costs Python work per agent it is handed: ``single_dfs`` and
 of 64 does, counted with ``sys.settrace``. A ``greedy_frontier`` round
 whose targets all lie in branches no agent stands in runs a few lines of
 ``strategies.py`` per agent, and its game-view sync of a one-depth T_0 and
-its target gather over a run of consecutive ids run none per vertex.
+its target gather over a run of consecutive ids run none per vertex. When
+its agents share a depth, and all stand on the root or all its targets
+have depth 1, it calls neither ``sorted`` nor ``set.isdisjoint``, counted
+from ``sys.setprofile``'s ``c_call`` events.
 
 A lemma cell of a sweep builds T_0 once, for its play, and replays
 nothing: its claims come from evidence gathered while it played. A
@@ -43,6 +46,7 @@ import gc
 import json
 import os
 import sys
+from collections import Counter
 
 import treexplore
 
@@ -187,17 +191,23 @@ def test_a_dict_commit_runs_no_line_per_agent_that_stays():
     assert _commit_lines(4096, [1] + [ROOT] * 4095) > _commit_lines(64, [1] + [ROOT] * 63) + 4000
 
 
-def _free_round_lines(k, parked):
-    """Lines of ``strategies.py`` one greedy_frontier decision runs on a T_0 of
-    8192 two-edge paths, with the k agents on the root or, if ``parked``, one
-    on the head of each of the first k branches. Either way the first k
-    unvisited vertices are heads of branches that hold no agent."""
+def _free_round(k, parked):
+    """A greedy_frontier explorer and a game view on a T_0 of 8192 two-edge
+    paths, with the k agents on the root or, if ``parked``, one on the head
+    of each of the first k branches. Either way the first k unvisited
+    vertices are heads of branches that hold no agent."""
     state = GameState(make_path_star(8192, 2), k)
     if parked:
         _commit_moves(state, range(1, 2 * k, 2))  # branch heads are the odd ids
     view = ExplorerView(state)
     explorer = GreedyFrontierExplorer(k)
     explorer._sync(view)  # the reveal log as earlier rounds would have read it
+    return explorer, view
+
+
+def _free_round_lines(k, parked):
+    """Lines of ``strategies.py`` the decision of a ``_free_round`` runs."""
+    explorer, view = _free_round(k, parked)
     moves, lines = lines_run(strategies, explorer.next_moves, view)
     assert all(map(int.__ne__, moves, view.positions))  # every agent is matched
     return lines
@@ -211,6 +221,43 @@ def test_a_free_greedy_round_runs_a_few_lines_per_agent():
     for parked in (False, True):
         small, big = _free_round_lines(64, parked), _free_round_lines(4096, parked)
         assert big - small <= 4 * (4096 - 64), (parked, small, big)
+
+
+def c_calls(fn, *args):
+    """fn(*args) and a Counter of the C functions it called, each as
+    (calling function's name, C function's qualified name)."""
+    called = Counter()
+
+    def profile(frame, event, arg):
+        if event == "c_call":
+            called[frame.f_code.co_name, arg.__qualname__] += 1
+
+    sys.setprofile(profile)
+    try:
+        result = fn(*args)
+    finally:
+        sys.setprofile(None)
+    return result, called
+
+
+def test_a_parked_free_round_neither_sorts_agents_nor_tests_branches():
+    """Agents at one depth are in (depth, index) order already, and a round
+    whose targets all have depth 1 is free: each target heads its own
+    unvisited branch. So a decision with the agents parked at depth 1, or
+    all on the root, calls neither ``sorted`` nor ``set.isdisjoint``. One
+    with agents at two depths and targets in their branches calls both."""
+    for k in (64, 4096):
+        for parked in (False, True):
+            explorer, view = _free_round(k, parked)
+            _, called = c_calls(explorer.next_moves, view)
+            assert called["next_moves", "list.count"] == 1, (k, parked, called)
+            assert not called["next_moves", "sorted"] + called["next_moves", "set.isdisjoint"], (k, parked, called)
+    state = GameState(make_path_star(8, 2), 8)
+    _commit_moves(state, range(1, 16, 2))  # every branch head
+    _commit_moves(state, [2, *range(3, 16, 2)])  # agent 0 on to its branch's tip
+    moves, called = c_calls(GreedyFrontierExplorer(8).next_moves, ExplorerView(state))
+    assert called["next_moves", "sorted"] == called["next_moves", "set.isdisjoint"] == 1, called
+    assert moves == [2, *range(4, 17, 2)]  # every agent at depth 1 steps down to its tip
 
 
 def _greedy_frontier_lines(branches):

@@ -212,6 +212,13 @@ def _random_joint_move(tree, positions, rng, seen) -> list:
     return moves
 
 
+def _assert_visited_parents(state):
+    """The scan's invariant: the parent of every visited vertex is visited,
+    so a move up never reaches a new vertex."""
+    parent, visited = state.tree.parent, state.visited
+    assert all(visited[parent[v]] for v in range(1, state.tree.n) if visited[v])
+
+
 class TestJointMoveScan:
     """The one-pass scan of ``_commit_moves`` in lockstep with the two-pass oracle."""
 
@@ -237,15 +244,44 @@ class TestJointMoveScan:
                     assert verdict is None
                     seen["legal"] += 1
                     seen["two agents converge on a new vertex"] += len(set(fresh)) < len(fresh)
+                    _assert_visited_parents(engine)
+                    open_ = [v for v in range(tree.n) if not engine.visited[v] or v in engine.newly_visited]
+                    if open_ and rng.random() < 0.3:
+                        gadget = (rng.choice(open_), rng.randrange(3), rng.randrange(1, 3))
+                        created = _commit_attachments(engine, gadgets_of(gadget))
+                        oracle.visited.extend(bytes(len(created)))
+                        seen["attachment"] += 1
+                        _assert_visited_parents(engine)
                 else:
                     assert (verdict.agent, verdict.origin, verdict.target) == expected[:3]
                     assert _snapshot(engine) == before
                     seen["rejected"] += 1
         cases = (
             "stay", "down-move", "up-move", "move from the root", "two agents converge on a new vertex",
-            "jump", "target >= n", "negative target", "wrong length", "legal", "rejected",
+            "jump", "target >= n", "negative target", "wrong length", "legal", "rejected", "attachment",
         )
         assert {case: seen[case] for case in cases if seen[case] == 0} == {}
+
+    @pytest.mark.parametrize("target", [-1, 4], ids=["-1", "n"])
+    @pytest.mark.parametrize("agent, origin", [(1, ROOT), (2, 1)], ids=["from the root", "from depth 1"])
+    @pytest.mark.parametrize("form", [list, dict])
+    def test_an_out_of_range_target_is_a_violation(self, target, agent, origin, form):
+        # the path 0-1-2 and a leaf 3 below the root: parent[-1] is the root,
+        # and the root's parent is None, which no int target equals.
+        # Agents 0 and 2 stand on vertex 1, agent 1 on the root
+        tree = make_path(2)
+        tree.add_child(ROOT)
+        state = GameState(tree, 3)
+        _commit_moves(state, [1, 0, 1])
+        moves = [1, 0, 1]
+        moves[agent] = target
+        proposed = moves if form is list else {agent: target}
+        report = validate_moves(state, proposed)
+        assert (report.agent, report.origin, report.target) == (agent, origin, target)
+        assert str(report) == f"agent {agent} may not move from vertex {origin} to vertex {target}"
+        with pytest.raises(MoveViolation) as exc:
+            _commit_moves(state, proposed)
+        assert (exc.value.agent, exc.value.round) == (agent, 2)
 
 
 class TestRejectedMoveLeavesStateAlone:

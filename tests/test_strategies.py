@@ -22,7 +22,7 @@ from treexplore.adversary import FixedTreeRevealer
 from treexplore.game import NO_GADGETS, ExplorerView, GameState, Gadgets
 from treexplore.harness.runner import run_adversary_game
 from treexplore.strategies import GreedyFrontierExplorer, PhaseBfsExplorer
-from treexplore.tree import ROOT
+from treexplore.tree import ROOT, make_path_star
 
 from conftest import apply_round, assert_transcript_invariants, make_path, make_star, random_tree
 
@@ -402,6 +402,40 @@ class _LockStep:
         return moves
 
 
+class _ShapeCountingGreedy(GreedyFrontierExplorer):
+    """greedy_frontier that counts the round shapes its shortcuts decide.
+
+    ``shapes`` counts the rounds with every agent on the root, those with
+    some agent off the root whose targets all have depth 1, and those whose
+    agents share one depth off the root but whose targets share a branch
+    with an agent, the mixed path. In the first two the round is free
+    without a branch test, which must then find no shared branch.
+    """
+
+    def __init__(self, k):
+        super().__init__(k)
+        self.shapes = Counter()
+
+    def _targets(self, visited):
+        self._gathered = super()._targets(visited)
+        return self._gathered
+
+    def next_moves(self, view):
+        moves = super().next_moves(view)
+        depth, branch, positions, targets = view.depths, view.branches, view.positions, self._gathered
+        depths = set(map(depth.__getitem__, positions))
+        shared = set(map(branch.__getitem__, positions)) & set(map(branch.__getitem__, targets))
+        if depths == {0}:
+            assert not shared
+            self.shapes["all agents on the root"] += 1
+        elif targets and depth[targets[-1]] == 1:
+            assert not shared
+            self.shapes["all targets at depth 1, agents off the root"] += 1
+        elif len(depths) == 1 and shared:
+            self.shapes["one depth off the root, mixed path"] += 1
+        return moves
+
+
 def test_greedy_frontier_matches_the_per_target_reference_round_by_round():
     rng = random.Random(2017)
     games = []
@@ -410,23 +444,35 @@ def test_greedy_frontier_matches_the_per_target_reference_round_by_round():
         k = rng.randrange(1, 13)
         view = ("game", "local")[i % 2]
         games.append((fixed_tree_revealer(tree), k, 2 * tree.n * (tree.height() + 2), view, True))
+    # wide roots: agents off the root while depth-1 targets remain
+    for i in range(40):
+        tree = make_path_star(rng.randrange(4, 40), rng.randrange(1, 4))
+        k = rng.randrange(1, 13)
+        view = ("game", "local")[i % 2]
+        games.append((fixed_tree_revealer(tree), k, 2 * tree.n * (tree.height() + 2), view, True))
     # the small and long-segment lemma instances; the latter stops at its cap
     for n, L, cap, finishes in ((4096, 1, 1000, True), (16384, 4, 100, False)):
         params = derive_params(n, L, 3, 541, warn=False)
         for view in ("game", "local"):
             games.append((CheckpointRevealer(params), 541, cap, view, finishes))
-    kinds, rounds = Counter(), Counter()
+    kinds, rounds, shapes = Counter(), Counter(), Counter()
     for revealer, k, cap, view, finishes in games:
-        lockstep = _LockStep(GreedyFrontierExplorer(k), ReferenceGreedyFrontier(k))
+        lockstep = _LockStep(_ShapeCountingGreedy(k), ReferenceGreedyFrontier(k))
         tr = play(lockstep, revealer, k, cap, view_mode=view)
         assert tr.outcome.finished == finishes
         kinds += lockstep.reference.kinds
         rounds += lockstep.reference.rounds
+        shapes += lockstep.explorer.shapes
     # both kinds of target and of round occur often, so the per-target
     # matcher and the all-free round are both compared
     assert kinds["agent in branch"] >= 1000 and kinds["no agent in branch"] >= 1000, kinds
     assert rounds["all free"] >= 300 and rounds["some in branch"] >= 300, rounds
     assert sum(rounds.values()) >= 2000
+    # each shape that decides the agents' order or the free round without a
+    # sort or a branch test occurs often too
+    assert shapes["one depth off the root, mixed path"] >= 1000, shapes
+    assert shapes["all agents on the root"] >= 300, shapes
+    assert shapes["all targets at depth 1, agents off the root"] >= 100, shapes
 
 
 def _reference_targets(buckets, visited, k):
